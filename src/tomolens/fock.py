@@ -96,10 +96,6 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def creation_matrix(dim: int) -> np.ndarray:
-    return annihilation_matrix(dim).T.copy()
-
-
 @dataclass(frozen=True)
 class SingleModeState:
     """Pure single-mode state c_n over the truncated basis |0> .. |n_cut>."""

@@ -32,6 +32,7 @@ from .moments import (
     MomentTable,
     TwoModeMomentTable,
     moment_table,
+    single_mode_rows,
     two_mode_moment_table,
 )
 from .tomography import (
@@ -40,9 +41,7 @@ from .tomography import (
     TwoModeTomogram,
     default_grid,
     density_eigenmodes,
-    marginal,
     tomogram_joint,
-    tomogram_pure,
 )
 
 LN_PI_E = float(np.log(np.pi * np.e))
@@ -233,52 +232,21 @@ class TwoModeSqueezingReport:
 
 
 def squeezing_report(
-    state: SingleModeState,
+    obj,
     theta: float,
     grid: QuadratureGrid | None = None,
     source: str = SOURCE_TOMOGRAM,
+    mode: str | None = None,
 ) -> SqueezingReport:
-    """Assemble the full single-mode report at one phase."""
-    if grid is None:
-        grid = default_grid(state)
-    tomo = tomogram_pure(state, [theta, theta + np.pi / 2], grid)
-    s_theta = entropy_from_density(tomo.values[0], grid)
-    s_conj = entropy_from_density(tomo.values[1], grid)
-    table = moment_table(state, 4, grid=grid, source=source)
-    var = variance(table, theta)
-    m3 = central_moment(table, theta, 3)
-    m4 = central_moment(table, theta, 4)
-    eur = s_theta + s_conj
-    return SqueezingReport(
-        theta=theta,
-        entropy=s_theta,
-        entropy_squeezed=below_threshold(s_theta, ENTROPY_THRESHOLD),
-        variance=var,
-        variance_squeezed=below_threshold(var, VARIANCE_THRESHOLD),
-        central_moment_3=m3,
-        central_moment_4=m4,
-        hm4_squeezed=below_threshold(m4, FOURTH_MOMENT_THRESHOLD),
-        eur_sum=eur,
-        eur_satisfied=bool(eur >= LN_PI_E - 1e-6),
-    )
+    """Assemble the full single-quadrature report at one phase.
 
-
-def _reduced_report(obj, mode, theta, grid, eigen) -> SqueezingReport:
-    joints = [
-        tomogram_joint(
-            obj,
-            th if mode == "a" else 0.0,
-            th if mode == "b" else 0.0,
-            grid,
-            grid,
-            eigenmodes=eigen,
-        )
-        for th in (theta, theta + np.pi / 2)
-    ]
-    rows = [marginal(j, mode) for j in joints]
-    s_theta = entropy_from_density(rows[0].values[0], grid)
-    s_conj = entropy_from_density(rows[1].values[0], grid)
-    table = moment_table(obj, 4, grid=grid, mode=mode)
+    `obj` is a SingleModeState, or a two-mode state / density matrix with
+    `mode` ('a' or 'b') selecting the reduced mode.
+    """
+    rows, grid = single_mode_rows(obj, [theta, theta + np.pi / 2], grid, mode)
+    s_theta = entropy_from_density(rows[0], grid)
+    s_conj = entropy_from_density(rows[1], grid)
+    table = moment_table(obj, 4, grid=grid, mode=mode, source=source)
     var = variance(table, theta)
     m3 = central_moment(table, theta, 3)
     m4 = central_moment(table, theta, 4)
@@ -316,8 +284,8 @@ def two_mode_report(
     eur = s_ab + entropy_two_mode(joint_conj)
     table = two_mode_moment_table(obj, 2, grid1=grid, grid2=grid)
     var = two_mode_variance(table, theta1, theta2)
-    reduced_a = _reduced_report(obj, "a", theta1, grid, eigen) if include_reduced else None
-    reduced_b = _reduced_report(obj, "b", theta2, grid, eigen) if include_reduced else None
+    reduced_a = squeezing_report(obj, theta1, grid, mode="a") if include_reduced else None
+    reduced_b = squeezing_report(obj, theta2, grid, mode="b") if include_reduced else None
     return TwoModeSqueezingReport(
         theta1=theta1,
         theta2=theta2,

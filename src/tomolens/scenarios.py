@@ -289,7 +289,8 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
         for th1 in thetas:
             joint = tomogram_joint(state, th1, theta2, grid, grid)
             j = int(np.argmin(np.abs(grid.x - x2)))
-            rows.append(joint.values[:, j])
+            # A copy, so each phase releases its full joint array.
+            rows.append(joint.values[:, j].copy())
         name = _get(cfg, "output", str, default="tomogram.csv")
         with open(col.path(name), "w", encoding="utf-8") as fh:
             fh.write(f"# scenario: tomogram (two-mode slice at X2={x2}, theta2={theta2})\n")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tomolens
 from tomolens.cli import main
 from tomolens.errors import ConfigError
 from tomolens.scenarios import (
@@ -178,3 +182,26 @@ def test_audit_negative_controls():
 
 def test_audit_cli_exit_code_on_failure():
     assert main(["audit", "--n-cut", "4"]) == 3
+
+
+def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
+    # One point per phi, so TOMOLENS_THREADS=2 runs the two points on two
+    # pool workers at once.  BLAS threading can move last digits, so it is
+    # pinned to one thread in both runs; only the scenario pool varies.
+    path = write_config(
+        tmp_path,
+        "scenario = beamsplitter-sweep\ninput = ecs-vacuum\n"
+        "param_start = 0.56\nparam_stop = 0.56\nparam_count = 1\n"
+        "phi_values = 0.0,1.5707963267948966\ntheta = 0.7\n",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tomolens.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, TOMOLENS_THREADS=threads, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", PYTHONPATH=src)
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "tomolens.cli", "run", path, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append((out / "beamsplitter_sweep.csv").read_bytes())
+    assert outputs[0].count(b"\n") == 5
+    assert outputs[0] == outputs[1]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from tomolens.decoherence import AMPLITUDE_DECAY, ChannelConfig, evolve
+from tomolens import moments
+from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import MissingOrder, OrderTooHigh
 from tomolens.fock import TwoModeDensityMatrix
 from tomolens.moments import (
+    K_MAX_DEFAULT,
     SOURCE_FOCK_ORACLE,
     extract_moment,
     extract_moment_two_mode,
     extraction_constant,
+    hermite_weights,
     moment_table,
     oracle_moment,
     oracle_moment_two_mode,
@@ -22,6 +25,7 @@ from tomolens.states import (
     make_squeezed,
     make_two_mode,
 )
+from tomolens.tomography import DEFAULT_POINTS, DEFAULT_POINTS_TWO_MODE, default_grid, tomogram_joint
 
 
 def test_extraction_constant():
@@ -176,3 +180,37 @@ def test_reduced_mode_extraction():
     assert oracle_moment(state, 1, 1, mode="b") == pytest.approx(expected, abs=1e-9)
     with pytest.raises(ValueError):
         extract_moment(state, 1, 1)
+
+
+@pytest.mark.parametrize("points", [DEFAULT_POINTS, DEFAULT_POINTS_TWO_MODE])
+def test_hermite_weights_stay_far_from_overflow_on_widest_grid(points):
+    # The moment kernel multiplies plain H_k(X) into the tomogram without
+    # log-space bookkeeping; that rests on weights * H_k staying finite and
+    # small up to K_MAX on the widest catalog grid (the support of level 1e4).
+    grid = default_grid(make_fock(10_000), points)
+    assert grid.half_width == pytest.approx(146.49, abs=0.01)
+    u = hermite_weights(grid, K_MAX_DEFAULT)
+    assert u.shape == (points, K_MAX_DEFAULT + 1)
+    assert np.all(np.isfinite(u))
+    assert np.max(np.abs(u)) < 1e16
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "phase-damped"])
+def test_two_mode_table_evaluates_each_phase_pair_once(monkeypatch, mixed):
+    state = make_product(make_cat(1.0, "even"), make_coherent(0.0))
+    if mixed:
+        state = evolve(TwoModeDensityMatrix.from_pure(state), ChannelConfig(PHASE_DAMPING), 0.4)
+    pairs = []
+
+    def counting(obj, theta1, theta2, *args, **kwargs):
+        pairs.append((theta1, theta2))
+        return tomogram_joint(obj, theta1, theta2, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "tomogram_joint", counting)
+    table = two_mode_moment_table(state, 2)
+    # Phases {0, pi/2, pi/3, 2pi/3} per mode at order 2: 4 x 4 distinct pairs.
+    assert len(pairs) == 16
+    assert len(set(pairs)) == 16
+    reference = two_mode_moment_table(state, 2, source=SOURCE_FOCK_ORACLE)
+    worst = max(abs(value - reference.entries[key]) for key, value in table.entries.items())
+    assert worst < 1e-6
