@@ -12,6 +12,7 @@ from .errors import (
     DegenerateParameter,
     GridTooNarrow,
     MissingOrder,
+    NegativeTomogram,
     OrderTooHigh,
     TomolensError,
     TruncationOverflow,
@@ -51,6 +52,7 @@ from .tomography import (
     tomogram_joint,
     tomogram_mixed,
     tomogram_pure,
+    tomogram_reduced,
     tomogram_two_mode_pure,
 )
 from .moments import (

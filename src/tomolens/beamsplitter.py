@@ -174,13 +174,11 @@ class PhiSweepEntry:
     report: TwoModeSqueezingReport
 
 
-def phi_sweep_report(
-    input_state: TwoModeState, phis, theta: float, include_reduced: bool = True
-) -> list:
+def phi_sweep_report(input_state: TwoModeState, phis, theta: float) -> list:
     """Beamsplitter output diagnostics across relative phases at fixed theta."""
     entries = []
     for phi in np.atleast_1d(np.asarray(phis, dtype=float)):
         out = apply(BeamsplitterConfig(phi=float(phi)), input_state)
-        rep = two_mode_report(out, theta, theta, include_reduced=include_reduced)
+        rep = two_mode_report(out, theta, theta)
         entries.append(PhiSweepEntry(float(phi), rep))
     return entries

@@ -27,3 +27,7 @@ class MissingOrder(TomolensError):
 
 class ConfigError(TomolensError):
     """A scenario configuration file is missing or malformed."""
+
+
+class NegativeTomogram(TomolensError):
+    """A density matrix yields tomogram values below zero beyond rounding."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingOrder
-from .fock import SingleModeState, TwoModeDensityMatrix
+from .fock import SingleModeState
 from .moments import (
     SOURCE_TOMOGRAM,
     MomentTable,
@@ -39,8 +39,6 @@ from .tomography import (
     QuadratureGrid,
     Tomogram,
     TwoModeTomogram,
-    default_grid,
-    density_eigenmodes,
     tomogram_joint,
 )
 
@@ -270,22 +268,14 @@ def two_mode_report(
     theta1: float,
     theta2: float,
     grid: QuadratureGrid | None = None,
-    include_reduced: bool = True,
 ) -> TwoModeSqueezingReport:
     """Assemble the bipartite report (entropy, EUR, joint variance, reductions)."""
-    if grid is None:
-        grid = default_grid(obj)
-    eigen = density_eigenmodes(obj) if isinstance(obj, TwoModeDensityMatrix) else None
-    joint = tomogram_joint(obj, theta1, theta2, grid, grid, eigenmodes=eigen)
-    joint_conj = tomogram_joint(
-        obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid, grid, eigenmodes=eigen
-    )
+    joint = tomogram_joint(obj, theta1, theta2, grid, grid)
+    joint_conj = tomogram_joint(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid, grid)
     s_ab = entropy_two_mode(joint)
     eur = s_ab + entropy_two_mode(joint_conj)
     table = two_mode_moment_table(obj, 2, grid1=grid, grid2=grid)
     var = two_mode_variance(table, theta1, theta2)
-    reduced_a = squeezing_report(obj, theta1, grid, mode="a") if include_reduced else None
-    reduced_b = squeezing_report(obj, theta2, grid, mode="b") if include_reduced else None
     return TwoModeSqueezingReport(
         theta1=theta1,
         theta2=theta2,
@@ -295,8 +285,8 @@ def two_mode_report(
         eur_satisfied=bool(eur >= 2.0 * LN_PI_E - 1e-6),
         variance=var,
         variance_squeezed=below_threshold(var, VARIANCE_THRESHOLD),
-        reduced_a=reduced_a,
-        reduced_b=reduced_b,
+        reduced_a=squeezing_report(obj, theta1, grid, mode="a"),
+        reduced_b=squeezing_report(obj, theta2, grid, mode="b"),
     )
 
 

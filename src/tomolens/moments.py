@@ -36,7 +36,6 @@ from scipy.special import gammaln
 from .errors import MissingOrder, OrderTooHigh
 from .fock import (
     SingleModeState,
-    TwoModeDensityMatrix,
     TwoModeState,
     annihilation_matrix,
     apply_annihilation,
@@ -46,10 +45,9 @@ from .fock import (
 from .tomography import (
     QuadratureGrid,
     default_grid,
-    density_eigenmodes,
-    marginal,
     tomogram_joint,
     tomogram_pure,
+    tomogram_reduced,
 )
 
 K_MAX_DEFAULT = 6
@@ -109,24 +107,13 @@ def single_mode_rows(obj, phases, grid: QuadratureGrid | None = None, mode: str 
     """Tomogram rows at the given phases for a state or a reduced mode, with their grid.
 
     `obj` is a SingleModeState, or a two-mode state / density matrix with
-    `mode` ('a' or 'b') selecting the reduced mode, whose rows are marginals
-    of joint tomograms taken with the other mode's phase at 0.
+    `mode` ('a' or 'b') selecting the reduced mode (tomogram_reduced).
     """
     if isinstance(obj, SingleModeState):
-        if grid is None:
-            grid = default_grid(obj)
-        return tomogram_pure(obj, phases, grid).values, grid
-    if mode not in ("a", "b"):
-        raise ValueError("two-mode input needs mode='a' or mode='b'")
-    if grid is None:
-        grid = default_grid(obj)
-    eigen = density_eigenmodes(obj) if isinstance(obj, TwoModeDensityMatrix) else None
-    rows = []
-    for th in phases:
-        pair = (th, 0.0) if mode == "a" else (0.0, th)
-        joint = tomogram_joint(obj, pair[0], pair[1], grid, grid, eigenmodes=eigen)
-        rows.append(marginal(joint, mode).values[0])
-    return np.asarray(rows), grid
+        tomo = tomogram_pure(obj, phases, grid)
+    else:
+        tomo = tomogram_reduced(obj, mode, phases, grid)
+    return tomo.values, tomo.grid
 
 
 def _single_mode_entries(obj, phase_sets: dict, grid, mode) -> dict:
@@ -156,11 +143,10 @@ def _two_mode_entries(obj, phase_sets1: dict, phase_sets2: dict, grid1, grid2) -
     phases2, pos2 = _phase_union(phase_sets2)
     u1 = hermite_weights(grid1, max(phase_sets1))
     u2 = hermite_weights(grid2, max(phase_sets2))
-    eigen = density_eigenmodes(obj) if isinstance(obj, TwoModeDensityMatrix) else None
     blocks = np.empty((phases1.size, phases2.size, u1.shape[1], u2.shape[1]))
     for i, th1 in enumerate(phases1):
         for j, th2 in enumerate(phases2):
-            joint = tomogram_joint(obj, th1, th2, grid1, grid2, eigenmodes=eigen)
+            joint = tomogram_joint(obj, th1, th2, grid1, grid2)
             blocks[i, j] = u1.T @ joint.values @ u2
     entries = {}
     for s1, p1 in pos1.items():

@@ -4,13 +4,21 @@ The single-mode tomogram of a pure state is evaluated as
 w(X, theta) = |sum_n c_n e^{-i n theta} psi_n(X)|^2, which is the textbook
 Hermite-polynomial form with the Gaussian and factorial factors absorbed
 into the normalized eigenfunctions psi_n, so nothing overflows at large n.
-Two-mode tomograms of pure states factor the same way; mixed two-mode states
-are handled through the eigendecomposition of the density matrix, which
-keeps every evaluated value exactly real and non-negative.
+Two-mode tomograms of pure states factor the same way.
+
+Every other tomogram depends only on a density matrix and is a contraction
+of it.  With Q the d^2 x N matrix of products psi_n(X) psi_n'(X), which does
+not depend on the phase, the joint tomogram of rho[n, n', m, m'] is
+Q1^T Re(rho~) Q2, where rho~ is rho times e^{-i(n-n') theta1 - i(m-m') theta2}
+reshaped to d^2 x d^2; the imaginary part cancels because rho is Hermitian.
+A reduced-mode row is Re(rho~_a) Q with rho_a = Tr_b rho, formed as c c^dag
+for a pure state.  A physical rho gives non-negative values up to rounding;
+a contraction dipping below -1e-12 times its maximum raises
+NegativeTomogram, and the rounding-level rest is set to zero.
 
 Integrals use composite Simpson weights on a uniform, symmetric grid; the
 default half-width is an energy-based support estimate from the highest
-occupied level.  Values below 1e-300 are clamped to zero so downstream
+occupied level.  Values below 1e-300 are set to zero so downstream
 logarithms stay finite.
 """
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooNarrow
+from .errors import GridTooNarrow, NegativeTomogram
 from .fock import (
     BUFFER_LEVELS,
     SingleModeState,
@@ -33,6 +41,8 @@ DEFAULT_POINTS = 2001
 DEFAULT_POINTS_TWO_MODE = 1201
 NORMALIZATION_GUARD = 1e-6
 CLAMP = 1e-300
+# A contraction of rho may dip below zero by rounding only, relative to its maximum.
+NEGATIVITY_GUARD = 1e-12
 
 # theta sampling for plot-ready tomogram maps (the [0, pi] convention).
 DEFAULT_THETAS = np.linspace(0.0, np.pi, 181)
@@ -149,6 +159,48 @@ def _clamped(values: np.ndarray) -> np.ndarray:
     return np.where(values < CLAMP, 0.0, values)
 
 
+def _checked_mass(tomo, what: str):
+    """`tomo` after the normalization guard; `what` names the tomogram in the error."""
+    defect = tomo.normalization_defect()
+    if defect > NORMALIZATION_GUARD:
+        raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; enlarge the grid")
+    return tomo
+
+
+def _joint_grids(obj, grid1, grid2):
+    """Both grids (defaulted from `obj`) and their psi_n matrices, shared when the grids are."""
+    if grid1 is None:
+        grid1 = default_grid(obj)
+    if grid2 is None:
+        grid2 = grid1
+    psis1 = hermite_psi_matrix(obj.n_cut, grid1.x)
+    psis2 = psis1 if grid2 is grid1 else hermite_psi_matrix(obj.n_cut, grid2.x)
+    return grid1, grid2, psis1, psis2
+
+
+def _nonnegative(values: np.ndarray, labels: list) -> np.ndarray:
+    """Clamped values after the negativity guard; one block of values per phase label."""
+    blocks = values.reshape(len(labels), -1)
+    low, high = blocks.min(axis=1), blocks.max(axis=1)
+    bad = np.nonzero(low < -NEGATIVITY_GUARD * high)[0]
+    if bad.size:
+        where = "; ".join(f"phase {labels[i]}: min {low[i]:.3e}, max {high[i]:.3e}" for i in bad)
+        raise NegativeTomogram(f"density matrix gives a negative tomogram ({where})")
+    return _clamped(values)
+
+
+def _psi_products(psis: np.ndarray) -> np.ndarray:
+    """Q[(n, n'), j] = psi_n(x_j) psi_n'(x_j), shape (d^2, N)."""
+    d, npts = psis.shape
+    return (psis[:, None, :] * psis[None, :, :]).reshape(d * d, npts)
+
+
+def _phase_matrix(dim: int, theta) -> np.ndarray:
+    """e^{-i(n - n') theta} of shape (dim, dim), behind one leading axis per theta for an array."""
+    n = np.arange(dim)
+    return np.exp(-1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
+
+
 def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = None) -> Tomogram:
     """Optical tomogram of a pure single-mode state at the given phases."""
     if grid is None:
@@ -159,21 +211,7 @@ def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = 
     phased = np.exp(-1j * np.outer(thetas, n)) * state.amplitudes
     values = _clamped(np.abs(phased @ psis) ** 2)
     tomo = Tomogram(thetas, values, grid)
-    defect = tomo.normalization_defect()
-    if defect > NORMALIZATION_GUARD:
-        raise GridTooNarrow(
-            f"per-theta tomogram mass misses 1 by {defect:.3e} on half-width "
-            f"{grid.half_width:.2f}; enlarge the grid"
-        )
-    return tomo
-
-
-def _pure_two_mode_values(c, theta1, theta2, psis1, psis2) -> np.ndarray:
-    n = np.arange(c.shape[0])
-    m = np.arange(c.shape[1])
-    phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * m)[None, :]
-    amp = psis1.T @ phased @ psis2
-    return np.abs(amp) ** 2
+    return _checked_mass(tomo, f"per-theta tomogram on half-width {grid.half_width:.2f}")
 
 
 def tomogram_two_mode_pure(
@@ -184,23 +222,19 @@ def tomogram_two_mode_pure(
     grid2: QuadratureGrid | None = None,
 ) -> TwoModeTomogram:
     """Joint tomogram of a pure two-mode state at one phase pair."""
-    if grid1 is None:
-        grid1 = default_grid(state)
-    if grid2 is None:
-        grid2 = grid1
-    psis1 = hermite_psi_matrix(state.n_cut, grid1.x)
-    psis2 = psis1 if grid2 is grid1 else hermite_psi_matrix(state.n_cut, grid2.x)
-    values = _clamped(_pure_two_mode_values(state.amplitudes, theta1, theta2, psis1, psis2))
-    tomo = TwoModeTomogram(theta1, theta2, values, grid1, grid2)
-    defect = tomo.normalization_defect()
-    if defect > NORMALIZATION_GUARD:
-        raise GridTooNarrow(f"two-mode tomogram mass misses 1 by {defect:.3e}; enlarge the grids")
-    return tomo
+    grid1, grid2, psis1, psis2 = _joint_grids(state, grid1, grid2)
+    c = state.amplitudes
+    n = np.arange(c.shape[0])
+    phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
+    values = _clamped(np.abs(psis1.T @ phased @ psis2) ** 2)
+    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "two-mode tomogram")
 
 
 def density_eigenmodes(rho: TwoModeDensityMatrix, floor: float = 1e-14):
     """Spectral decomposition of rho as (weights, list of c_{nm} matrices).
 
+    The reference the direct contraction of tomogram_mixed is tested
+    against: sum_k weights[k] |amplitude of mode k|^2 is the same tomogram.
     Eigenvalues below `floor` (relative to the largest) are dropped; small
     negative eigenvalues from rounding are rejected if they exceed 1e-10.
     """
@@ -220,38 +254,53 @@ def tomogram_mixed(
     theta2: float,
     grid1: QuadratureGrid | None = None,
     grid2: QuadratureGrid | None = None,
-    eigenmodes=None,
 ) -> TwoModeTomogram:
-    """Joint tomogram of a mixed two-mode state.
+    """Joint tomogram of a two-mode density matrix at one phase pair.
 
-    Summing |amplitude|^2 over the eigenmodes of rho keeps the result real
-    and non-negative by construction.  Pass `eigenmodes` (from
-    density_eigenmodes) to reuse the decomposition across phase pairs.
+    Two real matrix products, Q1^T Re(rho~) Q2 (see the module docstring).
+    Raises NegativeTomogram, naming the phase pair, when rho is not positive
+    enough for the values to stay above -1e-12 times their maximum.
     """
-    if grid1 is None:
-        grid1 = default_grid(rho)
-    if grid2 is None:
-        grid2 = grid1
-    if eigenmodes is None:
-        eigenmodes = density_eigenmodes(rho)
-    weights, modes = eigenmodes
-    psis1 = hermite_psi_matrix(rho.n_cut, grid1.x)
-    psis2 = psis1 if grid2 is grid1 else hermite_psi_matrix(rho.n_cut, grid2.x)
-    values = np.zeros((grid1.x.size, grid2.x.size))
-    for w, c in zip(weights, modes):
-        values += w * _pure_two_mode_values(c, theta1, theta2, psis1, psis2)
-    tomo = TwoModeTomogram(theta1, theta2, _clamped(values), grid1, grid2)
-    defect = tomo.normalization_defect()
-    if defect > NORMALIZATION_GUARD:
-        raise GridTooNarrow(f"mixed tomogram mass misses 1 by {defect:.3e}; enlarge the grids")
-    return tomo
+    grid1, grid2, psis1, psis2 = _joint_grids(rho, grid1, grid2)
+    q1 = _psi_products(psis1)
+    q2 = q1 if psis2 is psis1 else _psi_products(psis2)
+    d = rho.dim
+    phased = rho.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
+    values = q1.T @ np.ascontiguousarray(phased.real).reshape(d * d, d * d) @ q2
+    values = _nonnegative(values, [f"({theta1:.6g}, {theta2:.6g})"])
+    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "mixed tomogram")
 
 
-def tomogram_joint(obj, theta1, theta2, grid1=None, grid2=None, eigenmodes=None) -> TwoModeTomogram:
+def tomogram_joint(obj, theta1, theta2, grid1=None, grid2=None) -> TwoModeTomogram:
     """Dispatch to the pure or mixed two-mode evaluation."""
     if isinstance(obj, TwoModeState):
         return tomogram_two_mode_pure(obj, theta1, theta2, grid1, grid2)
-    return tomogram_mixed(obj, theta1, theta2, grid1, grid2, eigenmodes)
+    return tomogram_mixed(obj, theta1, theta2, grid1, grid2)
+
+
+def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None) -> Tomogram:
+    """Tomogram of mode 'a' or 'b' of a two-mode state or density matrix.
+
+    Each row is Re(rho~_a) Q with rho_a the reduced density matrix of the
+    kept mode (see the module docstring); it equals the marginal of any joint
+    tomogram at that mode's phase.  Raises NegativeTomogram naming the
+    offending phases, and GridTooNarrow as tomogram_pure does.
+    """
+    if mode not in ("a", "b"):
+        raise ValueError("two-mode input needs mode='a' or mode='b'")
+    if grid is None:
+        grid = default_grid(obj)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if isinstance(obj, TwoModeState):
+        c = obj.amplitudes if mode == "a" else obj.amplitudes.T
+        reduced = c @ c.conj().T
+    else:
+        reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", obj.entries)
+    d = reduced.shape[0]
+    phased = np.ascontiguousarray((reduced * _phase_matrix(d, thetas)).real)
+    values = phased.reshape(thetas.size, d * d) @ _psi_products(hermite_psi_matrix(obj.n_cut, grid.x))
+    tomo = Tomogram(thetas, _nonnegative(values, [f"{th:.6g}" for th in thetas]), grid)
+    return _checked_mass(tomo, f"reduced-mode tomogram on half-width {grid.half_width:.2f}")
 
 
 def marginal(tomo: TwoModeTomogram, keep: str = "a") -> Tomogram:

@@ -150,10 +150,13 @@ def test_phi_sweep_squeezing_pattern():
         make_product(make_cat(1.0, "even"), make_coherent(0.0)),
         [0.0, np.pi / 2],
         np.pi / 2,
-        include_reduced=False,
     )
     assert entries[0].report.entropy_squeezed
     assert not entries[1].report.entropy_squeezed
+    # Port C's reduced state does not depend on phi (see the traced-port test).
+    reduced_c = [entry.report.reduced_a.entropy for entry in entries]
+    assert abs(reduced_c[0] - reduced_c[1]) < 1e-8
+    assert all(entry.report.reduced_b.eur_satisfied for entry in entries)
 
 
 def test_traced_port_entropy_is_phase_invariant():

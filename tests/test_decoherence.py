@@ -173,6 +173,18 @@ def test_phase_damping_off_diagonals_decay_monotonically():
         previous = off
 
 
+@pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
+def test_channels_compose_as_a_semigroup(kind):
+    # A finite-time check with no t -> 0 expansion behind it:
+    # evolving for t1 and then t2 equals evolving for t1 + t2.
+    cfg = ChannelConfig(kind, 1.0, 0.4)
+    rho = beamsplitter_output("odd", alpha=0.8)
+    t1, t2 = 0.3, 0.5
+    stepped = evolve(evolve(rho, cfg, t1), cfg, t2)
+    direct = evolve(rho, cfg, t1 + t2)
+    assert np.max(np.abs(stepped.entries - direct.entries)) <= 1e-12
+
+
 def test_master_equation_residuals():
     vac = fock_pair_projector(0, 0, dim=4)
     assert master_equation_residual(vac, AMP) < 1e-12

@@ -180,6 +180,13 @@ def test_reduced_mode_extraction():
     assert oracle_moment(state, 1, 1, mode="b") == pytest.approx(expected, abs=1e-9)
     with pytest.raises(ValueError):
         extract_moment(state, 1, 1)
+    pair = make_product(make_cat(1.0, "even"), make_coherent(0.5))
+    damped = evolve(TwoModeDensityMatrix.from_pure(pair), ChannelConfig(PHASE_DAMPING), 0.4)
+    for mode in ("a", "b"):
+        table = moment_table(damped, 4, mode=mode)
+        reference = moment_table(damped, 4, mode=mode, source=SOURCE_FOCK_ORACLE)
+        for key, value in table.entries.items():
+            assert value == pytest.approx(reference.entries[key], abs=1e-7)
 
 
 @pytest.mark.parametrize("points", [DEFAULT_POINTS, DEFAULT_POINTS_TWO_MODE])

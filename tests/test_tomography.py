@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
 
-from tomolens.errors import GridTooNarrow
-from tomolens.fock import TwoModeDensityMatrix
+from tomolens.beamsplitter import BeamsplitterConfig, apply
+from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
+from tomolens.errors import GridTooNarrow, NegativeTomogram
+from tomolens.fock import TwoModeDensityMatrix, hermite_psi_matrix
 from tomolens.metrics import band_peaks
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product, make_squeezed, make_two_mode
 from tomolens.tomography import (
     QuadratureGrid,
     check_pi_shift,
     default_grid,
+    density_eigenmodes,
     marginal,
     tomogram_joint,
     tomogram_mixed,
     tomogram_pure,
+    tomogram_reduced,
     tomogram_to_csv,
     tomogram_two_mode_pure,
 )
+
+
+def decohered_output(kind, t=0.3):
+    out = apply(BeamsplitterConfig(0.0), make_product(make_cat(0.6, "even"), make_coherent(0.0)))
+    return evolve(TwoModeDensityMatrix.from_pure(out), ChannelConfig(kind), t)
 
 
 def test_grid_integrates_vacuum_density_exactly():
@@ -158,6 +167,56 @@ def test_mixed_tomogram_matches_pure_projector():
     pure = tomogram_two_mode_pure(pair, 0.2, 1.1, grid, grid)
     mixed = tomogram_mixed(rho, 0.2, 1.1, grid, grid)
     np.testing.assert_allclose(mixed.values, pure.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DECAY])
+def test_mixed_tomogram_matches_eigenmode_sum(kind):
+    # Reference: sum_k lambda_k |amplitude of eigenmode k|^2 from the
+    # spectral decomposition of rho.
+    rho = decohered_output(kind)
+    grid = default_grid(rho)
+    psis = hermite_psi_matrix(rho.n_cut, grid.x)
+    weights, modes = density_eigenmodes(rho)
+    n = np.arange(rho.dim)
+    for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
+        expected = np.zeros((grid.x.size, grid.x.size))
+        for lam, c in zip(weights, modes):
+            phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
+            expected += lam * np.abs(psis.T @ phased @ psis) ** 2
+        direct = tomogram_mixed(rho, theta1, theta2, grid, grid).values
+        assert np.max(np.abs(direct - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["a", "b"])
+@pytest.mark.parametrize("source", ["caves-schumaker", "phase-damped"])
+def test_reduced_tomogram_matches_joint_marginal(source, mode):
+    if source == "caves-schumaker":
+        obj = make_two_mode("caves-schumaker", 1.0)
+    else:
+        obj = decohered_output(PHASE_DAMPING)
+    grid = default_grid(obj)
+    thetas = [0.3, 1.2]
+    reduced = tomogram_reduced(obj, mode, thetas, grid)
+    for theta, row in zip(thetas, reduced.values):
+        pair = (theta, 0.7) if mode == "a" else (0.7, theta)
+        joint = tomogram_joint(obj, pair[0], pair[1], grid, grid)
+        assert np.max(np.abs(row - marginal(joint, mode).values[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["joint", "reduced"])
+def test_non_physical_density_matrix_raises(route):
+    # 1.5 |00><00| - 0.5 |10><10|: unit trace, Hermitian, not positive.  Its
+    # tomogram goes negative for |X1| > sqrt(3/2); the guard must raise
+    # rather than zero those values.
+    entries = np.zeros((4, 4, 4, 4), dtype=complex)
+    entries[0, 0, 0, 0] = 1.5
+    entries[1, 1, 0, 0] = -0.5
+    rho = TwoModeDensityMatrix(entries)
+    with pytest.raises(NegativeTomogram, match=r"phase \(?0\.4"):
+        if route == "joint":
+            tomogram_mixed(rho, 0.4, 1.1)
+        else:
+            tomogram_reduced(rho, "a", [0.4])
 
 
 def test_diagonal_density_matrix_is_phase_independent():
