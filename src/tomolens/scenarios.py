@@ -486,11 +486,12 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
     chan = dec.ChannelConfig(channel, rate_c, rate_d, tuple(times))
     rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(phi=phi), _bs_input(kind, alpha, cfg)))
 
-    purities = _parallel_map(lambda t: dec.purity(dec.evolve(rho0, chan, t)), times)
-    rows = [
-        (t, p, dec.mean_total_photon(dec.evolve(rho0, chan, t)), kind, channel, rate_c, rate_d)
-        for t, p in zip(times, purities)
-    ]
+    def one_point(t):
+        rho_t = dec.evolve(rho0, chan, t)
+        return dec.purity(rho_t), dec.mean_total_photon(rho_t)
+
+    series = _parallel_map(one_point, times)
+    rows = [(t, p, n, kind, channel, rate_c, rate_d) for t, (p, n) in zip(times, series)]
     col.write_csv(
         _get(cfg, "output", str, default="decoherence_purity.csv"),
         "t,purity,mean_total_photon,input,channel,rate_c,rate_d",

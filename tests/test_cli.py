@@ -184,16 +184,13 @@ def test_audit_cli_exit_code_on_failure():
     assert main(["audit", "--n-cut", "4"]) == 3
 
 
-def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
-    # One point per phi, so TOMOLENS_THREADS=2 runs the two points on two
-    # pool workers at once.  BLAS threading can move last digits, so it is
-    # pinned to one thread in both runs; only the scenario pool varies.
-    path = write_config(
-        tmp_path,
-        "scenario = beamsplitter-sweep\ninput = ecs-vacuum\n"
-        "param_start = 0.56\nparam_stop = 0.56\nparam_count = 1\n"
-        "phi_values = 0.0,1.5707963267948966\ntheta = 0.7\n",
-    )
+def run_across_scenario_threads(tmp_path, config_text, names):
+    """Run one config under TOMOLENS_THREADS=1 and =2; return each run's artifacts.
+
+    BLAS threading can move last digits, so it is pinned to one thread in
+    both runs; only the scenario pool varies.
+    """
+    path = write_config(tmp_path, config_text)
     src = os.path.dirname(os.path.dirname(os.path.abspath(tomolens.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -202,6 +199,33 @@ def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
         out = tmp_path / f"threads-{threads}"
         subprocess.run([sys.executable, "-m", "tomolens.cli", "run", path, "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
-        outputs.append((out / "beamsplitter_sweep.csv").read_bytes())
-    assert outputs[0].count(b"\n") == 5
-    assert outputs[0] == outputs[1]
+        outputs.append([(out / name).read_bytes() for name in names])
+    return outputs
+
+
+def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
+    # One point per phi, so TOMOLENS_THREADS=2 runs the two points on two
+    # pool workers at once.
+    one, two = run_across_scenario_threads(
+        tmp_path,
+        "scenario = beamsplitter-sweep\ninput = ecs-vacuum\n"
+        "param_start = 0.56\nparam_stop = 0.56\nparam_count = 1\n"
+        "phi_values = 0.0,1.5707963267948966\ntheta = 0.7\n",
+        ["beamsplitter_sweep.csv"],
+    )
+    assert one[0].count(b"\n") == 5
+    assert one == two
+
+
+def test_decoherence_run_is_byte_identical_across_scenario_threads(tmp_path):
+    # Pins the per-diagonal GEMM kernel and the one-evolve-per-point pool.
+    names = ["decoherence_purity.csv", "decoherence_entropy.csv"]
+    one, two = run_across_scenario_threads(
+        tmp_path,
+        "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.56\n"
+        "channel = amplitude-decay\ntime_count = 5\nentropy_time_count = 2\n"
+        "time_min = 0.01\ntime_max = 5\n",
+        names,
+    )
+    assert [blob.count(b"\n") for blob in one] == [3 + 5, 3 + 2]
+    assert one == two

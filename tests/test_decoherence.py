@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from tomolens import decoherence, scenarios
 from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import (
     AMPLITUDE_DECAY,
     PHASE_DAMPING,
     ChannelConfig,
+    _lindblad_rhs,
     default_time_grid,
     evolve,
     evolve_amplitude,
@@ -14,7 +17,7 @@ from tomolens.decoherence import (
     mean_total_photon,
     purity,
 )
-from tomolens.fock import TwoModeDensityMatrix, TwoModeState, fidelity_with_pure
+from tomolens.fock import TwoModeDensityMatrix, TwoModeState, annihilation_matrix, fidelity_with_pure
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, tomogram_mixed, tomogram_pure
 
@@ -183,6 +186,108 @@ def test_channels_compose_as_a_semigroup(kind):
     stepped = evolve(evolve(rho, cfg, t1), cfg, t2)
     direct = evolve(rho, cfg, t1 + t2)
     assert np.max(np.abs(stepped.entries - direct.entries)) <= 1e-12
+
+
+def coherent_vector(beta, dim):
+    """Fock amplitudes of |beta> for n < dim, not renormalized after truncation."""
+    n = np.arange(dim)
+    return np.exp(-0.5 * abs(beta) ** 2 - 0.5 * gammaln(n + 1.0)) * complex(beta) ** n
+
+
+def log_overlap(bra, ket):
+    """log <bra|ket> for coherent states, without a branch cut."""
+    return -0.5 * abs(bra) ** 2 - 0.5 * abs(ket) ** 2 + np.conj(bra) * ket
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0), (1.7, 0.3)], ids=["equal", "unequal"])
+@pytest.mark.parametrize("kind,phi", [("even", 0.0), ("odd", 0.9)])
+def test_amplitude_decay_matches_coherent_closed_form(kind, phi, rates):
+    # Cat (x) vacuum leaves the beamsplitter as N(|g, d> +- |-g, -d>) with
+    # g = alpha/sqrt2, d = e^{-i phi} alpha/sqrt2.  Per mode, damping with
+    # eta = e^{-gamma t} maps |b><b'| to <b'|b>^{1 - eta^2} |eta b><eta b'|,
+    # so rho(t) and Tr rho(t)^2 are exact at every t.
+    alpha = 1.0
+    rho0 = TwoModeDensityMatrix.from_pure(
+        apply(BeamsplitterConfig(phi), make_product(make_cat(alpha, kind), make_coherent(0.0)))
+    )
+    dim = rho0.dim
+    cfg = ChannelConfig(AMPLITUDE_DECAY, *rates)
+    amps = np.array([alpha / np.sqrt(2), np.exp(-1j * phi) * alpha / np.sqrt(2)])
+    signs = np.array([1.0, -1.0])
+    sign_c = np.array([1.0, 1.0 if kind == "even" else -1.0])
+    coeff = np.outer(sign_c, sign_c)
+    # Overlap exponents sum over both modes: E[s, u] = sum log<s beta|u beta>.
+    expo = sum(log_overlap(signs[:, None] * b, signs[None, :] * b) for b in amps)
+    coeff = coeff / np.real(np.sum(coeff * np.exp(expo.T)))
+    for t in (0.05, 0.5, 2.0, 8.0):
+        eta = np.exp(-np.array(rates) * t)
+        # A[s, s'] = N^2 c_s c_s' prod_modes <s' beta|s beta>^{1 - eta^2}.
+        weights = coeff * np.exp(
+            sum((1.0 - e**2) * log_overlap(signs[None, :] * b, signs[:, None] * b) for e, b in zip(eta, amps))
+        )
+        vecs = [
+            np.outer(coherent_vector(s * eta[0] * amps[0], dim), coherent_vector(s * eta[1] * amps[1], dim))
+            for s in signs
+        ]
+        expected = sum(
+            weights[i, j] * np.einsum("nm,NM->nNmM", vecs[i], vecs[j].conj())
+            for i in range(2)
+            for j in range(2)
+        )
+        evolved = evolve_amplitude(rho0, cfg, t)
+        assert np.max(np.abs(evolved.entries - expected)) <= 1e-12
+        # Tr rho^2 = Tr(A G A G) with the untruncated Gram matrix of |s eta beta>.
+        gram = np.exp(sum(log_overlap(signs[:, None] * e * b, signs[None, :] * e * b) for e, b in zip(eta, amps)))
+        assert abs(np.trace(weights @ gram).real - 1.0) <= 1e-12
+        exact_purity = np.trace(weights @ gram @ weights @ gram).real
+        assert abs(purity(evolved) - exact_purity) <= 1e-12
+
+
+def composite_lindblad_rhs(rho, cfg):
+    """The master equation with dense kron(a, I) composite operators."""
+    dim = rho.dim
+    a = annihilation_matrix(dim)
+    eye = np.eye(dim)
+    c = np.kron(a, eye)
+    d = np.kron(eye, a)
+    if cfg.kind == AMPLITUDE_DECAY:
+        l_c, l_d = c, d
+    else:
+        l_c, l_d = c.conj().T @ c, d.conj().T @ d
+    mat = rho.as_matrix()
+    out = np.zeros_like(mat)
+    for rate, op in ((cfg.rate_c, l_c), (cfg.rate_d, l_d)):
+        opd = op.conj().T
+        out += rate * (2.0 * op @ mat @ opd - opd @ op @ mat - mat @ opd @ op)
+    return out
+
+
+@pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
+def test_lindblad_rhs_matches_composite_operators(kind):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    mat = x @ x.conj().T
+    rho = TwoModeDensityMatrix.from_matrix(mat / np.trace(mat).real)
+    cfg = ChannelConfig(kind, 1.3, 0.45)
+    reference = TwoModeDensityMatrix.from_matrix(composite_lindblad_rhs(rho, cfg)).entries
+    assert np.max(np.abs(_lindblad_rhs(rho, cfg) - reference)) <= 1e-13
+
+
+def test_decoherence_run_evolves_each_time_point_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(rho0, cfg, t):
+        calls.append(t)
+        return evolve(rho0, cfg, t)
+
+    monkeypatch.setattr(decoherence, "evolve", counting)
+    cfg = {
+        "scenario": "decoherence-run", "input": "ecs-vacuum", "alpha": "0.5",
+        "channel": AMPLITUDE_DECAY, "time_count": "5", "entropy_time_count": "2",
+        "time_min": "0.01", "time_max": "5",
+    }
+    scenarios.run_scenario(cfg, str(tmp_path))
+    assert len(calls) == 5 + 2
 
 
 def test_master_equation_residuals():
