@@ -1,8 +1,9 @@
 """Command-line entry points: `tomolens run <config>` and `tomolens audit`.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-guard failure
-(inadequate truncation or grid, with the offending point named), 3 audit
-failures.
+Exit codes: 0 success, 1 configuration error (including a value the library
+rejects, such as a negative channel rate or a parameter at which a state
+family is undefined), 2 numerical-guard failure (inadequate truncation or
+grid, with the offending point named), 3 audit failures.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, GridTooNarrow, TruncationOverflow
+from .errors import ConfigError, DegenerateParameter, GridTooNarrow, TruncationOverflow
 from .scenarios import audit_table, parse_config, run_audit, run_scenario
 
 
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
             return 1
         try:
             artifacts = run_scenario(cfg, args.out)
-        except ConfigError as exc:
+        except (ConfigError, DegenerateParameter) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         except (TruncationOverflow, GridTooNarrow) as exc:

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import decoherence as dec
 from .beamsplitter import BeamsplitterConfig, apply
-from .errors import ConfigError, GridTooNarrow, TomolensError, TruncationOverflow
+from .errors import (
+    ConfigError,
+    DegenerateParameter,
+    GridTooNarrow,
+    TomolensError,
+    TruncationOverflow,
+)
 from .fock import SingleModeState, TwoModeDensityMatrix, TwoModeState
 from .metrics import (
     ENTROPY_THRESHOLD,
@@ -38,23 +44,21 @@ from .metrics import (
     entropy_two_mode,
     fit_cos2theta_quadratic,
     relative_fluctuation_product,
-    two_mode_variance,
+    two_mode_report,
     variance,
 )
 from .moments import (
-    SOURCE_FOCK_ORACLE,
     moment_table,
     oracle_moment,
     oracle_moment_two_mode,
     two_mode_moment_table,
 )
-from .states import StateSpec, build_state, make_coherent
+from .states import StateSpec, build_state, make_cat, make_coherent, make_pacs, make_product
 from .tomography import (
     DEFAULT_THETAS,
     QuadratureGrid,
     check_pi_shift,
     default_grid,
-    marginal,
     tomogram_joint,
     tomogram_pure,
     tomogram_to_csv,
@@ -154,29 +158,32 @@ _PARAM_KEYS = {
 }
 
 
-def parse_state_spec(cfg: dict, suffix: str = "") -> StateSpec:
+def _family(cfg: dict, suffix: str = "") -> str:
     family = _get(cfg, f"family{suffix}", str, required=True)
     if family not in _PARAM_KEYS:
         raise ConfigError(f"field family{suffix}: unknown family {family!r}")
-    key, conv = _PARAM_KEYS[family]
-    params = {key: _get(cfg, f"{key}{suffix}", conv, required=True)}
+    return family
+
+
+def _spec(family: str, value, cfg: dict, suffix: str = "") -> StateSpec:
+    """StateSpec with the family's scalar set to `value` and its extras read from cfg."""
+    params = {_PARAM_KEYS[family][0]: value}
     if family == "pacs":
         params["m"] = _get(cfg, f"m{suffix}", int, default=1)
     if family == "isospectral":
         params["base"] = _get(cfg, f"base{suffix}", int, default=1)
-    n_cut = _get(cfg, f"n_cut{suffix}", int)
-    return StateSpec(family, params, n_cut)
+    return StateSpec(family, params, _get(cfg, f"n_cut{suffix}", int))
+
+
+def parse_state_spec(cfg: dict, suffix: str = "") -> StateSpec:
+    family = _family(cfg, suffix)
+    key, conv = _PARAM_KEYS[family]
+    return _spec(family, _get(cfg, f"{key}{suffix}", conv, required=True), cfg, suffix)
 
 
 def sweep_spec(family: str, value: float, cfg: dict) -> StateSpec:
     """StateSpec for one point of a parameter sweep over the family's scalar."""
-    key, _ = _PARAM_KEYS[family]
-    params = {key: value if key != "n" else int(value)}
-    if family == "pacs":
-        params["m"] = _get(cfg, "m", int, default=1)
-    if family == "isospectral":
-        params["base"] = _get(cfg, "base", int, default=1)
-    return StateSpec(family, params, _get(cfg, "n_cut", int))
+    return _spec(family, int(value) if _PARAM_KEYS[family][0] == "n" else value, cfg)
 
 
 def _thread_count() -> int:
@@ -196,12 +203,12 @@ def _parallel_map(fn, items):
 
 
 def _guarded(fn, point: str):
-    """Annotate numerical-guard failures with the offending sweep point."""
+    """Annotate guard and degenerate-parameter failures with the offending point."""
 
     def wrapped(*args):
         try:
             return fn(*args)
-        except (TruncationOverflow, GridTooNarrow) as exc:
+        except (TruncationOverflow, GridTooNarrow, DegenerateParameter) as exc:
             raise type(exc)(f"{exc} [at {point.format(*args)}]") from exc
 
     return wrapped
@@ -256,9 +263,9 @@ def run_scenario(cfg: dict, out_dir: str) -> list:
     collector = _Collector(out_dir, scenario, cfg)
     runner = {
         "tomogram": _run_tomogram,
-        "entropy-sweep": _run_entropy_sweep,
-        "variance-sweep": _run_variance_sweep,
-        "higher-order-sweep": _run_higher_order_sweep,
+        "entropy-sweep": _run_sweep,
+        "variance-sweep": _run_sweep,
+        "higher-order-sweep": _run_sweep,
         "rfp": _run_rfp,
         "beamsplitter-sweep": _run_beamsplitter_sweep,
         "decoherence-run": _run_decoherence,
@@ -301,80 +308,62 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
         col.add(name, f"two-mode tomogram slice for {spec.family}")
 
 
-def _sweep_states(cfg: dict):
-    family = _get(cfg, "family", str, required=True)
-    if family not in _PARAM_KEYS:
-        raise ConfigError(f"field family: unknown family {family!r}")
-    values = _parse_range(cfg, "param")
-    states_list = _parallel_map(
-        _guarded(lambda v: build_state(sweep_spec(family, float(v), cfg)), "param={0}"),
-        values,
-    )
-    return family, values, states_list
+def _entropy_columns(state, theta: float) -> tuple:
+    tomo = tomogram_pure(state, [theta, theta + np.pi / 2])
+    s, s_conj = (entropy_from_density(row, tomo.grid) for row in tomo.values)
+    return s, int(below_threshold(s, ENTROPY_THRESHOLD)), s + s_conj
 
 
-def _run_entropy_sweep(cfg: dict, col: _Collector) -> None:
-    family, values, states_list = _sweep_states(cfg)
-    theta = _get(cfg, "theta", float, default=0.0)
+def _variance_columns(state, theta: float) -> tuple:
+    table = moment_table(state, 2)
+    var = variance(table, theta)
+    return var, int(below_threshold(var, VARIANCE_THRESHOLD)), variance(table, theta + np.pi / 2)
 
-    def one(state):
-        tomo = tomogram_pure(state, [theta, theta + np.pi / 2])
-        s = entropy_from_density(tomo.values[0], tomo.grid)
-        s_conj = entropy_from_density(tomo.values[1], tomo.grid)
-        return s, s_conj
 
-    results = _parallel_map(one, states_list)
-    rows = [
-        (v, theta, s, int(below_threshold(s, ENTROPY_THRESHOLD)), s + sc)
-        for v, (s, sc) in zip(values, results)
-    ]
-    col.write_csv(
-        _get(cfg, "output", str, default="entropy_sweep.csv"),
+def _higher_order_columns(state, theta: float) -> tuple:
+    table = moment_table(state, 4)
+    m4 = central_moment(table, theta, 4)
+    return central_moment(table, theta, 3), m4, int(below_threshold(m4, FOURTH_MOMENT_THRESHOLD))
+
+
+# scenario -> (per-state columns, CSV header, default output, description)
+_SWEEPS = {
+    "entropy-sweep": (
+        _entropy_columns,
         "param,theta,entropy_nats,entropy_squeezed,eur_sum_nats",
-        rows,
-        f"tomographic entropy vs parameter for {family} at theta={theta}",
-    )
-
-
-def _run_variance_sweep(cfg: dict, col: _Collector) -> None:
-    family, values, states_list = _sweep_states(cfg)
-    theta = _get(cfg, "theta", float, default=0.0)
-
-    def one(state):
-        table = moment_table(state, 2)
-        return variance(table, theta), variance(table, theta + np.pi / 2)
-
-    results = _parallel_map(one, states_list)
-    rows = [
-        (v, theta, var, int(below_threshold(var, VARIANCE_THRESHOLD)), var_conj)
-        for v, (var, var_conj) in zip(values, results)
-    ]
-    col.write_csv(
-        _get(cfg, "output", str, default="variance_sweep.csv"),
+        "entropy_sweep.csv",
+        "tomographic entropy",
+    ),
+    "variance-sweep": (
+        _variance_columns,
         "param,theta,variance,variance_squeezed,conjugate_variance",
-        rows,
-        f"quadrature variance vs parameter for {family} at theta={theta}",
-    )
+        "variance_sweep.csv",
+        "quadrature variance",
+    ),
+    "higher-order-sweep": (
+        _higher_order_columns,
+        "param,theta,central_moment_3,central_moment_4,hm4_squeezed",
+        "higher_order_sweep.csv",
+        "third/fourth central moments",
+    ),
+}
 
 
-def _run_higher_order_sweep(cfg: dict, col: _Collector) -> None:
-    family, values, states_list = _sweep_states(cfg)
+def _run_sweep(cfg: dict, col: _Collector) -> None:
+    """Build and measure each parameter point in one guarded pool pass."""
+    measure, header, output, what = _SWEEPS[cfg["scenario"]]
+    family = _family(cfg)
+    values = _parse_range(cfg, "param")
     theta = _get(cfg, "theta", float, default=0.0)
 
-    def one(state):
-        table = moment_table(state, 4)
-        return central_moment(table, theta, 3), central_moment(table, theta, 4)
+    def one(v):
+        return (v, theta, *measure(build_state(sweep_spec(family, float(v), cfg)), theta))
 
-    results = _parallel_map(one, states_list)
-    rows = [
-        (v, theta, m3, m4, int(below_threshold(m4, FOURTH_MOMENT_THRESHOLD)))
-        for v, (m3, m4) in zip(values, results)
-    ]
     col.write_csv(
-        _get(cfg, "output", str, default="higher_order_sweep.csv"),
-        "param,theta,central_moment_3,central_moment_4,hm4_squeezed",
-        rows,
-        f"third/fourth central moments vs parameter for {family} at theta={theta}",
+        _get(cfg, "output", str, default=output),
+        header,
+        _parallel_map(_guarded(one, "param={0}"), values),
+        f"{what} vs parameter for {family} at theta={theta}",
     )
 
 
@@ -398,124 +387,102 @@ def _run_rfp(cfg: dict, col: _Collector) -> None:
     )
 
 
-_BS_INPUTS = ("ecs-vacuum", "ocs-vacuum", "ecs-ecs", "ocs-ocs", "pacs-vacuum")
+# Beamsplitter input kind -> (alpha, cfg) -> two-mode product input.
+_BS_INPUTS = {
+    "ecs-vacuum": lambda alpha, cfg: make_product(make_cat(alpha, "even"), make_coherent(0.0)),
+    "ocs-vacuum": lambda alpha, cfg: make_product(make_cat(alpha, "odd"), make_coherent(0.0)),
+    "ecs-ecs": lambda alpha, cfg: make_product(make_cat(alpha, "even"), make_cat(alpha, "even")),
+    "ocs-ocs": lambda alpha, cfg: make_product(make_cat(alpha, "odd"), make_cat(alpha, "odd")),
+    "pacs-vacuum": lambda alpha, cfg: make_product(
+        make_pacs(alpha, _get(cfg, "m", int, default=1)), make_coherent(0.0)
+    ),
+}
 
 
-def _bs_input(kind: str, alpha: float, cfg: dict) -> TwoModeState:
-    from .states import make_cat, make_pacs, make_product
-
-    if kind == "ecs-vacuum":
-        return make_product(make_cat(alpha, "even"), make_coherent(0.0))
-    if kind == "ocs-vacuum":
-        return make_product(make_cat(alpha, "odd"), make_coherent(0.0))
-    if kind == "ecs-ecs":
-        return make_product(make_cat(alpha, "even"), make_cat(alpha, "even"))
-    if kind == "ocs-ocs":
-        return make_product(make_cat(alpha, "odd"), make_cat(alpha, "odd"))
-    if kind == "pacs-vacuum":
-        m = _get(cfg, "m", int, default=1)
-        return make_product(make_pacs(alpha, m), make_coherent(0.0))
-    raise ConfigError(f"field input: unknown beamsplitter input {kind!r}")
-
-
-def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
+def _bs_kind(cfg: dict) -> str:
     kind = _get(cfg, "input", str, required=True)
     if kind not in _BS_INPUTS:
         raise ConfigError(f"field input: unknown beamsplitter input {kind!r}")
+    return kind
+
+
+def _float_list(text: str) -> list:
+    return [float(p) for p in text.split(",")]
+
+
+def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
+    kind = _bs_kind(cfg)
     values = _parse_range(cfg, "param")
-    phis = [float(p) for p in cfg.get("phi_values", "0.0").split(",")]
+    phis = _get(cfg, "phi_values", _float_list, default=[0.0])
     theta = _get(cfg, "theta", float, default=np.pi / 2)
 
     def one(point):
         alpha, phi = point
-        inp = _bs_input(kind, alpha, cfg)
-        out = apply(BeamsplitterConfig(phi=phi), inp)
-        grid = default_grid(out)
-        joint = tomogram_joint(out, theta, theta, grid, grid)
-        joint_conj = tomogram_joint(out, theta + np.pi / 2, theta + np.pi / 2, grid, grid)
-        s_ab = entropy_two_mode(joint)
-        eur = s_ab + entropy_two_mode(joint_conj)
-        table = two_mode_moment_table(out, 2, grid1=grid, grid2=grid)
-        var = two_mode_variance(table, theta, theta)
-        s_c = entropy_from_density(marginal(joint, "a").values[0], grid)
-        s_d = entropy_from_density(marginal(joint, "b").values[0], grid)
-        return s_ab, var, eur, s_c, s_d
+        out = apply(BeamsplitterConfig(phi=phi), _BS_INPUTS[kind](alpha, cfg))
+        r = two_mode_report(out, theta, theta, default_grid(out))
+        return (
+            alpha, phi, theta, r.entropy, int(r.entropy_squeezed), r.variance,
+            int(r.variance_squeezed), r.eur_sum, r.reduced_a.entropy, r.reduced_b.entropy,
+        )
 
     points = [(float(a), phi) for phi in phis for a in values]
-    results = _parallel_map(_guarded(one, "param={0[0]}, phi={0[1]}"), points)
-    rows = [
-        (
-            alpha,
-            phi,
-            theta,
-            s_ab,
-            int(below_threshold(s_ab, TWO_MODE_ENTROPY_THRESHOLD)),
-            var,
-            int(below_threshold(var, VARIANCE_THRESHOLD)),
-            eur,
-            s_c,
-            s_d,
-        )
-        for (alpha, phi), (s_ab, var, eur, s_c, s_d) in zip(points, results)
-    ]
     col.write_csv(
         _get(cfg, "output", str, default="beamsplitter_sweep.csv"),
         "param,phi,theta,two_mode_entropy_nats,entropy_squeezed,two_mode_variance,"
         "variance_squeezed,eur_sum_nats,reduced_entropy_c_nats,reduced_entropy_d_nats",
-        rows,
+        _parallel_map(_guarded(one, "param={0[0]}, phi={0[1]}"), points),
         f"beamsplitter output diagnostics for {kind} input across phi",
     )
 
 
 def _run_decoherence(cfg: dict, col: _Collector) -> None:
-    kind = _get(cfg, "input", str, required=True)
-    if kind not in _BS_INPUTS:
-        raise ConfigError(f"field input: unknown beamsplitter input {kind!r}")
+    kind = _bs_kind(cfg)
     alpha = _get(cfg, "alpha", float, default=1.0)
     phi = _get(cfg, "phi", float, default=0.0)
     channel = _get(cfg, "channel", str, default=dec.AMPLITUDE_DECAY)
-    if channel not in (dec.AMPLITUDE_DECAY, dec.PHASE_DAMPING):
-        raise ConfigError(f"field channel: unknown channel {channel!r}")
     rate_c = _get(cfg, "rate_c", float, default=1.0)
     rate_d = _get(cfg, "rate_d", float, default=1.0)
     t_count = _get(cfg, "time_count", int, default=201)
     t_min = _get(cfg, "time_min", float, default=1e-3)
     t_max = _get(cfg, "time_max", float, default=20.0)
+    if not (t_count >= 1 and 0.0 < t_min <= t_max):
+        raise ConfigError(
+            f"time grid: need time_count >= 1 and 0 < time_min <= time_max, got "
+            f"time_count={t_count}, time_min={t_min:g}, time_max={t_max:g}"
+        )
     entropy_count = _get(cfg, "entropy_time_count", int, default=0)
+    theta = _get(cfg, "theta", float, default=0.0)
     times = dec.default_time_grid(t_count, t_min, t_max)
-    chan = dec.ChannelConfig(channel, rate_c, rate_d, tuple(times))
-    rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(phi=phi), _bs_input(kind, alpha, cfg)))
+    ent_times = dec.default_time_grid(entropy_count, t_min, t_max) if entropy_count > 0 else []
+    try:
+        chan = dec.ChannelConfig(channel, rate_c, rate_d, tuple(times))
+    except ValueError as exc:
+        raise ConfigError(f"channel: {exc}") from exc
+    rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(phi=phi), _BS_INPUTS[kind](alpha, cfg)))
+    on_entropy_grid = set(ent_times)
 
-    def one_point(t):
+    def one(t):
+        # Each distinct time is evolved once; entropy points reuse its rho(t).
         rho_t = dec.evolve(rho0, chan, t)
-        return dec.purity(rho_t), dec.mean_total_photon(rho_t)
+        s = None
+        if t in on_entropy_grid:
+            grid = default_grid(rho_t)
+            s = entropy_two_mode(tomogram_joint(rho_t, theta, theta, grid, grid))
+        return t, (dec.purity(rho_t), dec.mean_total_photon(rho_t), s)
 
-    series = _parallel_map(one_point, times)
-    rows = [(t, p, n, kind, channel, rate_c, rate_d) for t, (p, n) in zip(times, series)]
+    at = dict(_parallel_map(_guarded(one, "t={0}"), sorted(set(times) | on_entropy_grid)))
+    tail = (kind, channel, rate_c, rate_d)
     col.write_csv(
         _get(cfg, "output", str, default="decoherence_purity.csv"),
         "t,purity,mean_total_photon,input,channel,rate_c,rate_d",
-        rows,
+        [(t, *at[t][:2], *tail) for t in times],
         f"purity time series for {kind} input under {channel}",
     )
     if entropy_count > 0:
-        theta = _get(cfg, "theta", float, default=0.0)
-        ent_times = dec.default_time_grid(entropy_count, t_min, t_max)
-
-        def one_entropy(t):
-            rho_t = dec.evolve(rho0, chan, t)
-            grid = default_grid(rho_t)
-            joint = tomogram_joint(rho_t, theta, theta, grid, grid)
-            return entropy_two_mode(joint)
-
-        entropies = _parallel_map(one_entropy, ent_times)
-        rows = [
-            (t, s, kind, channel, rate_c, rate_d) for t, s in zip(ent_times, entropies)
-        ]
         col.write_csv(
             _get(cfg, "output_entropy", str, default="decoherence_entropy.csv"),
             "t,two_mode_entropy_nats,input,channel,rate_c,rate_d",
-            rows,
+            [(t, at[t][2], *tail) for t in ent_times],
             f"two-mode entropy time series for {kind} input under {channel}",
         )
 
@@ -552,27 +519,25 @@ def default_battery() -> list:
     ]
 
 
+def _oracle_differences(state, table) -> dict:
+    """{index: |tomogram entry - Fock oracle|} for a one- or two-mode moment table."""
+    oracle = oracle_moment if isinstance(state, SingleModeState) else oracle_moment_two_mode
+    return {key: abs(val - oracle(state, *key)) for key, val in table.entries.items()}
+
+
 def _run_oracle_audit(cfg: dict, col: _Collector) -> None:
     tolerance = _get(cfg, "tolerance", float, default=1e-7)
     max_order = _get(cfg, "max_order", int, default=4)
     rows = []
-    worst_overall = 0.0
     for name, spec in default_battery():
         state = build_state(spec)
         if isinstance(state, SingleModeState):
             table = moment_table(state, max_order)
-            for (k, l), val in sorted(table.entries.items()):
-                ref = oracle_moment(state, k, l)
-                diff = abs(val - ref)
-                worst_overall = max(worst_overall, diff)
-                rows.append((name, k, l, "", "", diff, int(diff < tolerance)))
         else:
-            table2 = two_mode_moment_table(state, 2)
-            for (k, l, p, q), val in sorted(table2.entries.items()):
-                ref = oracle_moment_two_mode(state, k, l, p, q)
-                diff = abs(val - ref)
-                worst_overall = max(worst_overall, diff)
-                rows.append((name, k, l, p, q, diff, int(diff < tolerance)))
+            table = two_mode_moment_table(state, 2)
+        for key, diff in sorted(_oracle_differences(state, table).items()):
+            rows.append((name, *key, *("",) * (4 - len(key)), diff, int(diff < tolerance)))
+    worst_overall = max((row[5] for row in rows), default=0.0)
     col.write_csv(
         _get(cfg, "output", str, default="oracle_audit.csv"),
         "state,k,l,p,q,abs_difference,within_tolerance",
@@ -638,20 +603,17 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
             record("tomogram-normalization", name, False, f"{type(exc).__name__}: {exc}")
             record("pi-shift", name, False, "tomogram unavailable")
             continue
-        # EUR on conjugate pairs: evaluate theta and theta + pi/2 directly.
-        tomo_eur = tomogram_pure(state, np.concatenate([thetas12, thetas12 + np.pi / 2]), grid)
-        ent = [entropy_from_density(row, grid) for row in tomo_eur.values]
-        eur_min = min(ent[i] + ent[i + 12] for i in range(12))
+        # The 24 rows are the phases k pi/12, so row i + 6 is row i's theta + pi/2.
+        ent = [entropy_from_density(row, grid) for row in tomo.values]
+        eur_min = min(ent[i] + ent[i + 6] for i in range(12))
         record("entropic-uncertainty", name, eur_min >= LN_PI_E - 1e-6,
                f"min EUR sum={eur_min:.9f} vs {LN_PI_E:.9f}")
-        table = moment_table(state, 2, grid=grid)
+        ttab = moment_table(state, 4, grid=grid)
         heis_min = min(
-            variance(table, th) * variance(table, th + np.pi / 2) for th in thetas12
+            variance(ttab, th) * variance(ttab, th + np.pi / 2) for th in thetas12
         )
         record("heisenberg", name, heis_min >= 0.25 - 1e-8, f"min product={heis_min:.9f}")
-        otab = moment_table(state, 4, source=SOURCE_FOCK_ORACLE)
-        ttab = moment_table(state, 4, grid=grid)
-        worst = max(abs(ttab.entries[key] - otab.entries[key]) for key in ttab.entries)
+        worst = max(_oracle_differences(state, ttab).values())
         record("oracle-equivalence", name, worst < 1e-7, f"worst={worst:.2e}")
 
     for name, state in states.items():
@@ -667,10 +629,7 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
             eur = s_ab + entropy_two_mode(conj)
             record("two-mode-eur", name, eur >= 2.0 * LN_PI_E - 1e-6, f"EUR sum={eur:.9f}")
             ttab = two_mode_moment_table(state, 2, grid1=grid, grid2=grid)
-            worst = max(
-                abs(ttab.entries[key] - oracle_moment_two_mode(state, *key))
-                for key in ttab.entries
-            )
+            worst = max(_oracle_differences(state, ttab).values())
             record("oracle-equivalence", name, worst < 1e-6, f"worst={worst:.2e}")
         except TomolensError as exc:
             record("two-mode-normalization", name, False, f"{type(exc).__name__}: {exc}")

@@ -53,7 +53,7 @@ def test_parse_state_spec_names_missing_field(tmp_path):
         parse_state_spec(cfg)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     missing = write_config(
         tmp_path,
         "scenario = entropy-sweep\nfamily = ocs\nparam_start = 0.5\ntheta = 0\n",
@@ -75,6 +75,43 @@ def test_cli_exit_codes(tmp_path):
         "guard.cfg",
     )
     assert main(["run", guard, "--out", str(tmp_path / "o3")]) == 2
+    capsys.readouterr()
+
+    # Values the library rejects are config errors too, never a traceback.
+    rejected = {
+        "negative-rate": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"
+                          "rate_c = -1\ntime_count = 3\ntime_min = 0.01\ntime_max = 1\n",
+                          "rates must be positive"),
+        "bad-phi": ("scenario = beamsplitter-sweep\ninput = ecs-vacuum\nparam_start = 0.5\n"
+                    "param_stop = 0.5\nparam_count = 1\nphi_values = 0.0,abc\n",
+                    "phi_values"),
+        "degenerate-ocs": ("scenario = entropy-sweep\nfamily = ocs\nparam_start = 0\n"
+                           "param_stop = 1\nparam_count = 3\n",
+                           "param=0"),
+    }
+    for name, (text, message) in rejected.items():
+        path = write_config(tmp_path, text, f"{name}.cfg")
+        assert main(["run", path, "--out", str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, (name, err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["time_count = 5\ntime_min = 0\ntime_max = 5\n",
+     "time_count = 5\ntime_min = 5\ntime_max = 0.01\n",
+     "time_count = 0\ntime_min = 0.01\ntime_max = 5\n"],
+    ids=["zero-time-min", "max-below-min", "zero-count"],
+)
+def test_decoherence_run_rejects_bad_time_grid(tmp_path, capsys, grid):
+    path = write_config(
+        tmp_path, "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n" + grid
+    )
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: time grid") and "Traceback" not in err
+    assert not (tmp_path / "out" / "decoherence_purity.csv").exists()
 
 
 def test_tomogram_scenario_runs_and_is_deterministic(tmp_path):
@@ -228,4 +265,16 @@ def test_decoherence_run_is_byte_identical_across_scenario_threads(tmp_path):
         names,
     )
     assert [blob.count(b"\n") for blob in one] == [3 + 5, 3 + 2]
+    assert one == two
+
+
+def test_entropy_sweep_is_byte_identical_across_scenario_threads(tmp_path):
+    # Pins the one pool pass that builds and measures each point.
+    one, two = run_across_scenario_threads(
+        tmp_path,
+        "scenario = entropy-sweep\nfamily = ecs\n"
+        "param_start = 0.5\nparam_stop = 1.0\nparam_count = 3\ntheta = 0.4\n",
+        ["entropy_sweep.csv"],
+    )
+    assert one[0].count(b"\n") == 3 + 3
     assert one == two
