@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration error (including a value the library
 rejects, such as a negative channel rate or a parameter at which a state
 family is undefined), 2 numerical-guard failure (inadequate truncation or
-grid, with the offending point named), 3 audit failures.
+grid, or a density matrix whose tomogram goes negative, with the offending
+point named), 3 audit failures.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DegenerateParameter, GridTooNarrow, TruncationOverflow
+from .errors import ConfigError, DegenerateParameter, GridTooNarrow, NegativeTomogram, TruncationOverflow
 from .scenarios import audit_table, parse_config, run_audit, run_scenario
 
 
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
         except (ConfigError, DegenerateParameter) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        except (TruncationOverflow, GridTooNarrow) as exc:
+        except (TruncationOverflow, GridTooNarrow, NegativeTomogram) as exc:
             print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         for art in artifacts:

@@ -21,8 +21,18 @@ N x (K+1) matrix whose column s is the Simpson weights times H_s(X), every
 order's integral at one phase is an entry of `rows @ U`, and every order
 pair's double integral at one phase pair is an entry of the (K+1) x (K+1)
 block U1^T W U2 of the joint tomogram W.  The table builders evaluate each
-distinct phase (or phase pair) once, contract it into that block, drop the
-tomogram and assemble every index from the blocks.
+distinct phase (or phase pair) once into that block and assemble every index
+from the blocks.
+
+A pure state's block is the same Simpson-weighted sum reassociated, so W is
+never formed: with G_s[n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), built
+once per grid from the sampled eigenfunctions, T_s = c~^T G1_s c~* is formed
+once per theta1 and each block is sum_{m,m'} T_s e^{-i(m-m') theta2} G2_t,
+O(K d^3) per theta1.  Entry (0, 0) is the double integral of W and carries
+the per-pair mass guard.  G is a quadrature of the tomogram, not a
+ladder-operator closed form, so the route stays independent of the oracle.
+A density matrix's block is U1^T W U2 of its joint tomogram, which keeps the
+negativity guard on every value of W.
 """
 
 from __future__ import annotations
@@ -39,11 +49,13 @@ from .fock import (
     TwoModeState,
     annihilation_matrix,
     apply_annihilation,
-    hermite_psi_matrix,  # noqa: F401  unused here; perfbench's tracer tests rebind it by this name
+    hermite_psi_matrix,
     inner,
 )
 from .tomography import (
     QuadratureGrid,
+    _check_mass_defect,
+    _phase_matrix,
     default_grid,
     tomogram_joint,
     tomogram_pure,
@@ -129,11 +141,42 @@ def _single_mode_entries(obj, phase_sets: dict, grid, mode) -> dict:
     return entries
 
 
+def _hermite_products(n_cut: int, grid: QuadratureGrid, u: np.ndarray) -> np.ndarray:
+    """G[s, n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), shape (K + 1, d, d)."""
+    psis = hermite_psi_matrix(n_cut, grid.x)
+    return (psis * u.T[:, None, :]) @ psis.T
+
+
+def _pure_blocks(state: TwoModeState, phases1, phases2, grid1, grid2, u1, u2) -> np.ndarray:
+    """The blocks U1^T W U2 of a pure state, contracted without forming W.
+
+    Per theta1, T_s = c~^T G1_s c~* (c~ phased by theta1 along mode a); the
+    block at (theta1, theta2) is sum_{m,m'} T_s e^{-i(m-m') theta2} G2_t.
+    Entry (0, 0) is the double integral of W, checked by the mass guard.
+    """
+    g1 = _hermite_products(state.n_cut, grid1, u1)
+    g2 = g1 if grid2 is grid1 and u2.shape == u1.shape else _hermite_products(state.n_cut, grid2, u2)
+    d = state.amplitudes.shape[0]
+    n = np.arange(d)
+    g2 = g2.reshape(g2.shape[0], d * d).T
+    blocks = np.empty((phases1.size, phases2.size, u1.shape[1], u2.shape[1]))
+    for i, th1 in enumerate(phases1):
+        phased = state.amplitudes * np.exp(-1j * th1 * n)[:, None]
+        t = (phased.T @ g1 @ phased.conj()).reshape(u1.shape[1], d * d)
+        for j, th2 in enumerate(phases2):
+            blocks[i, j] = ((t * _phase_matrix(d, th2).ravel()) @ g2).real
+            _check_mass_defect(
+                abs(blocks[i, j, 0, 0] - 1.0), f"two-mode tomogram at ({th1:.6g}, {th2:.6g})"
+            )
+    return blocks
+
+
 def _two_mode_entries(obj, phase_sets1: dict, phase_sets2: dict, grid1, grid2) -> dict:
     """Every (k, l, p, q) with k + l in phase_sets1 and p + q in phase_sets2.
 
-    Each distinct phase pair's joint tomogram W is contracted into the block
-    U1^T W U2 of every order pair's double integral and then dropped.
+    Each distinct phase pair gives one block U1^T W U2 of every order pair's
+    double integral: by contraction for a pure state, from the joint
+    tomogram W (then dropped) for a density matrix.
     """
     if grid1 is None:
         grid1 = default_grid(obj)
@@ -143,11 +186,13 @@ def _two_mode_entries(obj, phase_sets1: dict, phase_sets2: dict, grid1, grid2) -
     phases2, pos2 = _phase_union(phase_sets2)
     u1 = hermite_weights(grid1, max(phase_sets1))
     u2 = hermite_weights(grid2, max(phase_sets2))
-    blocks = np.empty((phases1.size, phases2.size, u1.shape[1], u2.shape[1]))
-    for i, th1 in enumerate(phases1):
-        for j, th2 in enumerate(phases2):
-            joint = tomogram_joint(obj, th1, th2, grid1, grid2)
-            blocks[i, j] = u1.T @ joint.values @ u2
+    if isinstance(obj, TwoModeState):
+        blocks = _pure_blocks(obj, phases1, phases2, grid1, grid2, u1, u2)
+    else:
+        blocks = np.empty((phases1.size, phases2.size, u1.shape[1], u2.shape[1]))
+        for i, th1 in enumerate(phases1):
+            for j, th2 in enumerate(phases2):
+                blocks[i, j] = u1.T @ tomogram_joint(obj, th1, th2, grid1, grid2).values @ u2
     entries = {}
     for s1, p1 in pos1.items():
         for s2, p2 in pos2.items():
@@ -339,8 +384,9 @@ def two_mode_moment_table(
 ) -> TwoModeMomentTable:
     """All <a^dag^k a^l b^dag^p b^q> with k+l and p+q each <= max_order_each.
 
-    Each distinct phase pair across the order pairs is evaluated once: 16
-    joint tomograms at max_order_each = 2.
+    Each distinct phase pair across the order pairs is evaluated once, 16 of
+    them at max_order_each = 2: contracted from the amplitudes for a pure
+    state, from one joint tomogram each for a density matrix.
     """
     if max_order_each > k_max:
         raise OrderTooHigh(f"max_order {max_order_each} exceeds K_max = {k_max}")

@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DegenerateParameter,
     GridTooNarrow,
+    NegativeTomogram,
     TomolensError,
     TruncationOverflow,
 )
@@ -57,6 +58,8 @@ from .states import StateSpec, build_state, make_cat, make_coherent, make_pacs, 
 from .tomography import (
     DEFAULT_THETAS,
     QuadratureGrid,
+    _two_mode_pure_slice,
+    _write_rows,
     check_pi_shift,
     default_grid,
     tomogram_joint,
@@ -208,7 +211,7 @@ def _guarded(fn, point: str):
     def wrapped(*args):
         try:
             return fn(*args)
-        except (TruncationOverflow, GridTooNarrow, DegenerateParameter) as exc:
+        except (TruncationOverflow, GridTooNarrow, NegativeTomogram, DegenerateParameter) as exc:
             raise type(exc)(f"{exc} [at {point.format(*args)}]") from exc
 
     return wrapped
@@ -292,19 +295,13 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
         theta2 = _get(cfg, "theta2", float, default=0.0)
         x2 = _get(cfg, "x2", float, default=1.0)
         grid = default_grid(state, points) if points else default_grid(state)
-        rows = []
-        for th1 in thetas:
-            joint = tomogram_joint(state, th1, theta2, grid, grid)
-            j = int(np.argmin(np.abs(grid.x - x2)))
-            # A copy, so each phase releases its full joint array.
-            rows.append(joint.values[:, j].copy())
+        rows = _two_mode_pure_slice(state, thetas, theta2, x2, grid)
         name = _get(cfg, "output", str, default="tomogram.csv")
         with open(col.path(name), "w", encoding="utf-8") as fh:
             fh.write(f"# scenario: tomogram (two-mode slice at X2={x2}, theta2={theta2})\n")
             fh.write(f"# conventions: {_CSV_CONVENTIONS}; slice displayed unnormalized\n")
             fh.write("X1," + ",".join(f"theta1={t:.17g}" for t in thetas) + "\n")
-            for j, x in enumerate(grid.x):
-                fh.write(f"{x:.17g}," + ",".join(f"{rows[i][j]:.17g}" for i in range(len(thetas))) + "\n")
+            _write_rows(fh, grid.x, rows.T)
         col.add(name, f"two-mode tomogram slice for {spec.family}")
 
 

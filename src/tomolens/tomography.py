@@ -4,7 +4,8 @@ The single-mode tomogram of a pure state is evaluated as
 w(X, theta) = |sum_n c_n e^{-i n theta} psi_n(X)|^2, which is the textbook
 Hermite-polynomial form with the Gaussian and factorial factors absorbed
 into the normalized eigenfunctions psi_n, so nothing overflows at large n.
-Two-mode tomograms of pure states factor the same way.
+Two-mode tomograms of pure states factor the same way, so a slice at fixed
+X2 needs only psi(X2), not the whole joint tomogram.
 
 Every other tomogram depends only on a density matrix and is a contraction
 of it.  With Q the d^2 x N matrix of products psi_n(X) psi_n'(X), which does
@@ -43,6 +44,8 @@ NORMALIZATION_GUARD = 1e-6
 CLAMP = 1e-300
 # A contraction of rho may dip below zero by rounding only, relative to its maximum.
 NEGATIVITY_GUARD = 1e-12
+
+_CSV_CHUNK_ROWS = 256
 
 # theta sampling for plot-ready tomogram maps (the [0, pi] convention).
 DEFAULT_THETAS = np.linspace(0.0, np.pi, 181)
@@ -159,11 +162,15 @@ def _clamped(values: np.ndarray) -> np.ndarray:
     return np.where(values < CLAMP, 0.0, values)
 
 
-def _checked_mass(tomo, what: str):
-    """`tomo` after the normalization guard; `what` names the tomogram in the error."""
-    defect = tomo.normalization_defect()
+def _check_mass_defect(defect: float, what: str) -> None:
+    """The normalization guard on |mass - 1|; `what` names the tomogram in the error."""
     if defect > NORMALIZATION_GUARD:
         raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; enlarge the grid")
+
+
+def _checked_mass(tomo, what: str):
+    """`tomo` after the normalization guard."""
+    _check_mass_defect(tomo.normalization_defect(), what)
     return tomo
 
 
@@ -228,6 +235,28 @@ def tomogram_two_mode_pure(
     phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
     values = _clamped(np.abs(psis1.T @ phased @ psis2) ** 2)
     return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "two-mode tomogram")
+
+
+def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float, grid: QuadratureGrid):
+    """Rows W(X1, x2) of the joint tomograms at (theta1, theta2), one per theta1; shape (T, N).
+
+    x2 is moved to its nearest grid point x2_j.  Each row is
+    |psi^T (c~ psi(x2_j))|^2, so no joint tomogram is formed.  The mass guard
+    of each phase pair stays exact: the double integral of W is
+    Tr(c~^dag M c~ M) with M = psi diag(weights) psi^T.
+    """
+    grid, _, psis, _ = _joint_grids(state, grid, grid)
+    thetas1 = np.atleast_1d(np.asarray(thetas1, dtype=float))
+    n = np.arange(psis.shape[0])
+    phase1 = np.exp(-1j * np.outer(thetas1, n))
+    c2 = state.amplitudes * np.exp(-1j * theta2 * n)
+    gram = (psis * grid.weights) @ psis.T
+    phased = phase1[:, :, None] * c2
+    masses = np.einsum("tnm,tnm->t", phased.conj(), gram @ phased @ gram).real
+    for th1, mass in zip(thetas1, masses):
+        _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at ({th1:.6g}, {theta2:.6g})")
+    j = int(np.argmin(np.abs(grid.x - x2)))
+    return _clamped(np.abs((phase1 * (c2 @ psis[:, j])) @ psis) ** 2)
 
 
 def density_eigenmodes(rho: TwoModeDensityMatrix, floor: float = 1e-14):
@@ -344,6 +373,18 @@ def check_pi_shift(tomo: Tomogram) -> PiShiftReport:
     return PiShiftReport(pairs, worst)
 
 
+def _write_rows(fh, *columns) -> None:
+    """Write the columns side by side as CSV rows, every value formatted as f"{v:.17g}".
+
+    Rows go out _CSV_CHUNK_ROWS at a time, so the Python floats of a large
+    map (10 MB for 181 x 2001) never all exist at once.
+    """
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        fh.writelines(fmt % tuple(row) for row in table[start : start + _CSV_CHUNK_ROWS].tolist())
+
+
 def tomogram_to_csv(tomo: Tomogram, path, comment: str | None = None) -> None:
     """Write a tomogram as CSV: first column X, one column per theta."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -351,9 +392,7 @@ def tomogram_to_csv(tomo: Tomogram, path, comment: str | None = None) -> None:
             fh.write(f"# {comment}\n")
         headers = ",".join(f"theta={th:.17g}" for th in tomo.thetas)
         fh.write(f"X,{headers}\n")
-        for j, x in enumerate(tomo.grid.x):
-            row = ",".join(f"{tomo.values[i, j]:.17g}" for i in range(tomo.thetas.size))
-            fh.write(f"{x:.17g},{row}\n")
+        _write_rows(fh, tomo.grid.x, tomo.values.T)
 
 
 def two_mode_tomogram_to_csv(tomo: TwoModeTomogram, path, comment: str | None = None) -> None:
@@ -364,6 +403,4 @@ def two_mode_tomogram_to_csv(tomo: TwoModeTomogram, path, comment: str | None = 
         fh.write(f"# theta1={tomo.theta1:.17g}, theta2={tomo.theta2:.17g}\n")
         headers = ",".join(f"X2={x:.17g}" for x in tomo.grid2.x)
         fh.write(f"X1,{headers}\n")
-        for j, x in enumerate(tomo.grid1.x):
-            row = ",".join(f"{v:.17g}" for v in tomo.values[j])
-            fh.write(f"{x:.17g},{row}\n")
+        _write_rows(fh, tomo.grid1.x, tomo.values)

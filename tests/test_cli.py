@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import tomolens
+from tomolens import scenarios
 from tomolens.cli import main
-from tomolens.errors import ConfigError
+from tomolens.errors import ConfigError, NegativeTomogram
 from tomolens.scenarios import (
     default_battery,
     parse_config,
@@ -95,6 +96,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err, (name, err)
         assert "Traceback" not in err
+
+
+def test_negative_tomogram_is_a_named_numerical_guard(tmp_path, capsys, monkeypatch):
+    # No catalog config yields a non-physical rho, so a stub report raises
+    # the guard inside the beamsplitter runner's guarded point.
+    def non_physical(*args, **kwargs):
+        raise NegativeTomogram("density matrix gives a negative tomogram (phase (0, 0): min -1)")
+
+    monkeypatch.setattr(scenarios, "two_mode_report", non_physical)
+    path = write_config(
+        tmp_path,
+        "scenario = beamsplitter-sweep\ninput = ecs-vacuum\nparam_start = 0.5\n"
+        "param_stop = 0.5\nparam_count = 1\nphi_values = 0.25\n",
+    )
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: NegativeTomogram: density matrix gives a negative")
+    assert "[at param=0.5, phi=0.25]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tomolens import moments
+from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
-from tomolens.errors import MissingOrder, OrderTooHigh
+from tomolens.errors import GridTooNarrow, MissingOrder, NegativeTomogram, OrderTooHigh
 from tomolens.fock import TwoModeDensityMatrix
 from tomolens.moments import (
     K_MAX_DEFAULT,
@@ -25,7 +26,14 @@ from tomolens.states import (
     make_squeezed,
     make_two_mode,
 )
-from tomolens.tomography import DEFAULT_POINTS, DEFAULT_POINTS_TWO_MODE, default_grid, tomogram_joint
+from tomolens.tomography import (
+    DEFAULT_POINTS,
+    DEFAULT_POINTS_TWO_MODE,
+    QuadratureGrid,
+    _check_mass_defect,
+    default_grid,
+    tomogram_joint,
+)
 
 
 def test_extraction_constant():
@@ -207,17 +215,69 @@ def test_two_mode_table_evaluates_each_phase_pair_once(monkeypatch, mixed):
     state = make_product(make_cat(1.0, "even"), make_coherent(0.0))
     if mixed:
         state = evolve(TwoModeDensityMatrix.from_pure(state), ChannelConfig(PHASE_DAMPING), 0.4)
-    pairs = []
+    joint_pairs = []
+    contracted = []
 
-    def counting(obj, theta1, theta2, *args, **kwargs):
-        pairs.append((theta1, theta2))
+    def counting_joint(obj, theta1, theta2, *args, **kwargs):
+        joint_pairs.append((theta1, theta2))
         return tomogram_joint(obj, theta1, theta2, *args, **kwargs)
 
-    monkeypatch.setattr(moments, "tomogram_joint", counting)
+    def counting_guard(defect, what):
+        contracted.append(what)
+        return _check_mass_defect(defect, what)
+
+    monkeypatch.setattr(moments, "tomogram_joint", counting_joint)
+    monkeypatch.setattr(moments, "_check_mass_defect", counting_guard)
     table = two_mode_moment_table(state, 2)
     # Phases {0, pi/2, pi/3, 2pi/3} per mode at order 2: 4 x 4 distinct pairs.
+    # A pure state contracts each pair without a joint tomogram, with one mass
+    # check per pair; a density matrix evaluates each pair's joint tomogram.
+    pairs = joint_pairs if mixed else contracted
+    assert len(joint_pairs) == (16 if mixed else 0)
     assert len(pairs) == 16
     assert len(set(pairs)) == 16
     reference = two_mode_moment_table(state, 2, source=SOURCE_FOCK_ORACLE)
     worst = max(abs(value - reference.entries[key]) for key, value in table.entries.items())
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: apply(BeamsplitterConfig(phi=0.9), make_product(make_cat(0.6, "even"), make_coherent(0.0))),
+        lambda: make_two_mode("pair-coherent", 1.0),
+    ],
+    ids=["beamsplitter-output", "pair-coherent"],
+)
+def test_pure_contraction_matches_joint_tomogram_route(builder):
+    # The same state as a density matrix goes through U1^T W U2 of its full
+    # joint tomograms; the pure route never forms W.
+    state = builder()
+    rho = TwoModeDensityMatrix.from_pure(state)
+    grid = default_grid(state)
+    pure = two_mode_moment_table(state, 2, grid, grid)
+    mixed = two_mode_moment_table(rho, 2, grid, grid)
+    for key, value in pure.entries.items():
+        assert abs(value - mixed.entries[key]) <= 1e-13, key
+    # Unequal grids and orders per mode build G once for each.
+    grid2 = default_grid(state, 801)
+    for key in ((1, 0, 2, 1), (0, 2, 1, 0)):
+        got = extract_moment_two_mode(state, *key, grid, grid2)
+        assert abs(got - extract_moment_two_mode(rho, *key, grid, grid2)) <= 1e-13, key
+
+
+def test_two_mode_table_mass_guard_names_the_phase_pair():
+    state = make_product(make_cat(1.0, "even"), make_coherent(0.0))
+    narrow = QuadratureGrid.uniform(1.0, 201)
+    with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0, 0\): mass misses 1"):
+        two_mode_moment_table(state, 2, narrow, narrow)
+
+
+def test_two_mode_table_rejects_non_physical_density_matrix():
+    # 1.5 |00><00| - 0.5 |10><10|: the table contracts the joint tomogram,
+    # so the negativity guard still sees every value.
+    entries = np.zeros((4, 4, 4, 4), dtype=complex)
+    entries[0, 0, 0, 0] = 1.5
+    entries[1, 1, 0, 0] = -0.5
+    with pytest.raises(NegativeTomogram, match=r"phase \(0, 0\)"):
+        two_mode_moment_table(TwoModeDensityMatrix(entries), 2)

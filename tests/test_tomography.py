@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from tomolens.metrics import band_peaks
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product, make_squeezed, make_two_mode
 from tomolens.tomography import (
     QuadratureGrid,
+    _two_mode_pure_slice,
+    _write_rows,
     check_pi_shift,
     default_grid,
     density_eigenmodes,
@@ -19,6 +23,7 @@ from tomolens.tomography import (
     tomogram_reduced,
     tomogram_to_csv,
     tomogram_two_mode_pure,
+    two_mode_tomogram_to_csv,
 )
 
 
@@ -276,8 +281,6 @@ def test_tomogram_row_lookup_and_csv(tmp_path):
 
 
 def test_two_mode_tomogram_csv_slice(tmp_path):
-    from tomolens.tomography import two_mode_tomogram_to_csv
-
     joint = tomogram_joint(make_two_mode("pair-coherent", 0.6), 0.2, 0.9)
     path = tmp_path / "joint.csv"
     two_mode_tomogram_to_csv(joint, path)
@@ -285,6 +288,63 @@ def test_two_mode_tomogram_csv_slice(tmp_path):
     assert "theta1=" in lines[0]
     assert lines[1].split(",")[0] == "X1"
     assert len(lines) == 2 + joint.grid1.x.size
+
+
+def _per_cell_rows(x, columns) -> str:
+    # The per-cell f-string join the CSV writers used before _write_rows.
+    return "".join(
+        f"{xv:.17g}," + ",".join(f"{columns[i][j]:.17g}" for i in range(len(columns))) + "\n"
+        for j, xv in enumerate(x)
+    )
+
+
+def test_csv_row_writer_matches_per_cell_formatting(tmp_path):
+    # 600 rows span several write chunks.
+    x = np.tile([-3.5, -1e-300, -0.0, 0.0, 1.0 / 3.0, 2.0**60], 100)
+    columns = np.array([
+        np.tile([0.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0, 7.0], 100),
+        np.tile([-0.0, 1.25e-17, 123456789.123456789, np.pi, 0.0, 2.5e305], 100),
+    ])
+    fh = io.StringIO()
+    _write_rows(fh, x, columns.T)
+    assert fh.getvalue() == _per_cell_rows(x, columns)
+
+    # Both tomogram writers on real maps, whose clamped tails hold exact zeros.
+    tomo = tomogram_pure(make_coherent(3.0), [0.0, 0.7, 2.0], QuadratureGrid.uniform(30.0, 601))
+    assert np.any(tomo.values == 0.0) and tomo.grid.x[0] < 0
+    tomogram_to_csv(tomo, tmp_path / "map.csv", comment="pin")
+    head = "# pin\nX," + ",".join(f"theta={th:.17g}" for th in tomo.thetas) + "\n"
+    assert (tmp_path / "map.csv").read_text() == head + _per_cell_rows(tomo.grid.x, tomo.values)
+    small = QuadratureGrid.uniform(8.0, 201)
+    joint = tomogram_joint(make_two_mode("pair-coherent", 0.6), 0.2, 0.9, small, small)
+    two_mode_tomogram_to_csv(joint, tmp_path / "joint.csv")
+    body = (tmp_path / "joint.csv").read_text().split("\n", 2)[2]
+    assert body == _per_cell_rows(joint.grid1.x, joint.values.T)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        make_two_mode("pair-coherent", 1.0),
+        apply(BeamsplitterConfig(0.9), make_product(make_cat(0.6, "odd"), make_coherent(0.3j))),
+    ],
+    ids=["pair-coherent", "beamsplitter-output"],
+)
+def test_two_mode_slice_matches_joint_tomogram_column(state):
+    grid = default_grid(state)
+    thetas = [0.0, 0.45, 2.1]
+    for theta2, x2 in ((0.0, 1.0), (1.3, -0.612)):
+        rows = _two_mode_pure_slice(state, thetas, theta2, x2, grid)
+        j = int(np.argmin(np.abs(grid.x - x2)))
+        for theta1, row in zip(thetas, rows):
+            column = tomogram_joint(state, theta1, theta2, grid, grid).values[:, j]
+            assert np.max(np.abs(row - column)) <= 1e-13 * np.max(column)
+
+
+def test_two_mode_slice_mass_guard_names_the_phase():
+    state = make_two_mode("pair-coherent", 1.0)
+    with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1"):
+        _two_mode_pure_slice(state, [0.4], 1.1, 0.5, QuadratureGrid.uniform(1.0, 201))
 
 
 def test_janus_partner_slices_share_peak_structure():
