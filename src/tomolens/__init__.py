@@ -57,7 +57,6 @@ from .tomography import (
 )
 from .moments import (
     MomentTable,
-    TwoModeMomentTable,
     extract_moment,
     extract_moment_two_mode,
     moment_table,

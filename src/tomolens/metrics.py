@@ -5,11 +5,15 @@ ln(pi e)/2, quadrature variances with the coherent-state threshold 1/2,
 third and fourth central moments of X_theta with the Gaussian reference
 values 0 and 3/4, relative fluctuation products between state pairs, and the
 two-mode variance of (X_theta1 + X_theta2)/sqrt(2).  Entropies integrate the
-tomogram directly; moment-based quantities assemble from normal-ordered
-moment tables, which may be tomogram-extracted or oracle-sourced, so every
-quantity here has a dual route for cross-checking.
+tomogram directly, all through one -w ln w integrand; moment-based quantities
+assemble from normal-ordered moment tables, which may be tomogram-extracted or
+oracle-sourced, so every quantity here has a dual route for cross-checking.
 
-The normal-ordering expansions for quadrature powers up to 4,
+Every quadrature moment <X_theta^j>, j <= 4, comes from one expansion
+(`_raw_quadrature_moments`) that the mean, the variance and the central
+moments read.  The two-mode variance is the mean of the two reduced-mode
+variances, read off the table's `reduced` single-mode tables, plus the
+covariance of the cross entries.  The normal-ordering expansions,
 
     (A + A^dag)^2 = :(A + A^dag)^2: + 1
     (A + A^dag)^3 = :(A + A^dag)^3: + 3 :(A + A^dag):
@@ -27,14 +31,7 @@ import numpy as np
 
 from .errors import MissingOrder
 from .fock import SingleModeState
-from .moments import (
-    SOURCE_TOMOGRAM,
-    MomentTable,
-    TwoModeMomentTable,
-    moment_table,
-    single_mode_rows,
-    two_mode_moment_table,
-)
+from .moments import MomentTable, moment_table, single_mode_rows, two_mode_moment_table
 from .tomography import (
     QuadratureGrid,
     Tomogram,
@@ -62,12 +59,16 @@ def below_threshold(value: float, threshold: float) -> bool:
     return bool(value < threshold - FLAG_MARGIN)
 
 
-def entropy_from_density(values: np.ndarray, grid: QuadratureGrid) -> float:
-    """-integral w ln w dX with 0 ln 0 := 0, in nats."""
+def _entropy_integrand(values: np.ndarray) -> np.ndarray:
+    """-w ln w element-wise, with 0 ln 0 := 0."""
     v = np.asarray(values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
-    return float(grid.integrate(integrand))
+        return np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+
+
+def entropy_from_density(values: np.ndarray, grid: QuadratureGrid) -> float:
+    """-integral w ln w dX with 0 ln 0 := 0, in nats."""
+    return float(grid.integrate(_entropy_integrand(values)))
 
 
 def entropy(tomo: Tomogram, theta: float) -> float:
@@ -77,71 +78,57 @@ def entropy(tomo: Tomogram, theta: float) -> float:
 
 def entropy_two_mode(tomo: TwoModeTomogram) -> float:
     """Bipartite tomographic entropy -int int w ln w dX1 dX2, in nats."""
-    v = tomo.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
-    return float(tomo.grid1.weights @ integrand @ tomo.grid2.weights)
+    return float(tomo.grid1.weights @ _entropy_integrand(tomo.values) @ tomo.grid2.weights)
+
+
+def _raw_quadrature_moments(table: MomentTable, theta: float, q: int) -> list:
+    """[<X_theta^j> for j = 0..q], q <= 4, via the frozen normal-ordering expansions."""
+    if table.max_order < q:
+        raise MissingOrder(f"<X_theta^{q}> needs moments up to order {q}")
+    ph = np.exp(-1j * theta)
+
+    def re(k, l):
+        # Re <A^dag^k A^l> with A = a e^{-i theta}
+        return np.real(table.get(k, l) * ph ** (l - k))
+
+    expansions = (
+        lambda: np.sqrt(2.0) * np.real(table.get(0, 1) * np.exp(-1j * theta)),
+        lambda: 0.5 * (
+            1.0 + 2.0 * np.real(table.get(1, 1)) + 2.0 * np.real(table.get(0, 2) * np.exp(-2j * theta))
+        ),
+        lambda: 2.0 ** (-1.5) * (2.0 * re(0, 3) + 6.0 * re(1, 2) + 6.0 * re(0, 1)),
+        lambda: 0.25 * (
+            2.0 * re(0, 4) + 8.0 * re(1, 3) + 6.0 * re(2, 2) + 6.0 * (2.0 * re(0, 2) + 2.0 * re(1, 1)) + 3.0
+        ),
+    )
+    return [1.0] + [float(x()) for x in expansions[:q]]
 
 
 def mean_quadrature(table: MomentTable, theta: float) -> float:
     """<X_theta> = sqrt(2) Re(<a> e^{-i theta})."""
-    return float(np.sqrt(2.0) * np.real(table.get(0, 1) * np.exp(-1j * theta)))
+    return _raw_quadrature_moments(table, theta, 1)[1]
 
 
 def variance(table: MomentTable, theta: float) -> float:
     """(Delta X_theta)^2 from normal-ordered moments up to order 2."""
-    if table.max_order < 2:
-        raise MissingOrder("variance needs moments up to order 2")
-    mean_sq = 0.5 * (
-        1.0
-        + 2.0 * np.real(table.get(1, 1))
-        + 2.0 * np.real(table.get(0, 2) * np.exp(-2j * theta))
-    )
-    return float(mean_sq - mean_quadrature(table, theta) ** 2)
-
-
-def _raw_quadrature_moments(table: MomentTable, theta: float):
-    """<X_theta^j> for j = 1..4 via the frozen normal-ordering expansions."""
-    ph = np.exp(-1j * theta)
-
-    def nm(k, l):
-        # <A^dag^k A^l> with A = a e^{-i theta}
-        return table.get(k, l) * ph ** (l - k)
-
-    x1 = np.sqrt(0.5) * 2.0 * np.real(nm(0, 1))
-    x2 = 0.5 * (2.0 * np.real(nm(0, 2)) + 2.0 * np.real(nm(1, 1)) + 1.0)
-    x3 = 2.0 ** (-1.5) * (
-        2.0 * np.real(nm(0, 3)) + 6.0 * np.real(nm(1, 2)) + 3.0 * 2.0 * np.real(nm(0, 1))
-    )
-    x4 = 0.25 * (
-        2.0 * np.real(nm(0, 4))
-        + 8.0 * np.real(nm(1, 3))
-        + 6.0 * np.real(nm(2, 2))
-        + 6.0 * (2.0 * np.real(nm(0, 2)) + 2.0 * np.real(nm(1, 1)))
-        + 3.0
-    )
-    return float(x1), float(x2), float(x3), float(x4)
+    _, x1, x2 = _raw_quadrature_moments(table, theta, 2)
+    return x2 - x1**2
 
 
 def central_moment(table: MomentTable, theta: float, q: int) -> float:
     """q-th central moment of X_theta for q in {3, 4}."""
     if q not in (3, 4):
         raise ValueError("central_moment supports q = 3 or 4")
-    if table.max_order < q:
-        raise MissingOrder(f"order-{q} central moment needs moments up to order {q}")
-    x1, x2, x3, x4 = _raw_quadrature_moments(table, theta)
+    x = _raw_quadrature_moments(table, theta, q)
     if q == 3:
-        return x3 - 3.0 * x1 * x2 + 2.0 * x1**3
-    return x4 - 4.0 * x1 * x3 + 6.0 * x1**2 * x2 - 3.0 * x1**4
+        return x[3] - 3.0 * x[1] * x[2] + 2.0 * x[1] ** 3
+    return x[4] - 4.0 * x[1] * x[3] + 6.0 * x[1] ** 2 * x[2] - 3.0 * x[1] ** 4
 
 
 def relative_fluctuation_product(
     s1: SingleModeState,
     s2: SingleModeState,
     thetas,
-    source: str = SOURCE_TOMOGRAM,
-    grid1: QuadratureGrid | None = None,
-    grid2: QuadratureGrid | None = None,
 ):
     """Cross products of quadrature spreads between two states.
 
@@ -150,8 +137,8 @@ def relative_fluctuation_product(
     state serves every theta.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    t1 = moment_table(s1, 2, grid=grid1, source=source)
-    t2 = moment_table(s2, 2, grid=grid2, source=source)
+    t1 = moment_table(s1, 2)
+    t2 = moment_table(s2, 2)
     f = np.array(
         [np.sqrt(variance(t1, th) * variance(t2, th + np.pi / 2)) for th in thetas]
     )
@@ -174,27 +161,14 @@ def fit_cos2theta_quadratic(thetas, values):
     return tuple(float(v) for v in coeffs), residual
 
 
-def two_mode_variance(table: TwoModeMomentTable, theta1: float, theta2: float) -> float:
+def two_mode_variance(table: MomentTable, theta1: float, theta2: float) -> float:
     """Variance of (X_theta1 + X_theta2)/sqrt(2) from a two-mode moment table."""
-    if table.max_order < 2:
-        raise MissingOrder("two-mode variance needs moments up to order 2 per mode")
-
-    def var_single(get2, get11, theta):
-        mean = np.sqrt(2.0) * np.real(get11 * np.exp(-1j * theta))
-        second = 0.5 * (1.0 + 2.0 * np.real(get2[0]) + 2.0 * np.real(get2[1] * np.exp(-2j * theta)))
-        return second - mean**2, mean
-
-    var_a, mean_a = var_single(
-        (table.get(1, 1, 0, 0), table.get(0, 2, 0, 0)), table.get(0, 1, 0, 0), theta1
-    )
-    var_b, mean_b = var_single(
-        (table.get(0, 0, 1, 1), table.get(0, 0, 0, 2)), table.get(0, 0, 0, 1), theta2
-    )
+    table_a, table_b = table.reduced("a"), table.reduced("b")
     cross = np.real(
         table.get(0, 1, 0, 1) * np.exp(-1j * (theta1 + theta2))
     ) + np.real(table.get(1, 0, 0, 1) * np.exp(1j * (theta1 - theta2)))
-    covariance = cross - mean_a * mean_b
-    return float(0.5 * (var_a + var_b) + covariance)
+    covariance = cross - mean_quadrature(table_a, theta1) * mean_quadrature(table_b, theta2)
+    return float(0.5 * (variance(table_a, theta1) + variance(table_b, theta2)) + covariance)
 
 
 @dataclass(frozen=True)
@@ -233,7 +207,6 @@ def squeezing_report(
     obj,
     theta: float,
     grid: QuadratureGrid | None = None,
-    source: str = SOURCE_TOMOGRAM,
     mode: str | None = None,
 ) -> SqueezingReport:
     """Assemble the full single-quadrature report at one phase.
@@ -244,7 +217,7 @@ def squeezing_report(
     rows, grid = single_mode_rows(obj, [theta, theta + np.pi / 2], grid, mode)
     s_theta = entropy_from_density(rows[0], grid)
     s_conj = entropy_from_density(rows[1], grid)
-    table = moment_table(obj, 4, grid=grid, mode=mode, source=source)
+    table = moment_table(obj, 4, grid=grid, mode=mode)
     var = variance(table, theta)
     m3 = central_moment(table, theta, 3)
     m4 = central_moment(table, theta, 4)

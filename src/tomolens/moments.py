@@ -75,10 +75,9 @@ def extraction_constant(k: int, l: int) -> float:
     )
 
 
-def extraction_phases(order: int, n_phases: int | None = None) -> np.ndarray:
+def extraction_phases(order: int) -> np.ndarray:
     """The order+1 tomogram phases m pi/(order+1), m = 0..order."""
-    count = order + 1 if n_phases is None else n_phases
-    return np.arange(count) * np.pi / count
+    return np.arange(order + 1) * np.pi / (order + 1)
 
 
 def hermite_weights(grid: QuadratureGrid, max_order: int) -> np.ndarray:
@@ -108,11 +107,16 @@ def _phase_union(phase_sets: dict):
     return np.array(distinct), positions
 
 
-def _check_order(k: int, l: int, k_max: int) -> None:
+def _check_order(k: int, l: int) -> None:
     if k < 0 or l < 0:
         raise ValueError("moment indices must be non-negative")
-    if k + l > k_max:
-        raise OrderTooHigh(f"moment order {k + l} exceeds K_max = {k_max}")
+    if k + l > K_MAX_DEFAULT:
+        raise OrderTooHigh(f"moment order {k + l} exceeds K_max = {K_MAX_DEFAULT}")
+
+
+def _indices(max_order: int) -> list:
+    """Every (k, l) with k + l <= max_order."""
+    return [(k, order - k) for order in range(max_order + 1) for k in range(order + 1)]
 
 
 def single_mode_rows(obj, phases, grid: QuadratureGrid | None = None, mode: str | None = None):
@@ -211,24 +215,19 @@ def extract_moment(
     l: int,
     grid: QuadratureGrid | None = None,
     mode: str | None = None,
-    k_max: int = K_MAX_DEFAULT,
-    _n_phases: int | None = None,
 ) -> complex:
     """<a^dag^k a^l> recovered from tomograms alone.
 
     `obj` is a SingleModeState, or a two-mode state / density matrix with
-    `mode` selecting the reduced mode.  `_n_phases` deliberately breaks the
-    phase count for the documented negative test; leave it at None.
+    `mode` selecting the reduced mode.
     """
-    _check_order(k, l, k_max)
-    order = k + l
-    entries = _single_mode_entries(obj, {order: extraction_phases(order, _n_phases)}, grid, mode)
-    return entries[(k, l)]
+    _check_order(k, l)
+    return _single_mode_entries(obj, {k + l: extraction_phases(k + l)}, grid, mode)[(k, l)]
 
 
-def oracle_moment(obj, k: int, l: int, mode: str | None = None, k_max: int = K_MAX_DEFAULT) -> complex:
+def oracle_moment(obj, k: int, l: int, mode: str | None = None) -> complex:
     """<a^dag^k a^l> by direct ladder action in the Fock basis."""
-    _check_order(k, l, k_max)
+    _check_order(k, l)
     if isinstance(obj, SingleModeState):
         bra = obj
         for _ in range(k):
@@ -257,10 +256,10 @@ def _annihilate_two_mode(c: np.ndarray, times_a: int, times_b: int) -> np.ndarra
     return out
 
 
-def oracle_moment_two_mode(obj, k: int, l: int, p: int, q: int, k_max: int = K_MAX_DEFAULT) -> complex:
+def oracle_moment_two_mode(obj, k: int, l: int, p: int, q: int) -> complex:
     """<a^dag^k a^l b^dag^p b^q> by ladder action (pure) or trace (mixed)."""
-    _check_order(k, l, k_max)
-    _check_order(p, q, k_max)
+    _check_order(k, l)
+    _check_order(p, q)
     if isinstance(obj, TwoModeState):
         bra = _annihilate_two_mode(obj.amplitudes, k, p)
         ket = _annihilate_two_mode(obj.amplitudes, l, q)
@@ -281,11 +280,10 @@ def extract_moment_two_mode(
     q: int,
     grid1: QuadratureGrid | None = None,
     grid2: QuadratureGrid | None = None,
-    k_max: int = K_MAX_DEFAULT,
 ) -> complex:
     """Two-mode tomogram extraction: the double roots-of-unity sum."""
-    _check_order(k, l, k_max)
-    _check_order(p, q, k_max)
+    _check_order(k, l)
+    _check_order(p, q)
     entries = _two_mode_entries(
         obj, {k + l: extraction_phases(k + l)}, {p + q: extraction_phases(p + q)}, grid1, grid2
     )
@@ -294,60 +292,44 @@ def extract_moment_two_mode(
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Map (k, l) -> <a^dag^k a^l> with provenance."""
+    """Normal-ordered moments with provenance, one or two modes.
+
+    Single-mode entries map (k, l) -> <a^dag^k a^l>; two-mode entries map
+    (k, l, p, q) -> <a^dag^k a^l b^dag^p b^q>.  `max_order` bounds k + l
+    (and p + q).  The conjugate of an entry swaps k <-> l and p <-> q.
+    """
 
     entries: dict
     max_order: int
     source: str
 
-    def get(self, k: int, l: int) -> complex:
+    def get(self, *index: int) -> complex:
         try:
-            return self.entries[(k, l)]
+            return self.entries[index]
         except KeyError:
-            raise MissingOrder(f"moment ({k}, {l}) not present (max order {self.max_order})")
+            raise MissingOrder(f"moment {index} not present (max order {self.max_order})")
 
     def hermiticity_defect(self) -> float:
-        worst = 0.0
-        for (k, l), val in self.entries.items():
-            worst = max(worst, abs(val - np.conj(self.entries[(l, k)])))
-        return worst
+        # i ^ 1 swaps positions 0 <-> 1 and 2 <-> 3: the conjugate's index.
+        return max(
+            abs(val - np.conj(self.entries[tuple(key[i ^ 1] for i in range(len(key)))]))
+            for key, val in self.entries.items()
+        )
 
     def validate(self) -> "MomentTable":
-        if abs(self.entries[(0, 0)] - 1.0) > 1e-9:
-            raise ValueError(f"(0,0) entry {self.entries[(0, 0)]!r} differs from 1")
+        zero = (0,) * len(next(iter(self.entries)))
+        if abs(self.entries[zero] - 1.0) > 1e-9:
+            raise ValueError(f"{zero} entry {self.entries[zero]!r} differs from 1")
         defect = self.hermiticity_defect()
         if defect > 1e-8:
             raise ValueError(f"moment table breaks hermiticity by {defect:.3e}")
         return self
 
-
-@dataclass(frozen=True)
-class TwoModeMomentTable:
-    """Map (k, l, p, q) -> <a^dag^k a^l b^dag^p b^q> with provenance."""
-
-    entries: dict
-    max_order: int
-    source: str
-
-    def get(self, k: int, l: int, p: int, q: int) -> complex:
-        try:
-            return self.entries[(k, l, p, q)]
-        except KeyError:
-            raise MissingOrder(f"moment ({k},{l},{p},{q}) not present (max order {self.max_order})")
-
-    def hermiticity_defect(self) -> float:
-        worst = 0.0
-        for (k, l, p, q), val in self.entries.items():
-            worst = max(worst, abs(val - np.conj(self.entries[(l, k, q, p)])))
-        return worst
-
-    def validate(self) -> "TwoModeMomentTable":
-        if abs(self.entries[(0, 0, 0, 0)] - 1.0) > 1e-9:
-            raise ValueError("(0,0,0,0) entry differs from 1")
-        defect = self.hermiticity_defect()
-        if defect > 1e-8:
-            raise ValueError(f"moment table breaks hermiticity by {defect:.3e}")
-        return self
+    def reduced(self, mode: str) -> "MomentTable":
+        """A two-mode table's (k, l, 0, 0) entries (mode 'a') or (0, 0, p, q) entries (mode 'b')."""
+        own, other = {"a": (slice(0, 2), slice(2, 4)), "b": (slice(2, 4), slice(0, 2))}[mode]
+        entries = {key[own]: val for key, val in self.entries.items() if not any(key[other])}
+        return MomentTable(entries, self.max_order, self.source)
 
 
 def moment_table(
@@ -356,22 +338,18 @@ def moment_table(
     grid: QuadratureGrid | None = None,
     mode: str | None = None,
     source: str = SOURCE_TOMOGRAM,
-    k_max: int = K_MAX_DEFAULT,
 ) -> MomentTable:
     """All <a^dag^k a^l> with k + l <= max_order from one tomogram family.
 
     Each distinct phase across the orders is evaluated once.
     """
-    if max_order > k_max:
-        raise OrderTooHigh(f"max_order {max_order} exceeds K_max = {k_max}")
+    _check_order(max_order, 0)
     if source == SOURCE_FOCK_ORACLE:
-        entries = {}
-        for k in range(max_order + 1):
-            for l in range(max_order + 1 - k):
-                entries[(k, l)] = oracle_moment(obj, k, l, mode=mode)
-        return MomentTable(entries, max_order, source)
-    phase_sets = {order: extraction_phases(order) for order in range(max_order + 1)}
-    return MomentTable(_single_mode_entries(obj, phase_sets, grid, mode), max_order, source)
+        entries = {key: oracle_moment(obj, *key, mode=mode) for key in _indices(max_order)}
+    else:
+        phase_sets = {order: extraction_phases(order) for order in range(max_order + 1)}
+        entries = _single_mode_entries(obj, phase_sets, grid, mode)
+    return MomentTable(entries, max_order, source)
 
 
 def two_mode_moment_table(
@@ -380,25 +358,18 @@ def two_mode_moment_table(
     grid1: QuadratureGrid | None = None,
     grid2: QuadratureGrid | None = None,
     source: str = SOURCE_TOMOGRAM,
-    k_max: int = K_MAX_DEFAULT,
-) -> TwoModeMomentTable:
+) -> MomentTable:
     """All <a^dag^k a^l b^dag^p b^q> with k+l and p+q each <= max_order_each.
 
     Each distinct phase pair across the order pairs is evaluated once, 16 of
     them at max_order_each = 2: contracted from the amplitudes for a pure
     state, from one joint tomogram each for a density matrix.
     """
-    if max_order_each > k_max:
-        raise OrderTooHigh(f"max_order {max_order_each} exceeds K_max = {k_max}")
+    _check_order(max_order_each, 0)
     if source == SOURCE_FOCK_ORACLE:
-        entries = {
-            (k, l, p, q): oracle_moment_two_mode(obj, k, l, p, q)
-            for k in range(max_order_each + 1)
-            for l in range(max_order_each + 1 - k)
-            for p in range(max_order_each + 1)
-            for q in range(max_order_each + 1 - p)
-        }
-        return TwoModeMomentTable(entries, max_order_each, source)
-    phase_sets = {order: extraction_phases(order) for order in range(max_order_each + 1)}
-    entries = _two_mode_entries(obj, phase_sets, phase_sets, grid1, grid2)
-    return TwoModeMomentTable(entries, max_order_each, source)
+        pairs = _indices(max_order_each)
+        entries = {a + b: oracle_moment_two_mode(obj, *a, *b) for a in pairs for b in pairs}
+    else:
+        phase_sets = {order: extraction_phases(order) for order in range(max_order_each + 1)}
+        entries = _two_mode_entries(obj, phase_sets, phase_sets, grid1, grid2)
+    return MomentTable(entries, max_order_each, source)

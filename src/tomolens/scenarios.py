@@ -295,6 +295,8 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
         theta2 = _get(cfg, "theta2", float, default=0.0)
         x2 = _get(cfg, "x2", float, default=1.0)
         grid = default_grid(state, points) if points else default_grid(state)
+        if abs(x2) > grid.half_width:
+            raise ConfigError(f"x2 = {x2} lies outside the grid half-width {grid.half_width:.6g}")
         rows = _two_mode_pure_slice(state, thetas, theta2, x2, grid)
         name = _get(cfg, "output", str, default="tomogram.csv")
         with open(col.path(name), "w", encoding="utf-8") as fh:

@@ -89,6 +89,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         "degenerate-ocs": ("scenario = entropy-sweep\nfamily = ocs\nparam_start = 0\n"
                            "param_stop = 1\nparam_count = 3\n",
                            "param=0"),
+        "slice-off-grid": ("scenario = tomogram\nfamily = pair-coherent\nr = 1.0\n"
+                           "theta_count = 3\nx2 = 50\n",
+                           "x2 = 50.0 lies outside the grid half-width 11.16"),
     }
     for name, (text, message) in rejected.items():
         path = write_config(tmp_path, text, f"{name}.cfg")

@@ -160,13 +160,14 @@ def test_phase_count_is_load_bearing():
     # a coherent state exposes it ((2,0) comes out 4/3 instead of 1).  The
     # vacuum is blind to the defect: every H_{k+l} integral vanishes by
     # orthogonality, so its (2,0) stays zero even with too few phases.
+    two_phases = {2: np.arange(2) * np.pi / 2}
     coh = make_coherent(1.0)
     good = extract_moment(coh, 2, 0)
-    bad = extract_moment(coh, 2, 0, _n_phases=2)
+    bad = moments._single_mode_entries(coh, two_phases, None, None)[(2, 0)]
     assert good == pytest.approx(1.0, abs=1e-9)
     assert abs(bad - good) > 0.1
     vac = make_coherent(0.0)
-    assert abs(extract_moment(vac, 2, 0, _n_phases=2)) < 1e-9
+    assert abs(moments._single_mode_entries(vac, two_phases, None, None)[(2, 0)]) < 1e-9
 
 
 def test_moment_table_validation_and_errors():
@@ -178,6 +179,23 @@ def test_moment_table_validation_and_errors():
         extract_moment(make_coherent(0.6), 4, 3)
     with pytest.raises(OrderTooHigh):
         moment_table(make_coherent(0.6), 7)
+
+
+def test_four_index_table_validates_and_reduces():
+    cat, coh = make_cat(1.0, "even"), make_coherent(0.5)
+    table = two_mode_moment_table(make_product(cat, coh), 2).validate()
+    assert isinstance(table, moments.MomentTable)
+    broken = dict(table.entries)
+    broken[(0, 1, 0, 1)] = table.get(1, 0, 1, 0).conjugate() + 0.01
+    with pytest.raises(ValueError, match="hermiticity"):
+        moments.MomentTable(broken, table.max_order, table.source).validate()
+    with pytest.raises(MissingOrder):
+        table.get(3, 0, 0, 0)
+    reduced = table.reduced("b")
+    direct = moment_table(coh, 2)
+    assert reduced.entries.keys() == direct.entries.keys()
+    for key, value in direct.entries.items():
+        assert abs(reduced.get(*key) - value) < 1e-9, key
 
 
 def test_reduced_mode_extraction():
