@@ -62,8 +62,11 @@ def below_threshold(value: float, threshold: float) -> bool:
 def _entropy_integrand(values: np.ndarray) -> np.ndarray:
     """-w ln w element-wise, with 0 ln 0 := 0."""
     v = np.asarray(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+    out = np.zeros(v.shape)
+    np.log(v, out=out, where=v > 0.0)
+    # 0 - w is -w, except that it keeps the product at w = 0 a +0.0.
+    out *= np.subtract(0.0, v)
+    return out
 
 
 def entropy_from_density(values: np.ndarray, grid: QuadratureGrid) -> float:

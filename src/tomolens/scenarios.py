@@ -247,6 +247,8 @@ class _Collector:
             "scenario": self.scenario,
             "config": dict(sorted(self.config.items())),
             "artifacts": self.artifacts,
+            # What BLAS threading ran under: tomolens pins both to "1" unless the caller set one.
+            "blas_threads": {var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
             "tolerances": {
                 "entropy_threshold_nats": ENTROPY_THRESHOLD,
                 "two_mode_entropy_threshold_nats": TWO_MODE_ENTROPY_THRESHOLD,

@@ -8,14 +8,16 @@ Two-mode tomograms of pure states factor the same way, so a slice at fixed
 X2 needs only psi(X2), not the whole joint tomogram.
 
 Every other tomogram depends only on a density matrix and is a contraction
-of it.  With Q the d^2 x N matrix of products psi_n(X) psi_n'(X), which does
-not depend on the phase, the joint tomogram of rho[n, n', m, m'] is
-Q1^T Re(rho~) Q2, where rho~ is rho times e^{-i(n-n') theta1 - i(m-m') theta2}
-reshaped to d^2 x d^2; the imaginary part cancels because rho is Hermitian.
-A reduced-mode row is Re(rho~_a) Q with rho_a = Tr_b rho, formed as c c^dag
-for a pure state.  A physical rho gives non-negative values up to rounding;
-a contraction dipping below -1e-12 times its maximum raises
-NegativeTomogram, and the rounding-level rest is set to zero.
+of it.  The products psi_n(X) psi_n'(X) do not depend on the phase and are
+symmetric in (n, n'), so Q holds one row per pair n <= n': a d(d+1)/2 x N
+matrix.  The joint tomogram of rho[n, n', m, m'] is Q1^T F Q2, where rho~ is
+rho times e^{-i(n-n') theta1 - i(m-m') theta2} and F is Re(rho~) folded onto
+those pairs in both modes: entries (n, n') and (n', n) are summed into one
+for n != n'.  The imaginary part cancels because rho is Hermitian.  A
+reduced-mode row is the folded Re(rho~_a) times Q, with rho_a = Tr_b rho,
+formed as c c^dag for a pure state.  A physical rho gives non-negative
+values up to rounding; a contraction dipping below -1e-12 times its maximum
+raises NegativeTomogram, and the rounding-level rest is set to zero.
 
 Integrals use composite Simpson weights on a uniform, symmetric grid; the
 default half-width is an energy-based support estimate from the highest
@@ -159,7 +161,9 @@ class TwoModeTomogram:
 
 
 def _clamped(values: np.ndarray) -> np.ndarray:
-    return np.where(values < CLAMP, 0.0, values)
+    """`values`, a fresh array, with entries below CLAMP set to zero in place."""
+    values[values < CLAMP] = 0.0
+    return values
 
 
 def _check_mass_defect(defect: float, what: str) -> None:
@@ -197,9 +201,20 @@ def _nonnegative(values: np.ndarray, labels: list) -> np.ndarray:
 
 
 def _psi_products(psis: np.ndarray) -> np.ndarray:
-    """Q[(n, n'), j] = psi_n(x_j) psi_n'(x_j), shape (d^2, N)."""
-    d, npts = psis.shape
-    return (psis[:, None, :] * psis[None, :, :]).reshape(d * d, npts)
+    """Q[p, j] = psi_n(x_j) psi_n'(x_j) over the pairs p = (n, n'), n <= n'; shape (d(d+1)/2, N)."""
+    n, m = np.triu_indices(psis.shape[0])
+    return psis[n] * psis[m]
+
+
+def _folded(re_rho: np.ndarray, d: int) -> np.ndarray:
+    """The last axis of `re_rho`, indexed n d + n', summed onto the pairs n <= n' of _psi_products.
+
+    Entry (n, n') + entry (n', n) for n < n', the diagonal once (halving the
+    doubled diagonal is exact).
+    """
+    n, m = np.triu_indices(d)
+    pairs = re_rho.take(n * d + m, axis=-1) + re_rho.take(m * d + n, axis=-1)
+    return pairs * np.where(n == m, 0.5, 1.0)
 
 
 def _phase_matrix(dim: int, theta) -> np.ndarray:
@@ -233,7 +248,12 @@ def tomogram_two_mode_pure(
     c = state.amplitudes
     n = np.arange(c.shape[0])
     phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
-    values = _clamped(np.abs(psis1.T @ phased @ psis2) ** 2)
+    # psis2 is real, so A = psis1^T c~ goes through one real GEMM as [Re A; Im A].
+    amp = psis1.T @ phased
+    values, imag = np.split(np.concatenate([amp.real, amp.imag]) @ psis2, 2)
+    values *= values
+    values += np.square(imag, out=imag)
+    values = _clamped(values)
     return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "two-mode tomogram")
 
 
@@ -286,7 +306,8 @@ def tomogram_mixed(
 ) -> TwoModeTomogram:
     """Joint tomogram of a two-mode density matrix at one phase pair.
 
-    Two real matrix products, Q1^T Re(rho~) Q2 (see the module docstring).
+    Two real matrix products, Q1^T F Q2 with F the folded Re(rho~) (see the
+    module docstring).
     Raises NegativeTomogram, naming the phase pair, when rho is not positive
     enough for the values to stay above -1e-12 times their maximum.
     """
@@ -295,7 +316,9 @@ def tomogram_mixed(
     q2 = q1 if psis2 is psis1 else _psi_products(psis2)
     d = rho.dim
     phased = rho.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
-    values = q1.T @ np.ascontiguousarray(phased.real).reshape(d * d, d * d) @ q2
+    # Folding (m, m'), then (n, n') after a transpose, leaves F indexed [(m, m'), (n, n')].
+    folded = _folded(_folded(phased.real.reshape(d * d, d * d), d).T, d)
+    values = q1.T @ folded.T @ q2
     values = _nonnegative(values, [f"({theta1:.6g}, {theta2:.6g})"])
     return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "mixed tomogram")
 
@@ -310,9 +333,9 @@ def tomogram_joint(obj, theta1, theta2, grid1=None, grid2=None) -> TwoModeTomogr
 def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None) -> Tomogram:
     """Tomogram of mode 'a' or 'b' of a two-mode state or density matrix.
 
-    Each row is Re(rho~_a) Q with rho_a the reduced density matrix of the
-    kept mode (see the module docstring); it equals the marginal of any joint
-    tomogram at that mode's phase.  Raises NegativeTomogram naming the
+    Each row is the folded Re(rho~_a) times Q, with rho_a the reduced
+    density matrix of the kept mode (see the module docstring); it equals
+    the marginal of any joint tomogram at that mode's phase.  Raises NegativeTomogram naming the
     offending phases, and GridTooNarrow as tomogram_pure does.
     """
     if mode not in ("a", "b"):
@@ -326,8 +349,8 @@ def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None)
     else:
         reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", obj.entries)
     d = reduced.shape[0]
-    phased = np.ascontiguousarray((reduced * _phase_matrix(d, thetas)).real)
-    values = phased.reshape(thetas.size, d * d) @ _psi_products(hermite_psi_matrix(obj.n_cut, grid.x))
+    folded = _folded((reduced * _phase_matrix(d, thetas)).real.reshape(thetas.size, d * d), d)
+    values = folded @ _psi_products(hermite_psi_matrix(obj.n_cut, grid.x))
     tomo = Tomogram(thetas, _nonnegative(values, [f"{th:.6g}" for th in thetas]), grid)
     return _checked_mass(tomo, f"reduced-mode tomogram on half-width {grid.half_width:.2f}")
 

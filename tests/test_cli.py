@@ -243,23 +243,36 @@ def test_audit_cli_exit_code_on_failure():
     assert main(["audit", "--n-cut", "4"]) == 3
 
 
-def run_across_scenario_threads(tmp_path, config_text, names):
-    """Run one config under TOMOLENS_THREADS=1 and =2; return each run's artifacts.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    BLAS threading can move last digits, so it is pinned to one thread in
-    both runs; only the scenario pool varies.
-    """
-    path = write_config(tmp_path, config_text)
+
+def subprocess_env(**overrides):
+    """The environment without any BLAS thread variable, plus `overrides` and tomolens on the path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tomolens.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return dict(env, PYTHONPATH=src, **overrides)
+
+
+def run_under_envs(tmp_path, config_text, names, envs):
+    """Run one config through the CLI once per environment; return each run's artifacts."""
+    path = write_config(tmp_path, config_text)
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, TOMOLENS_THREADS=threads, OPENBLAS_NUM_THREADS="1",
-                   OMP_NUM_THREADS="1", PYTHONPATH=src)
-        out = tmp_path / f"threads-{threads}"
+    for i, env in enumerate(envs):
+        out = tmp_path / f"run-{i}"
         subprocess.run([sys.executable, "-m", "tomolens.cli", "run", path, "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         outputs.append([(out / name).read_bytes() for name in names])
     return outputs
+
+
+def run_across_scenario_threads(tmp_path, config_text, names):
+    """Run one config under TOMOLENS_THREADS=1 and =2; return each run's artifacts.
+
+    BLAS is pinned to one thread in both runs; only the scenario pool varies.
+    """
+    envs = [subprocess_env(TOMOLENS_THREADS=threads, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+            for threads in ("1", "2")]
+    return run_under_envs(tmp_path, config_text, names, envs)
 
 
 def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
@@ -300,3 +313,65 @@ def test_entropy_sweep_is_byte_identical_across_scenario_threads(tmp_path):
     )
     assert one[0].count(b"\n") == 3 + 3
     assert one == two
+
+
+def blas_env_after_import(**overrides):
+    """The BLAS thread variables a fresh interpreter holds after `import tomolens`."""
+    code = ("import json, os, tomolens; "
+            f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}))")
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(**overrides),
+                          check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_import_pins_blas_to_one_thread():
+    assert blas_env_after_import() == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
+
+
+def test_a_caller_set_blas_thread_variable_wins():
+    assert blas_env_after_import(OMP_NUM_THREADS="3") == {
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize(
+    "config_text, names",
+    [
+        (
+            "scenario = beamsplitter-sweep\ninput = ecs-vacuum\n"
+            "param_start = 0.56\nparam_stop = 0.56\nparam_count = 1\n"
+            "phi_values = 0.0,1.5707963267948966\ntheta = 0.7\n",
+            ["beamsplitter_sweep.csv", "manifest.json"],
+        ),
+        (
+            "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.56\n"
+            "channel = phase-damping\ntime_count = 3\nentropy_time_count = 2\n"
+            "time_min = 0.01\ntime_max = 5\n",
+            ["decoherence_purity.csv", "decoherence_entropy.csv", "manifest.json"],
+        ),
+    ],
+    ids=["beamsplitter-sweep", "decoherence-run"],
+)
+def test_default_blas_threading_is_byte_identical_to_one_thread(tmp_path, config_text, names):
+    # With no BLAS variable set the run is pinned to one BLAS thread, so it
+    # writes the bytes of an explicit one-thread run, manifest included.  On
+    # 2 cores the CSV bytes agreed without the pin as well, so for them this
+    # pins the default; the manifest assertion is what needs the pin.
+    default, pinned = run_under_envs(
+        tmp_path, config_text, names,
+        [subprocess_env(), subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")],
+    )
+    assert default == pinned
+    manifest = json.loads(default[-1])
+    assert manifest["blas_threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_manifest_records_blas_threads_as_read_at_run_time(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    cfg = parse_config(write_config(
+        tmp_path, "scenario = entropy-sweep\nfamily = ecs\n"
+        "param_start = 0.5\nparam_stop = 0.5\nparam_count = 1\ntheta = 0.4\n"))
+    run_scenario(cfg, str(tmp_path / "out"))
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": None}

@@ -4,6 +4,7 @@ import pytest
 from tomolens.fock import annihilation_matrix
 from tomolens.metrics import (
     ENTROPY_THRESHOLD,
+    _entropy_integrand,
     FOURTH_MOMENT_THRESHOLD,
     LN_PI_E,
     TWO_MODE_ENTROPY_THRESHOLD,
@@ -47,6 +48,16 @@ def test_vacuum_entropy_saturates_gaussian_bound():
 def test_coherent_entropy_is_displacement_invariant(alpha, theta):
     tomo = tomogram_pure(make_coherent(alpha), [theta])
     assert entropy(tomo, theta) == pytest.approx(0.5 * LN_PI_E, abs=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(12,), (3, 4)])
+def test_entropy_integrand_is_bitwise_the_masked_form(shape):
+    # Reference: -w ln w under np.where masks, 0 where w <= 0.
+    # Exact zeros, clamped values, the smallest subnormal, and w = 1, where -w ln w is -0.0.
+    v = np.array([0.0, 5e-324, 1e-300, 0.0, 2.5e-300, 1e-12, 0.3, 1.0, 0.7, 2.0, 0.0, 1e-200]).reshape(shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.where(v > 0.0, -v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
+    assert _entropy_integrand(v).tobytes() == expected.tobytes()
 
 
 def test_two_mode_vacuum_entropy():

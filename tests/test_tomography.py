@@ -192,6 +192,54 @@ def test_mixed_tomogram_matches_eigenmode_sum(kind):
         assert np.max(np.abs(direct - expected)) <= 1e-13
 
 
+def test_pure_joint_tomogram_matches_complex_contraction():
+    # Reference: the complex product |psi1^T c~ psi2|^2, on equal and on unequal grids.
+    state = apply(BeamsplitterConfig(0.3), make_product(make_cat(0.9, "even"), make_coherent(0.5)))
+    grid = default_grid(state)
+    n = np.arange(state.amplitudes.shape[0])
+    for grid2 in (grid, QuadratureGrid.uniform(grid.half_width + 1.5, 901)):
+        psis1 = hermite_psi_matrix(state.n_cut, grid.x)
+        psis2 = hermite_psi_matrix(state.n_cut, grid2.x)
+        for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
+            phased = state.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
+            expected = np.abs(psis1.T @ phased @ psis2) ** 2
+            values = tomogram_two_mode_pure(state, theta1, theta2, grid, grid2).values
+            assert np.max(np.abs(values - expected)) <= 1e-15 * expected.max()
+
+
+def full_pair_products(obj, grid):
+    """Q[(n, n'), j] = psi_n(x_j) psi_n'(x_j) over all d^2 pairs (the unfolded form)."""
+    psis = hermite_psi_matrix(obj.n_cut, grid.x)
+    return (psis[:, None, :] * psis[None, :, :]).reshape(psis.shape[0] ** 2, -1)
+
+
+def phase_matrix(dim, theta):
+    n = np.arange(dim)
+    return np.exp(-1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DECAY])
+def test_folded_contractions_match_full_pair_form(kind):
+    # Reference: Q1^T Re(rho~) Q2 and Re(rho~_a) Q over every (n, n') pair,
+    # against the contractions folded onto n <= n'.
+    rho = decohered_output(kind)
+    d = rho.dim
+    grid1 = default_grid(rho)
+    grid2 = QuadratureGrid.uniform(grid1.half_width + 1.5, 901)
+    q1, q2 = full_pair_products(rho, grid1), full_pair_products(rho, grid2)
+    for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
+        phased = rho.entries * phase_matrix(d, theta1)[:, :, None, None] * phase_matrix(d, theta2)
+        expected = q1.T @ phased.real.reshape(d * d, d * d) @ q2
+        values = tomogram_mixed(rho, theta1, theta2, grid1, grid2).values
+        assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
+    thetas = np.array([0.0, 0.7, 2.0])
+    for mode, grid, q in (("a", grid1, q1), ("b", grid2, q2)):
+        reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", rho.entries)
+        expected = (reduced * phase_matrix(d, thetas)).real.reshape(thetas.size, d * d) @ q
+        values = tomogram_reduced(rho, mode, thetas, grid).values
+        assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
+
+
 @pytest.mark.parametrize("mode", ["a", "b"])
 @pytest.mark.parametrize("source", ["caves-schumaker", "phase-damped"])
 def test_reduced_tomogram_matches_joint_marginal(source, mode):
