@@ -247,7 +247,7 @@ class _Collector:
             "scenario": self.scenario,
             "config": dict(sorted(self.config.items())),
             "artifacts": self.artifacts,
-            # What BLAS threading ran under: tomolens pins both to "1" unless the caller set one.
+            # The BLAS thread variables as this run saw them; see the pin in tomolens/__init__.py.
             "blas_threads": {var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
             "tolerances": {
                 "entropy_threshold_nats": ENTROPY_THRESHOLD,
