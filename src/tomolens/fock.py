@@ -209,7 +209,9 @@ class TwoModeDensityMatrix:
     """Mixed two-mode state as the four-index tensor rho[n, n', m, m'].
 
     Index convention follows rho = sum rho_{n n' m m'} |n; m><n'; m'| with
-    n, n' labelling the first mode and m, m' the second.
+    n, n' labelling the first mode and m, m' the second.  The constructor
+    takes ownership of a complex array that owns its data: it is kept, not
+    copied, and made read-only.  A view is copied, so its source stays as it was.
     """
 
     entries: np.ndarray
@@ -218,7 +220,7 @@ class TwoModeDensityMatrix:
         t = np.asarray(self.entries, dtype=complex)
         if t.ndim != 4 or len(set(t.shape)) != 1:
             raise ValueError("entries must be a four-index tensor with equal axes")
-        t = t.copy()
+        t = t if t.base is None else t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "entries", t)
 
@@ -246,7 +248,6 @@ class TwoModeDensityMatrix:
         return cls(mat.reshape(d, d, d, d).transpose(0, 2, 1, 3))
 
     def trace(self) -> float:
-        d = self.dim
         return float(np.real(np.einsum("nnmm->", self.entries)))
 
     def purity(self) -> float:

@@ -139,7 +139,11 @@ class Tomogram:
 
 @dataclass(frozen=True)
 class TwoModeTomogram:
-    """Joint density w(X1, X2) at one phase pair (theta1, theta2)."""
+    """Joint density w(X1, X2) at one phase pair (theta1, theta2).
+
+    Takes ownership of a float `values` array that owns its data (kept, made
+    read-only); a view is copied.
+    """
 
     theta1: float
     theta2: float
@@ -151,7 +155,7 @@ class TwoModeTomogram:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid1.x.size, self.grid2.x.size):
             raise ValueError("values must have shape (len(grid1.x), len(grid2.x))")
-        v = v.copy()
+        v = v if v.base is None else v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -250,9 +254,10 @@ def tomogram_two_mode_pure(
     phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
     # psis2 is real, so A = psis1^T c~ goes through one real GEMM as [Re A; Im A].
     amp = psis1.T @ phased
-    values, imag = np.split(np.concatenate([amp.real, amp.imag]) @ psis2, 2)
-    values *= values
-    values += np.square(imag, out=imag)
+    parts = np.concatenate([amp.real, amp.imag]) @ psis2
+    real_sq, imag_sq = np.split(np.square(parts, out=parts), 2)
+    values = real_sq + imag_sq  # a fresh array, which the tomogram keeps
+    del parts, real_sq, imag_sq  # freed before the clamp's mask is made
     values = _clamped(values)
     return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "two-mode tomogram")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -17,9 +19,11 @@ from tomolens.decoherence import (
     mean_total_photon,
     purity,
 )
-from tomolens.fock import TwoModeDensityMatrix, TwoModeState, annihilation_matrix, fidelity_with_pure
+from tomolens.fock import TwoModeDensityMatrix, TwoModeState, fidelity_with_pure
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, tomogram_mixed, tomogram_pure
+
+from references import composite_lindblad_rhs
 
 AMP = ChannelConfig(AMPLITUDE_DECAY, 1.0, 1.0)
 PHASE = ChannelConfig(PHASE_DAMPING, 1.0, 1.0)
@@ -243,25 +247,6 @@ def test_amplitude_decay_matches_coherent_closed_form(kind, phi, rates):
         assert abs(purity(evolved) - exact_purity) <= 1e-12
 
 
-def composite_lindblad_rhs(rho, cfg):
-    """The master equation with dense kron(a, I) composite operators."""
-    dim = rho.dim
-    a = annihilation_matrix(dim)
-    eye = np.eye(dim)
-    c = np.kron(a, eye)
-    d = np.kron(eye, a)
-    if cfg.kind == AMPLITUDE_DECAY:
-        l_c, l_d = c, d
-    else:
-        l_c, l_d = c.conj().T @ c, d.conj().T @ d
-    mat = rho.as_matrix()
-    out = np.zeros_like(mat)
-    for rate, op in ((cfg.rate_c, l_c), (cfg.rate_d, l_d)):
-        opd = op.conj().T
-        out += rate * (2.0 * op @ mat @ opd - opd @ op @ mat - mat @ opd @ op)
-    return out
-
-
 @pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
 def test_lindblad_rhs_matches_composite_operators(kind):
     rng = np.random.default_rng(4)
@@ -303,6 +288,22 @@ def test_master_equation_residuals():
     assert master_equation_residual(rho, AMP) < 1e-4
     assert master_equation_residual(rho, PHASE) < 1e-4
     assert master_equation_residual(fock_pair_projector(2, 1), PHASE) < 1e-4
+
+
+@pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
+def test_residual_catches_a_wrong_rate(kind, monkeypatch):
+    # The right-hand side comes from the jump operators, not from the closed
+    # form, so a solution evolving mode c at twice its rate must fail the
+    # 1e-4 bound that the true solution meets.
+    rho = beamsplitter_output("even")
+    cfg = ChannelConfig(kind, 1.0, 1.0)
+    assert master_equation_residual(rho, cfg) < 1e-4
+
+    def doubled_rate_c(rho0, channel, t):
+        return evolve(rho0, dataclasses.replace(channel, rate_c=2.0 * channel.rate_c), t)
+
+    monkeypatch.setattr(decoherence, "evolve", doubled_rate_c)
+    assert master_equation_residual(rho, cfg) > 1e-4
 
 
 def test_long_time_tomogram_is_vacuum():

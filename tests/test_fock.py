@@ -175,3 +175,21 @@ def test_density_matrix_rejects_bad_trace():
     entries[0, 0, 0, 0] = 0.5
     with pytest.raises(ValueError):
         TwoModeDensityMatrix(entries).validate()
+
+
+def test_density_matrix_keeps_a_fresh_array_read_only():
+    entries = np.zeros((3, 3, 3, 3), dtype=complex)
+    entries[0, 0, 0, 0] = 1.0
+    rho = TwoModeDensityMatrix(entries)
+    assert np.shares_memory(rho.entries, entries)
+    assert not rho.entries.flags.writeable and not entries.flags.writeable
+
+
+def test_density_matrix_copies_a_view():
+    mat = np.zeros((9, 9), dtype=complex)
+    mat[0, 0] = 1.0
+    before = mat.copy()
+    rho = TwoModeDensityMatrix.from_matrix(mat)
+    assert not np.shares_memory(rho.entries, mat)
+    assert not rho.entries.flags.writeable
+    assert mat.flags.writeable and np.array_equal(mat, before)

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from tomolens import decoherence, tomography
 from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, NegativeTomogram
@@ -11,6 +12,7 @@ from tomolens.metrics import band_peaks
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product, make_squeezed, make_two_mode
 from tomolens.tomography import (
     QuadratureGrid,
+    TwoModeTomogram,
     _two_mode_pure_slice,
     _write_rows,
     check_pi_shift,
@@ -413,3 +415,42 @@ def test_janus_partner_slices_share_peak_structure():
             np.testing.assert_allclose(row, row[::-1], atol=1e-12)
         assert len(band_peaks(cat_slice.values[0], cat_slice.grid.x)) == expected_peaks
         assert len(band_peaks(sq_slice.values[0], sq_slice.grid.x)) == expected_peaks
+
+
+def test_two_mode_tomogram_keeps_a_fresh_array_read_only():
+    grid = QuadratureGrid(np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    values = np.full((5, 5), 0.25)
+    tomo = TwoModeTomogram(0.0, 0.0, values, grid, grid)
+    assert np.shares_memory(tomo.values, values)
+    assert not tomo.values.flags.writeable and not values.flags.writeable
+
+
+def test_two_mode_tomogram_copies_a_view():
+    grid = QuadratureGrid(np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    source = np.arange(25.0).reshape(5, 5)
+    before = source.copy()
+    tomo = TwoModeTomogram(0.0, 0.0, source.T, grid, grid)
+    assert not np.shares_memory(tomo.values, source)
+    assert not tomo.values.flags.writeable
+    assert source.flags.writeable and np.array_equal(source, before)
+
+
+def test_evolution_and_joint_tomograms_hand_over_arrays_of_their_own(monkeypatch):
+    # Channel evolution and both joint tomogram routes pass the constructor an array
+    # that owns its data, so it is kept rather than copied again.
+    handed = []
+
+    def recording(cls, array_position):
+        def build(*args):
+            handed.append(args[array_position].base is None)
+            return cls(*args)
+        return build
+
+    state = apply(BeamsplitterConfig(0.0), make_product(make_cat(1.0, "even"), make_coherent(0.0)))
+    rho0 = TwoModeDensityMatrix.from_pure(state)
+    monkeypatch.setattr(decoherence, "TwoModeDensityMatrix", recording(TwoModeDensityMatrix, 0))
+    monkeypatch.setattr(tomography, "TwoModeTomogram", recording(TwoModeTomogram, 2))
+    for kind in (AMPLITUDE_DECAY, PHASE_DAMPING):
+        tomogram_mixed(evolve(rho0, ChannelConfig(kind), 0.3), 0.4, 1.1)
+    tomogram_two_mode_pure(state, 0.4, 1.1)
+    assert handed == [True] * 5
