@@ -12,11 +12,11 @@ import os as _os
 # BLAS threads on top of the scenario pool oversubscribe the cores: on 2
 # cores, pinning OpenBLAS to one thread halved the two-mode benchmark's wall
 # time, and even the audit, which has no pool, spent twice its wall time in
-# cpu time with BLAS threads.  numpy and scipy each load their own OpenBLAS,
-# which reads these variables once, at load, so the pin holds only for a
-# library tomolens imports first; the `tomolens` command and
-# perfbench/worker.py import tomolens before either.  A caller who set any of
-# the three keeps every one of them as set.
+# cpu time with BLAS threads.  tomolens needs numpy's OpenBLAS alone, which
+# reads these variables once, at load, so the pin holds only when tomolens
+# imports numpy first; the `tomolens` command and perfbench/worker.py import
+# tomolens before numpy.  A caller who set any of the three keeps every one
+# of them as set.
 if not any(var in _os.environ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _os.environ["OMP_NUM_THREADS"] = "1"

@@ -15,7 +15,10 @@ with vacuum through the other produces coefficients proportional to
 
 K conserves total photon number, so the unitary is built and applied
 blockwise on the fixed-total subspaces: exact conservation by construction
-and O(T^3) per block instead of O(N^6) for the full space.
+and O(T^3) per block instead of O(N^6) for the full space.  The output basis
+holds every block up to its truncation whole.  By default that truncation is
+the constructors' certified cut of the input's total-photon distribution,
+so it follows the input's probabilities, not their rounding.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import TruncationOverflow
-from .fock import BUFFER_LEVELS, TAIL_TOLERANCE, TwoModeState
+from .fock import TwoModeState, ln_factorial, unitary_exp
 from .metrics import TwoModeSqueezingReport, two_mode_report
-from .states import make_cat, make_coherent, make_product
+from .states import _adaptive_cut, make_cat, make_coherent, make_product
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def block_unitaries(max_total: int, phi: float) -> list:
     """exp(-K) per total-photon block, verified unitary to 1e-9."""
     out = []
     for total in range(max_total + 1):
-        u = expm(-block_generator(total, phi))
+        u = unitary_exp(-block_generator(total, phi))
         defect = np.max(np.abs(u.conj().T @ u - np.eye(total + 1)))
         if defect > 1e-9:
             raise TruncationOverflow(f"block {total} unitary defect {defect:.2e}")
@@ -66,51 +67,33 @@ def block_unitaries(max_total: int, phi: float) -> list:
     return out
 
 
-def _required_total(state: TwoModeState) -> int:
-    """Largest total-photon block worth evolving.
-
-    The input must have decayed below TAIL_TOLERANCE inside its basis (the
-    adequacy guard); the returned extent then goes much deeper, down to the
-    1e-24 relative-mass floor, so dropped blocks sit at the rounding level
-    and photon-number conservation holds to machine precision.
-    """
-    dist = state.total_photon_distribution()
-    tail = dist.sum() - np.cumsum(dist)
-    if not (tail < TAIL_TOLERANCE * dist.sum()).any():
-        raise TruncationOverflow("total-photon distribution does not decay inside the basis")
-    deep = np.nonzero(tail < 1e-24 * dist.sum())[0]
-    return int(deep[0]) if deep.size else int(dist.size - 1)
-
-
 def apply(cfg: BeamsplitterConfig, state: TwoModeState) -> TwoModeState:
-    """Send a normalized two-mode state through the beamsplitter."""
-    max_total = _required_total(state)
-    out_cut = max_total + BUFFER_LEVELS if cfg.n_cut is None else cfg.n_cut
-    if out_cut < max_total:
-        raise TruncationOverflow(
-            f"n_cut={cfg.n_cut} below the occupied total photon number {max_total}"
-        )
-    unitaries = block_unitaries(max_total, cfg.phi)
-    c_in = state.amplitudes
-    out = np.zeros((out_cut + 1, out_cut + 1), dtype=complex)
-    for total, u in enumerate(unitaries):
-        vec = np.array(
-            [c_in[j, total - j] if j <= state.n_cut and total - j <= state.n_cut else 0.0
-             for j in range(total + 1)],
-            dtype=complex,
-        )
-        mixed = u @ vec
-        for j in range(total + 1):
-            out[j, total - j] = mixed[j]
+    """Send a normalized two-mode state through the beamsplitter.
+
+    Every total-photon block T <= n_cut is evolved, and the output basis
+    |n, m>, n, m <= n_cut, holds each of them whole.  The adaptive n_cut is
+    the constructors' rule (states._adaptive_cut) applied to the input's
+    total-photon distribution: the input's mass above n_cut - BUFFER_LEVELS
+    is below TAIL_TOLERANCE, so neither output mode carries that much in its
+    top BUFFER_LEVELS.  An explicit n_cut below the adaptive one raises
+    TruncationOverflow.
+    """
+    required = _adaptive_cut(state.total_photon_distribution())
+    cut = required if cfg.n_cut is None else cfg.n_cut
+    if cut < required:
+        raise TruncationOverflow(f"n_cut={cut} below the certified output truncation {required}")
+    # Blocks T <= cut read the input only at n, m <= cut.
+    c_in = np.zeros((cut + 1, cut + 1), dtype=complex)
+    size = min(cut, state.n_cut) + 1
+    c_in[:size, :size] = state.amplitudes[:size, :size]
+    out = np.zeros_like(c_in)
+    for total, u in enumerate(block_unitaries(cut, cfg.phi)):
+        j = np.arange(total + 1)
+        out[j, total - j] = u @ c_in[j, total - j]
     result = TwoModeState(out)
     nrm = result.norm()
     if abs(nrm - 1.0) > 1e-9:
         raise TruncationOverflow(f"output norm {nrm!r} lost probability past the truncation")
-    if cfg.n_cut is None:
-        # Drop padding rows/columns whose occupation sits at the rounding
-        # floor; downstream four-index tensors scale as (n_cut + 1)^4.
-        keep = min(result.top_occupied(floor=1e-26) + BUFFER_LEVELS, out_cut)
-        result = TwoModeState(result.amplitudes[: keep + 1, : keep + 1])
     return result.normalized()
 
 
@@ -121,7 +104,7 @@ def _log_poisson_row(z: complex, count: int) -> np.ndarray:
         row = np.zeros(count, dtype=complex)
         row[0] = 1.0
         return row
-    mag = np.exp(n * np.log(abs(z)) - 0.5 * gammaln(n + 1.0))
+    mag = np.exp(n * np.log(abs(z)) - 0.5 * ln_factorial(n))
     return mag * np.exp(1j * n * np.angle(z))
 
 
@@ -144,7 +127,7 @@ def output_closed_form(
         reference = make_product(make_cat(alpha, "odd"), make_coherent(0.0))
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    cut = (_required_total(reference) + BUFFER_LEVELS) if n_cut is None else n_cut
+    cut = _adaptive_cut(reference.total_photon_distribution()) if n_cut is None else n_cut
     count = cut + 1
     n = np.arange(count)
     parity = 1.0 + (-1.0) ** (n[:, None] + n[None, :])

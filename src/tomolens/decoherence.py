@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
-from .fock import TwoModeDensityMatrix, annihilation_matrix
+from .fock import TwoModeDensityMatrix, annihilation_matrix, ln_factorial
 
 AMPLITUDE_DECAY = "amplitude-decay"
 PHASE_DAMPING = "phase-damping"
@@ -69,7 +68,7 @@ def _decay_matrices(dim: int, gamma: float, t: float) -> np.ndarray:
     n = np.arange(dim)
     r = n[:, None]
     x = -np.expm1(-2.0 * gamma * t)  # accurate at small t
-    binom = np.exp(0.5 * (gammaln(n + r + 1.0) - gammaln(r + 1.0) - gammaln(n + 1.0)))
+    binom = np.exp(0.5 * (ln_factorial(n + r) - ln_factorial(r) - ln_factorial(n)))
     w = np.where(n + r < dim, np.exp(-gamma * n * t) * binom * x ** (r / 2.0), 0.0)
     k, i, j = np.ogrid[:dim, :dim, :dim]
     r = np.maximum(j - i, 0)

@@ -1,4 +1,7 @@
-"""Truncated Fock-basis state carriers, ladder actions and stable Hermite functions.
+"""Truncated Fock-basis state carriers, ladder actions, stable Hermite functions
+and the two special functions the rest of the package needs: ln n! and the
+exponential of an anti-Hermitian generator, both from numpy and the standard
+library alone.
 
 Everything downstream (tomograms, moment extraction, the beamsplitter and the
 decoherence channels) is built on the representations defined here.  All
@@ -9,7 +12,9 @@ without shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -89,6 +94,37 @@ def psi(n: int, x: float) -> float:
     if n < 0:
         raise ValueError("n must be non-negative")
     return float(hermite_psi_matrix(n, [float(x)])[n, 0])
+
+
+@cache
+def _ln_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.setflags(write=False)
+    return table
+
+
+def ln_factorial(n) -> np.ndarray:
+    """ln n! for non-negative integers n (any array shape).
+
+    Values come from math.lgamma through a table that grows in powers of
+    two, so a call costs one indexing pass, not one Python call per element.
+    """
+    n = np.asarray(n)
+    if n.size and n.min() < 0:
+        raise ValueError("ln n! needs non-negative n")
+    top = int(n.max(initial=0))
+    return _ln_factorial_table(max(64, 1 << top.bit_length()))[n]
+
+
+def unitary_exp(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for an anti-Hermitian matrix gen.
+
+    i gen is Hermitian, so with i gen = V diag(lam) V^dag the exponential is
+    V diag(e^{-i lam}) V^dag.  eigh reads one triangle of i gen only: gen must
+    be anti-Hermitian, and callers check it or build it so.
+    """
+    lam, vecs = np.linalg.eigh(1j * gen)
+    return (vecs * np.exp(-1j * lam)) @ vecs.conj().T
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermvander
-from scipy.special import gammaln
 
 from .errors import MissingOrder, OrderTooHigh
 from .fock import (
@@ -51,6 +50,7 @@ from .fock import (
     apply_annihilation,
     hermite_psi_matrix,
     inner,
+    ln_factorial,
 )
 from .tomography import (
     QuadratureGrid,
@@ -71,7 +71,7 @@ SOURCE_FOCK_ORACLE = "fock-oracle"
 def extraction_constant(k: int, l: int) -> float:
     """C_kl = k! l! / ((k+l+1)! sqrt(2^{k+l}))."""
     return float(
-        np.exp(gammaln(k + 1.0) + gammaln(l + 1.0) - gammaln(k + l + 2.0) - 0.5 * (k + l) * np.log(2.0))
+        np.exp(ln_factorial(k) + ln_factorial(l) - ln_factorial(k + l + 1) - 0.5 * (k + l) * np.log(2.0))
     )
 
 

@@ -11,8 +11,9 @@ the top BUFFER_LEVELS of the basis carry less than TAIL_TOLERANCE of
 probability.  When no explicit cutoff is given, the smallest adequate one is
 chosen and the buffer is added on top.  Exponential-of-generator states
 (squeezed, Yuen, isospectral) are built by one uniform path, the matrix
-exponential of the truncated anti-Hermitian generator, and validated against
-closed forms in the test suite.
+exponential (fock.unitary_exp) of the truncated anti-Hermitian generator's
+invariant block that holds the base state, and validated against closed
+forms in the test suite.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln, ive
 
 from .errors import DegenerateParameter, TruncationOverflow
 from .fock import (
@@ -29,7 +28,8 @@ from .fock import (
     TAIL_TOLERANCE,
     SingleModeState,
     TwoModeState,
-    annihilation_matrix,
+    ln_factorial,
+    unitary_exp,
 )
 
 FAMILIES = (
@@ -75,7 +75,7 @@ def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
         amps = np.zeros(n_cut + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0))
+    mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * ln_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
     return mag * phase
 
@@ -136,20 +136,26 @@ def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> Si
 
 
 def _exponentiated_generator_state(
-    build_generator, base_vector, n_cut, probe_start: int
+    build_generator, first: int, step: int, n_cut, probe_start: int
 ) -> SingleModeState:
-    """exp(G)|base> with G anti-Hermitian, on a basis grown until certified."""
+    """exp(G)|first> with G anti-Hermitian, on a basis grown until certified.
+
+    G must leave the levels first, first + step, first + 2 step, ... invariant
+    and |first> must be the lowest of them: only that block of G is
+    exponentiated, and the state has no support off it.
+    """
     dim = probe_start if n_cut is None else n_cut + 1
     while True:
-        gen = build_generator(dim)
+        gen = build_generator(dim)[first::step, first::step]
         herm = np.max(np.abs(gen + gen.conj().T))
         if herm > 1e-12 * max(1.0, np.max(np.abs(gen))):
             raise ValueError("generator is not anti-Hermitian")
-        u = expm(gen)
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
+        u = unitary_exp(gen)
+        defect = np.max(np.abs(u.conj().T @ u - np.eye(gen.shape[0])))
         if defect > 1e-9:
             raise TruncationOverflow(f"truncated exponential not unitary: defect {defect:.2e}")
-        vec = u @ base_vector(dim)
+        vec = np.zeros(dim, dtype=complex)
+        vec[first::step] = u[:, 0]
         probs = np.abs(vec) ** 2
         top_mass = probs[-max(3, dim // 10) :].sum()
         if n_cut is not None:
@@ -164,9 +170,9 @@ def _exponentiated_generator_state(
 def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -> SingleModeState:
     """S(xi)|0> (squeezed vacuum) or S(xi)|1> (Yuen state).
 
-    S(xi) = exp[(conj(xi) a^2 - xi a^dag^2)/2].  Built by matrix exponential
-    of the truncated generator; support is exactly even (vacuum base) or odd
-    (one-photon base).
+    S(xi) = exp[(conj(xi) a^2 - xi a^dag^2)/2].  The generator couples levels
+    two apart, so only its even (vacuum base) or odd (one-photon base) block
+    is exponentiated, and the support is exactly that parity.
     """
     base = base.lower()
     if base not in ("vacuum", "one"):
@@ -174,22 +180,14 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
     base_n = 0 if base == "vacuum" else 1
 
     def gen(dim):
-        a = annihilation_matrix(dim)
-        a2 = a @ a
-        return 0.5 * (np.conj(xi) * a2 - xi * a2.conj().T)
-
-    def base_vec(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[base_n] = 1.0
-        return v
+        # a^2 has <n|a^2|n+2> = sqrt((n+1)(n+2)).
+        a2 = np.diag(np.sqrt(np.arange(1.0, dim - 1) * np.arange(2.0, dim)), k=2)
+        return 0.5 * (np.conj(xi) * a2 - xi * a2.T)
 
     r = abs(xi)
     # Fock occupation decays like tanh(r)^(2n); size the first probe for it.
     est = 30 if r < 0.1 else int(np.ceil(-26.0 / np.log(np.tanh(r) + 1e-300))) + 30
-    state = _exponentiated_generator_state(gen, base_vec, n_cut, min(max(est, 30), 4000))
-    amps = np.array(state.amplitudes)
-    amps[1 - base_n :: 2] = 0.0  # generator preserves the base state's parity
-    return SingleModeState(amps).normalized().certify()
+    return _exponentiated_generator_state(gen, base_n, 2, n_cut, min(max(est, 30), 4000))
 
 
 def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeState:
@@ -203,7 +201,7 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
         amps[m] = 1.0
     else:
         # c_{n+m} ~ alpha^n sqrt((n+m)!)/n!  (overall constant fixed by normalization)
-        logmag = n * np.log(abs(alpha)) + 0.5 * gammaln(n + m + 1.0) - gammaln(n + 1.0)
+        logmag = n * np.log(abs(alpha)) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
         logmag -= logmag.max()
         amps = np.zeros(probe + 1, dtype=complex)
         amps[m:] = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
@@ -238,13 +236,8 @@ def make_isospectral(zeta: complex, base: int = 1, n_cut: int | None = None) -> 
         ai = deformed_annihilation_matrix(dim, base)
         return zeta * ai.T - np.conj(zeta) * ai
 
-    def base_vec(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[base] = 1.0
-        return v
-
     probe = base + _coherent_probe_cut(zeta)
-    return _exponentiated_generator_state(gen, base_vec, n_cut, probe)
+    return _exponentiated_generator_state(gen, base, 1, n_cut, probe)
 
 
 def make_two_mode(kind: str, r: float, theta: float = 0.0, n_cut: int | None = None) -> TwoModeState:
@@ -273,7 +266,7 @@ def make_two_mode(kind: str, r: float, theta: float = 0.0, n_cut: int | None = N
         diag = np.exp(logmag) * (-1.0) ** n * np.exp(1j * n * theta)
     else:
         with np.errstate(divide="ignore"):
-            logmag = n * np.log(r) - gammaln(n + 1.0) if r > 0 else np.where(n == 0, 0.0, -np.inf)
+            logmag = n * np.log(r) - ln_factorial(n) if r > 0 else np.where(n == 0, 0.0, -np.inf)
         diag = np.exp(logmag - logmag.max()) * np.exp(1j * n * theta)
     if n_cut is None:
         cut = _adaptive_cut(np.abs(diag) ** 2)
@@ -289,8 +282,8 @@ def make_two_mode(kind: str, r: float, theta: float = 0.0, n_cut: int | None = N
 
 
 def pair_coherent_normalization(r: float) -> float:
-    """1/sqrt(I0(2r)), evaluated with the exponentially scaled Bessel function."""
-    return float(1.0 / np.sqrt(ive(0, 2.0 * r) * np.exp(2.0 * r)))
+    """1/sqrt(I0(2r))."""
+    return float(1.0 / np.sqrt(np.i0(2.0 * r)))
 
 
 def make_product(state_a: SingleModeState, state_b: SingleModeState) -> TwoModeState:

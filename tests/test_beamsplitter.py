@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from tomolens.beamsplitter import (
     phi_sweep_report,
 )
 from tomolens.errors import TruncationOverflow
-from tomolens.fock import fidelity_pure
+from tomolens.fock import SingleModeState, fidelity_pure
 from tomolens.metrics import ENTROPY_THRESHOLD, TWO_MODE_ENTROPY_THRESHOLD, entropy_from_density, entropy_two_mode
-from tomolens.states import make_cat, make_coherent, make_product
+from tomolens.states import make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, marginal, tomogram_joint, tomogram_pure
 
 
@@ -118,6 +120,42 @@ def test_truncation_guard():
     inp = make_product(make_coherent(1.5), make_coherent(0.0))
     with pytest.raises(TruncationOverflow):
         apply(BeamsplitterConfig(0.0, n_cut=3), inp)
+
+
+@pytest.mark.parametrize("kind", ["ecs", "ocs"])
+@pytest.mark.parametrize("alpha", [0.56, 0.62, 1.5])
+@pytest.mark.parametrize("phi", [0.0, 0.9])
+def test_adaptive_output_matches_closed_form(kind, alpha, phi):
+    inp = make_product(make_cat(alpha, "even" if kind == "ecs" else "odd"), make_coherent(0.0))
+    out = apply(BeamsplitterConfig(phi), inp)
+    closed = output_closed_form(f"{kind}-vacuum", alpha, phi=phi)
+    assert out.n_cut == closed.n_cut
+    assert np.max(np.abs(out.amplitudes - closed.amplitudes)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, alpha", [("even", 0.565), ("odd", 0.62), ("pacs", 0.8425), ("even", 1.0)])
+def test_output_truncation_ignores_rounding_dust(kind, alpha):
+    # The same input rebuilt element by element with math.lgamma, with and
+    # without an ulp or two of dust on each amplitude, differs from the
+    # constructor's only by rounding; the output truncation must not move.
+    mode_a = make_pacs(alpha, 1) if kind == "pacs" else make_cat(alpha, kind)
+    vacuum = make_coherent(0.0)
+    expected = apply(BeamsplitterConfig(0.0), make_product(mode_a, vacuum)).n_cut
+    levels = range(mode_a.n_cut + 1)
+    if kind == "pacs":
+        # c_{n+1} ~ alpha^n sqrt((n+1)!)/n!
+        amps = [0.0] + [math.exp(n * math.log(alpha) + 0.5 * math.lgamma(n + 2) - math.lgamma(n + 1))
+                        for n in levels[:-1]]
+    else:
+        amps = [math.exp(n * math.log(alpha) - 0.5 * math.lgamma(n + 1)) if n % 2 == (kind == "odd")
+                else 0.0 for n in levels]
+    for dust in (0.0, 2.0**-52, -(2.0**-52), 2.0**-51):
+        rebuilt = SingleModeState(np.array(amps) * (1.0 + dust * (-1.0) ** np.arange(len(amps))))
+        inp = make_product(rebuilt.normalized(), vacuum)
+        assert apply(BeamsplitterConfig(0.0), inp).n_cut == expected
+        assert apply(BeamsplitterConfig(np.pi / 2, n_cut=expected), inp).n_cut == expected
+        with pytest.raises(TruncationOverflow):
+            apply(BeamsplitterConfig(0.0, n_cut=expected - 1), inp)
 
 
 def test_unknown_closed_form_kind():

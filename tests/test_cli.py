@@ -329,6 +329,14 @@ def test_import_pins_blas_to_one_thread():
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None}
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only reference; importing it would cost every run its start-up time.
+    code = "import sys, tomolens.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]"
+
+
 def test_a_caller_set_blas_thread_variable_wins():
     assert blas_env_after_import(OMP_NUM_THREADS="3") == {
         "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}

@@ -1,19 +1,25 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import gammaln
 
+from tomolens.beamsplitter import block_generator
 from tomolens.errors import TruncationOverflow
 from tomolens.fock import (
     SingleModeState,
     TwoModeDensityMatrix,
     TwoModeState,
+    annihilation_matrix,
     apply_annihilation,
     apply_creation,
     hermite_psi_matrix,
     inner,
+    ln_factorial,
     psi,
+    unitary_exp,
 )
-from tomolens.states import make_coherent, make_product
+from tomolens.states import deformed_annihilation_matrix, make_coherent, make_product
 from tomolens.tomography import QuadratureGrid
 
 
@@ -193,3 +199,46 @@ def test_density_matrix_copies_a_view():
     assert not np.shares_memory(rho.entries, mat)
     assert not rho.entries.flags.writeable
     assert mat.flags.writeable and np.array_equal(mat, before)
+
+
+def test_ln_factorial_matches_gammaln():
+    n = np.arange(3000)
+    np.testing.assert_allclose(ln_factorial(n), gammaln(n + 1.0), rtol=1e-14, atol=0.0)
+    # Shapes pass through, and a table grown for a large argument serves small ones.
+    grid = np.add.outer(np.arange(5), np.arange(7))
+    np.testing.assert_array_equal(ln_factorial(grid), ln_factorial(n)[grid])
+    assert ln_factorial(0) == 0.0 and ln_factorial(1) == 0.0
+    with pytest.raises(ValueError):
+        ln_factorial([3, -1])
+
+
+def _squeezing_generator(dim, xi):
+    a = annihilation_matrix(dim)
+    return 0.5 * (np.conj(xi) * (a @ a) - xi * (a @ a).conj().T)
+
+
+def _isospectral_generator(dim, zeta, base):
+    ai = deformed_annihilation_matrix(dim, base)
+    return zeta * ai.T - np.conj(zeta) * ai
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [block_generator(total, phi) for total in (0, 1, 7, 40) for phi in (0.0, 0.9, np.pi / 2)]
+    + [_squeezing_generator(dim, xi) for dim in (40, 120) for xi in (0.5, 0.8 - 0.6j, 1.2)]
+    + [_squeezing_generator(120, 0.8 - 0.6j)[1::2, 1::2]]
+    + [_isospectral_generator(dim, zeta, base) for dim in (40, 120) for zeta, base in ((0.6, 1), (0.7j, 3))],
+)
+def test_unitary_exp_matches_expm(gen):
+    # Both routes err by a few ulps times the generator's norm; at d = 40 and
+    # xi = 0.5 it is expm that misses by 1e-13 (see the mpmath test below).
+    tol = 1e-14 * max(1.0, np.abs(gen).sum(axis=0).max())
+    np.testing.assert_allclose(unitary_exp(gen), expm(gen), rtol=0.0, atol=tol)
+    np.testing.assert_allclose(unitary_exp(-gen), expm(-gen), rtol=0.0, atol=tol)
+
+
+def test_unitary_exp_matches_extended_precision():
+    gen = _squeezing_generator(40, 0.5)
+    with mp.workdps(40):
+        reference = np.array(mp.expm(mp.matrix(gen.tolist())).tolist(), dtype=complex)
+    assert np.max(np.abs(unitary_exp(gen) - reference)) < 2e-14

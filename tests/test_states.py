@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.linalg import expm
+from scipy.special import gammaln, ive
 
 from tomolens.errors import DegenerateParameter, TruncationOverflow
 from tomolens.fock import annihilation_matrix, apply_annihilation, inner
@@ -167,6 +168,30 @@ def test_two_mode_zero_parameter_is_vacuum():
     for kind in ("caves-schumaker", "pair-coherent"):
         state = make_two_mode(kind, 0.0)
         assert abs(state.amplitudes[0, 0]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("xi, base", [(0.5, "vacuum"), (0.8 - 0.6j, "vacuum"), (0.7j, "one")])
+def test_squeezed_parity_block_matches_full_expm(xi, base):
+    # Only the base state's parity block is exponentiated; the full-space
+    # matrix exponential gives the same truncated state.
+    state = make_squeezed(xi, base, n_cut=149)
+    a2 = np.linalg.matrix_power(annihilation_matrix(150), 2)
+    full = expm(0.5 * (np.conj(xi) * a2 - xi * a2.T))[:, 0 if base == "vacuum" else 1]
+    np.testing.assert_allclose(state.amplitudes, full / np.linalg.norm(full), rtol=0.0, atol=1e-13)
+
+
+def test_isospectral_block_matches_full_expm():
+    zeta, base = 0.6 - 0.3j, 2
+    state = make_isospectral(zeta, base, n_cut=49)
+    ai = deformed_annihilation_matrix(50, base)
+    full = expm(zeta * ai.T - np.conj(zeta) * ai)[:, base]
+    np.testing.assert_allclose(state.amplitudes, full / np.linalg.norm(full), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 1.0, 7.5, 60.0, 300.0])
+def test_pair_coherent_normalization_matches_scaled_bessel_form(r):
+    reference = 1.0 / np.sqrt(ive(0, 2.0 * r) * np.exp(2.0 * r))
+    assert pair_coherent_normalization(r) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 def test_pair_coherent_amplitude_ratio():
