@@ -71,8 +71,6 @@ from .tomography import (
 )
 from .moments import (
     MomentTable,
-    extract_moment,
-    extract_moment_two_mode,
     moment_table,
     oracle_moment,
     oracle_moment_two_mode,
@@ -92,7 +90,7 @@ from .metrics import (
     two_mode_variance,
     variance,
 )
-from .beamsplitter import BeamsplitterConfig, apply, output_closed_form, phi_sweep_report
+from .beamsplitter import BeamsplitterConfig, apply, output_closed_form
 from .decoherence import (
     AMPLITUDE_DECAY,
     PHASE_DAMPING,

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import TruncationOverflow
 from .fock import TwoModeState, ln_factorial, unitary_exp
-from .metrics import TwoModeSqueezingReport, two_mode_report
 from .states import _adaptive_cut, make_cat, make_coherent, make_product
 
 
@@ -150,18 +149,3 @@ def output_closed_form(
         amps = parity * np.outer(_log_poisson_row(gamma, count), _log_poisson_row(delta, count))
     return TwoModeState(amps).normalized()
 
-
-@dataclass(frozen=True)
-class PhiSweepEntry:
-    phi: float
-    report: TwoModeSqueezingReport
-
-
-def phi_sweep_report(input_state: TwoModeState, phis, theta: float) -> list:
-    """Beamsplitter output diagnostics across relative phases at fixed theta."""
-    entries = []
-    for phi in np.atleast_1d(np.asarray(phis, dtype=float)):
-        out = apply(BeamsplitterConfig(phi=float(phi)), input_state)
-        rep = two_mode_report(out, theta, theta)
-        entries.append(PhiSweepEntry(float(phi), rep))
-    return entries

@@ -159,16 +159,16 @@ class SingleModeState:
             raise ValueError("cannot normalize the zero vector")
         return SingleModeState(self.amplitudes / nrm)
 
-    def tail_mass(self, buffer: int = BUFFER_LEVELS) -> float:
-        """Probability above level n_cut - buffer (the truncation certificate)."""
-        start = max(self.n_cut - buffer + 1, 0)
+    def tail_mass(self) -> float:
+        """Probability above level n_cut - BUFFER_LEVELS (the truncation certificate)."""
+        start = max(self.n_cut - BUFFER_LEVELS + 1, 0)
         return float(np.sum(np.abs(self.amplitudes[start:]) ** 2))
 
-    def certify(self, buffer: int = BUFFER_LEVELS) -> "SingleModeState":
-        tail = self.tail_mass(buffer)
+    def certify(self) -> "SingleModeState":
+        tail = self.tail_mass()
         if tail >= TAIL_TOLERANCE:
             raise TruncationOverflow(
-                f"tail mass {tail:.3e} above level {self.n_cut - buffer} exceeds "
+                f"tail mass {tail:.3e} above level {self.n_cut - BUFFER_LEVELS} exceeds "
                 f"{TAIL_TOLERANCE:.0e}; n_cut={self.n_cut} is inadequate"
             )
         return self
@@ -177,10 +177,10 @@ class SingleModeState:
         p = np.abs(self.amplitudes) ** 2
         return float(np.dot(np.arange(p.size), p))
 
-    def top_occupied(self, floor: float = 1e-13) -> int:
-        """Highest level with probability above `floor` (0 if none)."""
+    def top_occupied(self) -> int:
+        """Highest level with probability above 1e-13 (0 if none)."""
         p = np.abs(self.amplitudes) ** 2
-        idx = np.nonzero(p > floor)[0]
+        idx = np.nonzero(p > 1e-13)[0]
         return int(idx[-1]) if idx.size else 0
 
     def padded(self, n_cut: int) -> "SingleModeState":
@@ -222,10 +222,11 @@ class TwoModeState:
         p = np.abs(self.amplitudes) ** 2
         return p.sum(axis=1) if mode == "a" else p.sum(axis=0)
 
-    def top_occupied(self, floor: float = 1e-13) -> int:
+    def top_occupied(self) -> int:
+        """Highest level either mode occupies above 1e-13 (0 if none)."""
         pa = self.mode_probabilities("a")
         pb = self.mode_probabilities("b")
-        occ = np.nonzero((pa > floor) | (pb > floor))[0]
+        occ = np.nonzero((pa > 1e-13) | (pb > 1e-13))[0]
         return int(occ[-1]) if occ.size else 0
 
     def total_photon_distribution(self) -> np.ndarray:
@@ -309,10 +310,11 @@ class TwoModeDensityMatrix:
         diag = np.real(np.einsum("nnmm->nm", self.entries))
         return diag.sum(axis=1) if mode == "a" else diag.sum(axis=0)
 
-    def top_occupied(self, floor: float = 1e-13) -> int:
+    def top_occupied(self) -> int:
+        """Highest level either mode occupies above 1e-13 (0 if none)."""
         pa = self.mode_occupations("a")
         pb = self.mode_occupations("b")
-        occ = np.nonzero((pa > floor) | (pb > floor))[0]
+        occ = np.nonzero((pa > 1e-13) | (pb > 1e-13))[0]
         return int(occ[-1]) if occ.size else 0
 
 

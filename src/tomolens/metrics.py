@@ -192,7 +192,7 @@ class SqueezingReport:
 
 @dataclass(frozen=True)
 class TwoModeSqueezingReport:
-    """Bipartite diagnostics at one phase pair, with reduced-mode reports."""
+    """Bipartite diagnostics at one phase pair, with each mode's reduced entropy."""
 
     theta1: float
     theta2: float
@@ -202,8 +202,8 @@ class TwoModeSqueezingReport:
     eur_satisfied: bool
     variance: float
     variance_squeezed: bool
-    reduced_a: SqueezingReport
-    reduced_b: SqueezingReport
+    reduced_entropy_a: float
+    reduced_entropy_b: float
 
 
 def squeezing_report(
@@ -245,7 +245,17 @@ def two_mode_report(
     theta2: float,
     grid: QuadratureGrid | None = None,
 ) -> TwoModeSqueezingReport:
-    """Assemble the bipartite report (entropy, EUR, joint variance, reductions)."""
+    """Assemble the bipartite report (entropy, EUR, joint variance, reduced entropies).
+
+    Mode a's reduced entropy is taken at theta1 and mode b's at theta2, each
+    from one row of the reduced mode's tomogram; squeezing_report(mode=...)
+    gives a mode's full report.
+    """
+
+    def reduced_entropy(theta, mode):
+        rows, row_grid = single_mode_rows(obj, [theta], grid, mode)
+        return entropy_from_density(rows[0], row_grid)
+
     joint = tomogram_joint(obj, theta1, theta2, grid, grid)
     joint_conj = tomogram_joint(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid, grid)
     s_ab = entropy_two_mode(joint)
@@ -261,8 +271,8 @@ def two_mode_report(
         eur_satisfied=bool(eur >= 2.0 * LN_PI_E - 1e-6),
         variance=var,
         variance_squeezed=below_threshold(var, VARIANCE_THRESHOLD),
-        reduced_a=squeezing_report(obj, theta1, grid, mode="a"),
-        reduced_b=squeezing_report(obj, theta2, grid, mode="b"),
+        reduced_entropy_a=reduced_entropy(theta1, "a"),
+        reduced_entropy_b=reduced_entropy(theta2, "b"),
     )
 
 

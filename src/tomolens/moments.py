@@ -4,7 +4,7 @@ The tomogram route samples k+l+1 phases theta_m = m pi/(k+l+1), integrates
 each distribution against the Hermite polynomial H_{k+l}, applies the
 roots-of-unity phase weights exp(-i(k-l) m pi/(k+l+1)) and the combinatorial
 constant C_kl = k! l! / ((k+l+1)! sqrt(2^{k+l})).  The two-mode extraction is
-the double sum over independent phase sets for each mode; it reduces to the
+the double sum over the same phase set for each mode; it reduces to the
 single-mode formula when one mode's indices vanish and is validated against
 the oracle for every catalog state before any other module relies on it.
 
@@ -145,29 +145,30 @@ def _single_mode_entries(obj, phase_sets: dict, grid, mode) -> dict:
     return entries
 
 
-def _hermite_products(n_cut: int, grid: QuadratureGrid, u: np.ndarray) -> np.ndarray:
-    """G[s, n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), shape (K + 1, d, d)."""
+def _hermite_products(n_cut: int, grid: QuadratureGrid, max_order: int) -> np.ndarray:
+    """G[s, n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), shape (max_order + 1, d, d)."""
     psis = hermite_psi_matrix(n_cut, grid.x)
-    return (psis * u.T[:, None, :]) @ psis.T
+    return (psis * hermite_weights(grid, max_order).T[:, None, :]) @ psis.T
 
 
-def _pure_blocks(state: TwoModeState, phases1, phases2, grid1, grid2, u1, u2) -> np.ndarray:
-    """The blocks U1^T W U2 of a pure state, contracted without forming W.
+def _pure_blocks(state: TwoModeState, phases, grid1, grid2, max_order: int) -> np.ndarray:
+    """The blocks U1^T W U2 of a pure state at every phase pair, contracted without forming W.
 
     Per theta1, T_s = c~^T G1_s c~* (c~ phased by theta1 along mode a); the
     block at (theta1, theta2) is sum_{m,m'} T_s e^{-i(m-m') theta2} G2_t.
     Entry (0, 0) is the double integral of W, checked by the mass guard.
     """
-    g1 = _hermite_products(state.n_cut, grid1, u1)
-    g2 = g1 if grid2 is grid1 and u2.shape == u1.shape else _hermite_products(state.n_cut, grid2, u2)
+    g1 = _hermite_products(state.n_cut, grid1, max_order)
+    g2 = g1 if grid2 is grid1 else _hermite_products(state.n_cut, grid2, max_order)
     d = state.amplitudes.shape[0]
     n = np.arange(d)
-    g2 = g2.reshape(g2.shape[0], d * d).T
-    blocks = np.empty((phases1.size, phases2.size, u1.shape[1], u2.shape[1]))
-    for i, th1 in enumerate(phases1):
+    size = max_order + 1
+    g2 = g2.reshape(size, d * d).T
+    blocks = np.empty((phases.size, phases.size, size, size))
+    for i, th1 in enumerate(phases):
         phased = state.amplitudes * np.exp(-1j * th1 * n)[:, None]
-        t = (phased.T @ g1 @ phased.conj()).reshape(u1.shape[1], d * d)
-        for j, th2 in enumerate(phases2):
+        t = (phased.T @ g1 @ phased.conj()).reshape(size, d * d)
+        for j, th2 in enumerate(phases):
             blocks[i, j] = ((t * _phase_matrix(d, th2).ravel()) @ g2).real
             _check_mass_defect(
                 abs(blocks[i, j, 0, 0] - 1.0), f"two-mode tomogram at ({th1:.6g}, {th2:.6g})"
@@ -175,8 +176,8 @@ def _pure_blocks(state: TwoModeState, phases1, phases2, grid1, grid2, u1, u2) ->
     return blocks
 
 
-def _two_mode_entries(obj, phase_sets1: dict, phase_sets2: dict, grid1, grid2) -> dict:
-    """Every (k, l, p, q) with k + l in phase_sets1 and p + q in phase_sets2.
+def _two_mode_entries(obj, phase_sets: dict, grid1, grid2) -> dict:
+    """Every (k, l, p, q) with k + l and p + q in phase_sets, both modes on the same phases.
 
     Each distinct phase pair gives one block U1^T W U2 of every order pair's
     double integral: by contraction for a pure state, from the joint
@@ -186,43 +187,26 @@ def _two_mode_entries(obj, phase_sets1: dict, phase_sets2: dict, grid1, grid2) -
         grid1 = default_grid(obj)
     if grid2 is None:
         grid2 = grid1
-    phases1, pos1 = _phase_union(phase_sets1)
-    phases2, pos2 = _phase_union(phase_sets2)
-    u1 = hermite_weights(grid1, max(phase_sets1))
-    u2 = hermite_weights(grid2, max(phase_sets2))
+    phases, positions = _phase_union(phase_sets)
+    order = max(phase_sets)
     if isinstance(obj, TwoModeState):
-        blocks = _pure_blocks(obj, phases1, phases2, grid1, grid2, u1, u2)
+        blocks = _pure_blocks(obj, phases, grid1, grid2, order)
     else:
-        blocks = np.empty((phases1.size, phases2.size, u1.shape[1], u2.shape[1]))
-        for i, th1 in enumerate(phases1):
-            for j, th2 in enumerate(phases2):
+        u1, u2 = hermite_weights(grid1, order), hermite_weights(grid2, order)
+        blocks = np.empty((phases.size, phases.size, order + 1, order + 1))
+        for i, th1 in enumerate(phases):
+            for j, th2 in enumerate(phases):
                 blocks[i, j] = u1.T @ tomogram_joint(obj, th1, th2, grid1, grid2).values @ u2
     entries = {}
-    for s1, p1 in pos1.items():
-        for s2, p2 in pos2.items():
+    for s1, p1 in positions.items():
+        for s2, p2 in positions.items():
             integrals = blocks[np.ix_(p1, p2)][:, :, s1, s2]
             for k in range(s1 + 1):
-                w1 = _phase_weights(k, s1 - k, phase_sets1[s1])
+                w1 = _phase_weights(k, s1 - k, phase_sets[s1])
                 for p in range(s2 + 1):
-                    w2 = _phase_weights(p, s2 - p, phase_sets2[s2])
+                    w2 = _phase_weights(p, s2 - p, phase_sets[s2])
                     entries[(k, s1 - k, p, s2 - p)] = complex(w1 @ integrals @ w2)
     return entries
-
-
-def extract_moment(
-    obj,
-    k: int,
-    l: int,
-    grid: QuadratureGrid | None = None,
-    mode: str | None = None,
-) -> complex:
-    """<a^dag^k a^l> recovered from tomograms alone.
-
-    `obj` is a SingleModeState, or a two-mode state / density matrix with
-    `mode` selecting the reduced mode.
-    """
-    _check_order(k, l)
-    return _single_mode_entries(obj, {k + l: extraction_phases(k + l)}, grid, mode)[(k, l)]
 
 
 def oracle_moment(obj, k: int, l: int, mode: str | None = None) -> complex:
@@ -270,24 +254,6 @@ def oracle_moment_two_mode(obj, k: int, l: int, p: int, q: int) -> complex:
     op_b = np.linalg.matrix_power(a.T, p) @ np.linalg.matrix_power(a, q)
     # Tr((O_a x O_b) rho) against the (n, n', m, m') index layout.
     return complex(np.einsum("ab,cd,badc->", op_a, op_b, obj.entries))
-
-
-def extract_moment_two_mode(
-    obj,
-    k: int,
-    l: int,
-    p: int,
-    q: int,
-    grid1: QuadratureGrid | None = None,
-    grid2: QuadratureGrid | None = None,
-) -> complex:
-    """Two-mode tomogram extraction: the double roots-of-unity sum."""
-    _check_order(k, l)
-    _check_order(p, q)
-    entries = _two_mode_entries(
-        obj, {k + l: extraction_phases(k + l)}, {p + q: extraction_phases(p + q)}, grid1, grid2
-    )
-    return entries[(k, l, p, q)]
 
 
 @dataclass(frozen=True)
@@ -371,5 +337,5 @@ def two_mode_moment_table(
         entries = {a + b: oracle_moment_two_mode(obj, *a, *b) for a in pairs for b in pairs}
     else:
         phase_sets = {order: extraction_phases(order) for order in range(max_order_each + 1)}
-        entries = _two_mode_entries(obj, phase_sets, phase_sets, grid1, grid2)
+        entries = _two_mode_entries(obj, phase_sets, grid1, grid2)
     return MomentTable(entries, max_order_each, source)

@@ -354,6 +354,8 @@ def _run_sweep(cfg: dict, col: _Collector) -> None:
     """Build and measure each parameter point in one guarded pool pass."""
     measure, header, output, what = _SWEEPS[cfg["scenario"]]
     family = _family(cfg)
+    if family in ("pair-coherent", "caves-schumaker"):
+        raise ConfigError(f"{cfg['scenario']} needs a single-mode family, got {family!r}")
     values = _parse_range(cfg, "param")
     theta = _get(cfg, "theta", float, default=0.0)
 
@@ -423,7 +425,7 @@ def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
         r = two_mode_report(out, theta, theta, default_grid(out))
         return (
             alpha, phi, theta, r.entropy, int(r.entropy_squeezed), r.variance,
-            int(r.variance_squeezed), r.eur_sum, r.reduced_a.entropy, r.reduced_b.entropy,
+            int(r.variance_squeezed), r.eur_sum, r.reduced_entropy_a, r.reduced_entropy_b,
         )
 
     points = [(float(a), phi) for phi in phis for a in values]
@@ -456,7 +458,7 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
     times = dec.default_time_grid(t_count, t_min, t_max)
     ent_times = dec.default_time_grid(entropy_count, t_min, t_max) if entropy_count > 0 else []
     try:
-        chan = dec.ChannelConfig(channel, rate_c, rate_d, tuple(times))
+        chan = dec.ChannelConfig(channel, rate_c, rate_d)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from exc
     rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(phi=phi), _BS_INPUTS[kind](alpha, cfg)))

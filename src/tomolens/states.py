@@ -48,14 +48,8 @@ FAMILIES = (
 )
 
 
-def _normalize_certified(amps: np.ndarray, n_cut_given) -> SingleModeState:
-    state = SingleModeState(amps).normalized()
-    if n_cut_given is not None and state.tail_mass() >= TAIL_TOLERANCE:
-        raise TruncationOverflow(
-            f"n_cut={state.n_cut} cannot certify the tail "
-            f"(mass {state.tail_mass():.3e} in the buffer levels)"
-        )
-    return state.certify()
+def _normalize_certified(amps: np.ndarray) -> SingleModeState:
+    return SingleModeState(amps).normalized().certify()
 
 
 def _adaptive_cut(probabilities: np.ndarray) -> int:
@@ -91,7 +85,7 @@ def make_coherent(alpha: complex, n_cut: int | None = None) -> SingleModeState:
     amps = _coherent_amplitudes(alpha, probe)
     if n_cut is None:
         amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    return _normalize_certified(amps, n_cut)
+    return _normalize_certified(amps)
 
 
 def make_fock(n: int, n_cut: int | None = None) -> SingleModeState:
@@ -103,7 +97,7 @@ def make_fock(n: int, n_cut: int | None = None) -> SingleModeState:
         raise TruncationOverflow(f"n_cut={cut} below photon number {n}")
     amps = np.zeros(cut + 1, dtype=complex)
     amps[n] = 1.0
-    return _normalize_certified(amps, n_cut)
+    return _normalize_certified(amps)
 
 
 def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> SingleModeState:
@@ -132,7 +126,7 @@ def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> Si
         amps[(1 if kind == "even" else 0) :: 2] = 0.0
     if n_cut is None:
         amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    return _normalize_certified(amps, n_cut)
+    return _normalize_certified(amps)
 
 
 def _exponentiated_generator_state(
@@ -159,11 +153,11 @@ def _exponentiated_generator_state(
         probs = np.abs(vec) ** 2
         top_mass = probs[-max(3, dim // 10) :].sum()
         if n_cut is not None:
-            return _normalize_certified(vec, n_cut)
+            return _normalize_certified(vec)
         if top_mass < 1e-14:
             cut = _adaptive_cut(probs)
             if cut + 1 <= dim:
-                return _normalize_certified(vec[: cut + 1], None)
+                return _normalize_certified(vec[: cut + 1])
         dim = int(dim * 1.6) + 8
 
 
@@ -207,7 +201,7 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
         amps[m:] = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
     if n_cut is None:
         amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    return _normalize_certified(amps, n_cut)
+    return _normalize_certified(amps)
 
 
 def deformed_annihilation_matrix(dim: int, base: int = 1) -> np.ndarray:
@@ -240,11 +234,11 @@ def make_isospectral(zeta: complex, base: int = 1, n_cut: int | None = None) -> 
     return _exponentiated_generator_state(gen, base, 1, n_cut, probe)
 
 
-def make_two_mode(kind: str, r: float, theta: float = 0.0, n_cut: int | None = None) -> TwoModeState:
+def make_two_mode(kind: str, r: float, n_cut: int | None = None) -> TwoModeState:
     """Correlated two-mode states diagonal in |n, n>.
 
-    "caves-schumaker": c_nn = sech(r) e^{i n theta} (-tanh r)^n  (two-mode
-    squeezed vacuum); "pair-coherent": c_nn = r^n e^{i n theta} / (n! sqrt(I0(2r))).
+    "caves-schumaker": c_nn = sech(r) (-tanh r)^n  (two-mode squeezed
+    vacuum); "pair-coherent": c_nn = r^n / (n! sqrt(I0(2r))).
     """
     kind = kind.lower()
     if kind not in ("caves-schumaker", "pair-coherent"):
@@ -263,11 +257,11 @@ def make_two_mode(kind: str, r: float, theta: float = 0.0, n_cut: int | None = N
     if kind == "caves-schumaker":
         with np.errstate(divide="ignore"):
             logmag = n * np.log(np.tanh(r)) if r > 0 else np.where(n == 0, 0.0, -np.inf)
-        diag = np.exp(logmag) * (-1.0) ** n * np.exp(1j * n * theta)
+        diag = np.exp(logmag) * (-1.0) ** n
     else:
         with np.errstate(divide="ignore"):
             logmag = n * np.log(r) - ln_factorial(n) if r > 0 else np.where(n == 0, 0.0, -np.inf)
-        diag = np.exp(logmag - logmag.max()) * np.exp(1j * n * theta)
+        diag = np.exp(logmag - logmag.max())
     if n_cut is None:
         cut = _adaptive_cut(np.abs(diag) ** 2)
         diag = diag[: cut + 1]
@@ -330,9 +324,9 @@ def build_state(spec: StateSpec):
     if fam == "isospectral":
         return make_isospectral(p["zeta"], int(p.get("base", 1)), spec.n_cut)
     if fam == "pair-coherent":
-        return make_two_mode("pair-coherent", p["r"], p.get("theta", 0.0), spec.n_cut)
+        return make_two_mode("pair-coherent", p["r"], spec.n_cut)
     if fam == "caves-schumaker":
-        return make_two_mode("caves-schumaker", p["r"], p.get("theta", 0.0), spec.n_cut)
+        return make_two_mode("caves-schumaker", p["r"], spec.n_cut)
     if fam == "product":
         return make_product(build_state(p["a"]), build_state(p["b"]))
     raise ValueError(f"unhandled family {fam!r}")

@@ -9,11 +9,17 @@ from tomolens.beamsplitter import (
     block_generator,
     block_unitaries,
     output_closed_form,
-    phi_sweep_report,
 )
 from tomolens.errors import TruncationOverflow
 from tomolens.fock import SingleModeState, fidelity_pure
-from tomolens.metrics import ENTROPY_THRESHOLD, TWO_MODE_ENTROPY_THRESHOLD, entropy_from_density, entropy_two_mode
+from tomolens.metrics import (
+    ENTROPY_THRESHOLD,
+    TWO_MODE_ENTROPY_THRESHOLD,
+    entropy_from_density,
+    entropy_two_mode,
+    squeezing_report,
+    two_mode_report,
+)
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, marginal, tomogram_joint, tomogram_pure
 
@@ -184,17 +190,15 @@ def test_two_mode_entropy_equals_single_mode_shifted_at_zero_phase():
 
 
 def test_phi_sweep_squeezing_pattern():
-    entries = phi_sweep_report(
-        make_product(make_cat(1.0, "even"), make_coherent(0.0)),
-        [0.0, np.pi / 2],
-        np.pi / 2,
-    )
-    assert entries[0].report.entropy_squeezed
-    assert not entries[1].report.entropy_squeezed
+    inp = make_product(make_cat(1.0, "even"), make_coherent(0.0))
+    outs = [apply(BeamsplitterConfig(phi), inp) for phi in (0.0, np.pi / 2)]
+    reports = [two_mode_report(out, np.pi / 2, np.pi / 2) for out in outs]
+    assert reports[0].entropy_squeezed
+    assert not reports[1].entropy_squeezed
     # Port C's reduced state does not depend on phi (see the traced-port test).
-    reduced_c = [entry.report.reduced_a.entropy for entry in entries]
+    reduced_c = [report.reduced_entropy_a for report in reports]
     assert abs(reduced_c[0] - reduced_c[1]) < 1e-8
-    assert all(entry.report.reduced_b.eur_satisfied for entry in entries)
+    assert all(squeezing_report(out, np.pi / 2, mode="b").eur_satisfied for out in outs)
 
 
 def test_traced_port_entropy_is_phase_invariant():

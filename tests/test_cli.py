@@ -101,6 +101,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", ["pair-coherent", "caves-schumaker"])
+@pytest.mark.parametrize("scenario", ["entropy-sweep", "variance-sweep", "higher-order-sweep"])
+def test_single_mode_sweeps_reject_two_mode_families(tmp_path, capsys, scenario, family):
+    path = write_config(
+        tmp_path,
+        f"scenario = {scenario}\nfamily = {family}\nparam_start = 0.5\nparam_stop = 1.0\nparam_count = 2\n",
+    )
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert family in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_tomogram_is_a_named_numerical_guard(tmp_path, capsys, monkeypatch):
     # No catalog config yields a non-physical rho, so a stub report raises
     # the guard inside the beamsplitter runner's guarded point.

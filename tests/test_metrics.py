@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tomolens import metrics
+from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.fock import annihilation_matrix
 from tomolens.metrics import (
     ENTROPY_THRESHOLD,
@@ -34,7 +36,7 @@ from tomolens.states import (
     make_squeezed,
     make_two_mode,
 )
-from tomolens.tomography import marginal, tomogram_joint, tomogram_pure
+from tomolens.tomography import default_grid, marginal, tomogram_joint, tomogram_pure
 
 
 def test_vacuum_entropy_saturates_gaussian_bound():
@@ -191,8 +193,9 @@ def test_pair_coherent_variance_squeezed_at_quarter_turn():
 
 @pytest.mark.parametrize("kind", ["caves-schumaker", "pair-coherent"])
 def test_correlated_states_reduced_modes_unsqueezed(kind):
-    report = two_mode_report(build_two_mode(kind), np.pi / 2, np.pi / 2)
-    for reduced in (report.reduced_a, report.reduced_b):
+    state = build_two_mode(kind)
+    for mode in ("a", "b"):
+        reduced = squeezing_report(state, np.pi / 2, mode=mode)
         assert not reduced.variance_squeezed
         assert not reduced.entropy_squeezed
         assert reduced.eur_satisfied
@@ -200,6 +203,36 @@ def test_correlated_states_reduced_modes_unsqueezed(kind):
 
 def build_two_mode(kind):
     return make_two_mode(kind, 1.0)
+
+
+def cat_port_output(kind, phi):
+    left = make_pacs(0.8, 1) if kind == "pacs" else make_cat(1.0, "even" if kind == "ecs" else "odd")
+    return apply(BeamsplitterConfig(phi), make_product(left, make_coherent(0.0)))
+
+
+def test_two_mode_report_builds_no_single_mode_moment_table(monkeypatch):
+    tables = []
+
+    def counting_table(*args, **kwargs):
+        tables.append(kwargs.get("mode"))
+        return moment_table(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "moment_table", counting_table)
+    out = cat_port_output("ecs", 0.9)
+    two_mode_report(out, 0.4, 1.1)
+    assert tables == []
+    squeezing_report(out, 0.4, mode="a")
+    assert tables == ["a"]
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2])
+@pytest.mark.parametrize("kind", ["ecs", "ocs", "pacs"])
+def test_reduced_entropies_match_squeezing_report(kind, phi):
+    out = cat_port_output(kind, phi)
+    grid = default_grid(out)
+    report = two_mode_report(out, 0.4, 1.1, grid)
+    assert abs(report.reduced_entropy_a - squeezing_report(out, 0.4, grid, mode="a").entropy) <= 1e-15
+    assert abs(report.reduced_entropy_b - squeezing_report(out, 1.1, grid, mode="b").entropy) <= 1e-15
 
 
 def test_entropic_uncertainty_relation_grid():

@@ -9,8 +9,6 @@ from tomolens.fock import TwoModeDensityMatrix
 from tomolens.moments import (
     K_MAX_DEFAULT,
     SOURCE_FOCK_ORACLE,
-    extract_moment,
-    extract_moment_two_mode,
     extraction_constant,
     hermite_weights,
     moment_table,
@@ -43,15 +41,15 @@ def test_extraction_constant():
 
 
 def test_vacuum_moments_vanish():
-    vac = make_coherent(0.0)
+    table = moment_table(make_coherent(0.0), 4)
     for k, l in ((1, 0), (0, 1), (1, 1), (2, 0), (2, 2)):
-        assert abs(extract_moment(vac, k, l)) < 1e-9
+        assert abs(table.get(k, l)) < 1e-9
 
 
 def test_coherent_first_moments():
-    coh = make_coherent(1.0)
-    assert extract_moment(coh, 1, 1) == pytest.approx(1.0, abs=1e-9)
-    assert extract_moment(coh, 0, 1) == pytest.approx(1.0, abs=1e-9)
+    table = moment_table(make_coherent(1.0), 2)
+    assert table.get(1, 1) == pytest.approx(1.0, abs=1e-9)
+    assert table.get(0, 1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oracle_fock_number():
@@ -92,29 +90,30 @@ def test_single_mode_oracle_equivalence(name, builder):
 
 
 def test_two_mode_vacuum_moments_vanish():
-    pair = make_product(make_coherent(0.0), make_coherent(0.0))
-    assert abs(extract_moment_two_mode(pair, 1, 0, 0, 0)) < 1e-9
-    assert abs(extract_moment_two_mode(pair, 1, 1, 1, 1)) < 1e-9
+    table = two_mode_moment_table(make_product(make_coherent(0.0), make_coherent(0.0)), 2)
+    assert abs(table.get(1, 0, 0, 0)) < 1e-9
+    assert abs(table.get(1, 1, 1, 1)) < 1e-9
 
 
 def test_two_mode_product_factorizes():
     pair = make_product(make_coherent(1.0), make_coherent(1.0))
-    assert extract_moment_two_mode(pair, 1, 1, 1, 1) == pytest.approx(1.0, abs=1e-8)
+    assert two_mode_moment_table(pair, 2).get(1, 1, 1, 1) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_two_mode_reduces_to_single_mode():
     pair = make_product(make_cat(0.8, "even"), make_coherent(0.3))
     left = make_cat(0.8, "even")
+    two_table, one_table = two_mode_moment_table(pair, 2), moment_table(left, 2)
     for k, l in ((1, 1), (0, 2)):
-        two = extract_moment_two_mode(pair, k, l, 0, 0)
-        one = extract_moment(left, k, l)
+        two = two_table.get(k, l, 0, 0)
+        one = one_table.get(k, l)
         assert two == pytest.approx(one, abs=1e-8)
 
 
 def test_caves_schumaker_cross_moment():
     r = 1.0
     state = make_two_mode("caves-schumaker", r)
-    value = extract_moment_two_mode(state, 0, 1, 0, 1)
+    value = two_mode_moment_table(state, 2).get(0, 1, 0, 1)
     assert value == pytest.approx(-np.sinh(r) * np.cosh(r), abs=1e-7)
     assert value == pytest.approx(-1.8134, abs=1e-4)
 
@@ -162,7 +161,7 @@ def test_phase_count_is_load_bearing():
     # orthogonality, so its (2,0) stays zero even with too few phases.
     two_phases = {2: np.arange(2) * np.pi / 2}
     coh = make_coherent(1.0)
-    good = extract_moment(coh, 2, 0)
+    good = moment_table(coh, 2).get(2, 0)
     bad = moments._single_mode_entries(coh, two_phases, None, None)[(2, 0)]
     assert good == pytest.approx(1.0, abs=1e-9)
     assert abs(bad - good) > 0.1
@@ -176,7 +175,7 @@ def test_moment_table_validation_and_errors():
     with pytest.raises(MissingOrder):
         table.get(3, 1)
     with pytest.raises(OrderTooHigh):
-        extract_moment(make_coherent(0.6), 4, 3)
+        oracle_moment(make_coherent(0.6), 4, 3)
     with pytest.raises(OrderTooHigh):
         moment_table(make_coherent(0.6), 7)
 
@@ -201,11 +200,11 @@ def test_four_index_table_validates_and_reduces():
 def test_reduced_mode_extraction():
     state = make_two_mode("caves-schumaker", 1.0)
     expected = np.sinh(1.0) ** 2
-    assert extract_moment(state, 1, 1, mode="a") == pytest.approx(expected, abs=1e-7)
+    assert moment_table(state, 2, mode="a").get(1, 1) == pytest.approx(expected, abs=1e-7)
     assert oracle_moment(state, 1, 1, mode="a") == pytest.approx(expected, abs=1e-9)
     assert oracle_moment(state, 1, 1, mode="b") == pytest.approx(expected, abs=1e-9)
     with pytest.raises(ValueError):
-        extract_moment(state, 1, 1)
+        moment_table(state, 2)
     pair = make_product(make_cat(1.0, "even"), make_coherent(0.5))
     damped = evolve(TwoModeDensityMatrix.from_pure(pair), ChannelConfig(PHASE_DAMPING), 0.4)
     for mode in ("a", "b"):
@@ -277,11 +276,12 @@ def test_pure_contraction_matches_joint_tomogram_route(builder):
     mixed = two_mode_moment_table(rho, 2, grid, grid)
     for key, value in pure.entries.items():
         assert abs(value - mixed.entries[key]) <= 1e-13, key
-    # Unequal grids and orders per mode build G once for each.
+    # Unequal grids build G once for each.
     grid2 = default_grid(state, 801)
-    for key in ((1, 0, 2, 1), (0, 2, 1, 0)):
-        got = extract_moment_two_mode(state, *key, grid, grid2)
-        assert abs(got - extract_moment_two_mode(rho, *key, grid, grid2)) <= 1e-13, key
+    pure = two_mode_moment_table(state, 2, grid, grid2)
+    mixed = two_mode_moment_table(rho, 2, grid, grid2)
+    for key, value in pure.entries.items():
+        assert abs(value - mixed.entries[key]) <= 1e-13, key
 
 
 def test_two_mode_table_mass_guard_names_the_phase_pair():
