@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 configuration error (including a value the library
 rejects, such as a negative channel rate or a parameter at which a state
 family is undefined), 2 numerical-guard failure (inadequate truncation or
 grid, or a density matrix whose tomogram goes negative, with the offending
-point named), 3 audit failures.
+point named), 3 audit failures (a failed `tomolens audit` check, or an
+oracle-audit scenario whose worst difference reaches its tolerance).
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DegenerateParameter, GridTooNarrow, NegativeTomogram, TruncationOverflow
+from .errors import (
+    AuditFailure,
+    ConfigError,
+    DegenerateParameter,
+    GridTooNarrow,
+    NegativeTomogram,
+    TruncationOverflow,
+)
 from .scenarios import audit_table, parse_config, run_audit, run_scenario
 
 
@@ -53,6 +61,9 @@ def main(argv=None) -> int:
         except (TruncationOverflow, GridTooNarrow, NegativeTomogram) as exc:
             print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
+        except AuditFailure as exc:
+            print(f"audit failure: {exc}", file=sys.stderr)
+            return 3
         for art in artifacts:
             print(f"wrote {art['file']}: {art['description']}")
         return 0

@@ -31,3 +31,7 @@ class ConfigError(TomolensError):
 
 class NegativeTomogram(TomolensError):
     """A density matrix yields tomogram values below zero beyond rounding."""
+
+
+class AuditFailure(TomolensError):
+    """An audit found a value outside its tolerance."""

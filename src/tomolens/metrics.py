@@ -256,11 +256,11 @@ def two_mode_report(
         rows, row_grid = single_mode_rows(obj, [theta], grid, mode)
         return entropy_from_density(rows[0], row_grid)
 
-    joint = tomogram_joint(obj, theta1, theta2, grid, grid)
-    joint_conj = tomogram_joint(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid, grid)
+    joint = tomogram_joint(obj, theta1, theta2, grid)
+    joint_conj = tomogram_joint(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid)
     s_ab = entropy_two_mode(joint)
     eur = s_ab + entropy_two_mode(joint_conj)
-    table = two_mode_moment_table(obj, 2, grid1=grid, grid2=grid)
+    table = two_mode_moment_table(obj, 2, grid)
     var = two_mode_variance(table, theta1, theta2)
     return TwoModeSqueezingReport(
         theta1=theta1,

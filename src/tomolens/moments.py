@@ -1,12 +1,17 @@
 """Normal-ordered moments <a^dag^k a^l> from tomograms, with a Fock-space oracle.
 
-The tomogram route samples k+l+1 phases theta_m = m pi/(k+l+1), integrates
-each distribution against the Hermite polynomial H_{k+l}, applies the
-roots-of-unity phase weights exp(-i(k-l) m pi/(k+l+1)) and the combinatorial
-constant C_kl = k! l! / ((k+l+1)! sqrt(2^{k+l})).  The two-mode extraction is
-the double sum over the same phase set for each mode; it reduces to the
-single-mode formula when one mode's indices vanish and is validated against
-the oracle for every catalog state before any other module relies on it.
+A table of order K samples one shared set of K+1 phases
+theta_m = m pi/(K+1), integrates each distribution against the Hermite
+polynomials H_s, s <= K, and extracts every (k, l) with k + l <= K from the
+H_{k+l} integrals by the roots-of-unity phase weights exp(-i(k-l) theta_m)
+and the combinatorial constant C_kl = k! l! / ((K+1) (k+l)! sqrt(2^{k+l})).
+One phase set serves every order: <H_s(X_theta)> is a sum of
+exp(i(k-l) theta) terms with k + l = s, two such frequencies differ by
+2(k'-k) with 0 < |k'-k| <= s <= K, and sum_m exp(2 i pi (k'-k) m/(K+1))
+vanishes for each such difference.  The two-mode extraction is the double
+sum over the same phase set for both modes; it reduces to the single-mode
+formula when one mode's indices vanish and is validated against the oracle
+for every catalog state before any other module relies on it.
 
 The oracle route applies ladder operators directly in the truncated basis:
 <a^dag^k a^l> = <a^k psi | a^l psi> for pure states and Tr(a^dag^k a^l rho)
@@ -20,18 +25,18 @@ overflow and the tomogram itself supplies the exp(-X^2) damping.  With U the
 N x (K+1) matrix whose column s is the Simpson weights times H_s(X), every
 order's integral at one phase is an entry of `rows @ U`, and every order
 pair's double integral at one phase pair is an entry of the (K+1) x (K+1)
-block U1^T W U2 of the joint tomogram W.  The table builders evaluate each
-distinct phase (or phase pair) once into that block and assemble every index
-from the blocks.
+block U^T W U of the joint tomogram W, both modes on one grid.  The table
+builders evaluate each phase (or each of the (K+1)^2 phase pairs) once and
+assemble every index from the rows or blocks.
 
 A pure state's block is the same Simpson-weighted sum reassociated, so W is
 never formed: with G_s[n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), built
-once per grid from the sampled eigenfunctions, T_s = c~^T G1_s c~* is formed
-once per theta1 and each block is sum_{m,m'} T_s e^{-i(m-m') theta2} G2_t,
+once per table from the sampled eigenfunctions, T_s = c~^T G_s c~* is formed
+once per theta1 and each block is sum_{m,m'} T_s e^{-i(m-m') theta2} G_t,
 O(K d^3) per theta1.  Entry (0, 0) is the double integral of W and carries
 the per-pair mass guard.  G is a quadrature of the tomogram, not a
 ladder-operator closed form, so the route stays independent of the oracle.
-A density matrix's block is U1^T W U2 of its joint tomogram, which keeps the
+A density matrix's block is U^T W U of its joint tomogram, which keeps the
 negativity guard on every value of W.
 """
 
@@ -68,16 +73,23 @@ SOURCE_TOMOGRAM = "tomogram"
 SOURCE_FOCK_ORACLE = "fock-oracle"
 
 
-def extraction_constant(k: int, l: int) -> float:
-    """C_kl = k! l! / ((k+l+1)! sqrt(2^{k+l}))."""
+def extraction_constant(k: int, l: int, n_phases: int) -> float:
+    """C_kl = k! l! / (n_phases (k+l)! sqrt(2^{k+l})).
+
+    The 1/n_phases factor averages over the phase set: n_phases = K+1 for
+    every entry of a table of order K.
+    """
     return float(
-        np.exp(ln_factorial(k) + ln_factorial(l) - ln_factorial(k + l + 1) - 0.5 * (k + l) * np.log(2.0))
+        np.exp(
+            ln_factorial(k) + ln_factorial(l) - ln_factorial(k + l) - np.log(n_phases)
+            - 0.5 * (k + l) * np.log(2.0)
+        )
     )
 
 
-def extraction_phases(order: int) -> np.ndarray:
-    """The order+1 tomogram phases m pi/(order+1), m = 0..order."""
-    return np.arange(order + 1) * np.pi / (order + 1)
+def extraction_phases(max_order: int) -> np.ndarray:
+    """The max_order+1 tomogram phases m pi/(max_order+1) shared by every order up to max_order."""
+    return np.arange(max_order + 1) * np.pi / (max_order + 1)
 
 
 def hermite_weights(grid: QuadratureGrid, max_order: int) -> np.ndarray:
@@ -87,24 +99,7 @@ def hermite_weights(grid: QuadratureGrid, max_order: int) -> np.ndarray:
 
 def _phase_weights(k: int, l: int, phases: np.ndarray) -> np.ndarray:
     """C_kl exp(-i(k-l) theta_m): the roots-of-unity weights of one extraction."""
-    return extraction_constant(k, l) * np.exp(-1j * (k - l) * phases)
-
-
-def _phase_union(phase_sets: dict):
-    """Distinct phases over {order: phases}, and each order's positions among them."""
-    distinct: list = []
-    index: dict = {}
-    positions = {}
-    for order, phases in phase_sets.items():
-        pos = []
-        for th in phases:
-            key = round(float(th), 12)
-            if key not in index:
-                index[key] = len(distinct)
-                distinct.append(float(th))
-            pos.append(index[key])
-        positions[order] = np.array(pos, dtype=int)
-    return np.array(distinct), positions
+    return extraction_constant(k, l, phases.size) * np.exp(-1j * (k - l) * phases)
 
 
 def _check_order(k: int, l: int) -> None:
@@ -112,6 +107,13 @@ def _check_order(k: int, l: int) -> None:
         raise ValueError("moment indices must be non-negative")
     if k + l > K_MAX_DEFAULT:
         raise OrderTooHigh(f"moment order {k + l} exceeds K_max = {K_MAX_DEFAULT}")
+
+
+def _check_source(source: str) -> None:
+    if source not in (SOURCE_TOMOGRAM, SOURCE_FOCK_ORACLE):
+        raise ValueError(
+            f"unknown moment source {source!r}; expected {SOURCE_TOMOGRAM!r} or {SOURCE_FOCK_ORACLE!r}"
+        )
 
 
 def _indices(max_order: int) -> list:
@@ -132,17 +134,14 @@ def single_mode_rows(obj, phases, grid: QuadratureGrid | None = None, mode: str 
     return tomo.values, tomo.grid
 
 
-def _single_mode_entries(obj, phase_sets: dict, grid, mode) -> dict:
-    """Every (k, l) with k + l in phase_sets, each order extracted over its own phases."""
-    phases, positions = _phase_union(phase_sets)
+def _single_mode_entries(obj, phases: np.ndarray, max_order: int, grid, mode) -> dict:
+    """Every (k, l) with k + l <= max_order, all extracted from the rows at the one phase set."""
     rows, grid = single_mode_rows(obj, phases, grid, mode)
-    integrals = rows @ hermite_weights(grid, max(phase_sets))
-    entries = {}
-    for order, pos in positions.items():
-        for k in range(order + 1):
-            weights = _phase_weights(k, order - k, phase_sets[order])
-            entries[(k, order - k)] = complex(weights @ integrals[pos, order])
-    return entries
+    integrals = rows @ hermite_weights(grid, max_order)
+    return {
+        (k, l): complex(_phase_weights(k, l, phases) @ integrals[:, k + l])
+        for k, l in _indices(max_order)
+    }
 
 
 def _hermite_products(n_cut: int, grid: QuadratureGrid, max_order: int) -> np.ndarray:
@@ -151,62 +150,52 @@ def _hermite_products(n_cut: int, grid: QuadratureGrid, max_order: int) -> np.nd
     return (psis * hermite_weights(grid, max_order).T[:, None, :]) @ psis.T
 
 
-def _pure_blocks(state: TwoModeState, phases, grid1, grid2, max_order: int) -> np.ndarray:
-    """The blocks U1^T W U2 of a pure state at every phase pair, contracted without forming W.
+def _pure_blocks(state: TwoModeState, phases, grid, max_order: int) -> np.ndarray:
+    """The blocks U^T W U of a pure state at every phase pair, contracted without forming W.
 
-    Per theta1, T_s = c~^T G1_s c~* (c~ phased by theta1 along mode a); the
-    block at (theta1, theta2) is sum_{m,m'} T_s e^{-i(m-m') theta2} G2_t.
+    Per theta1, T_s = c~^T G_s c~* (c~ phased by theta1 along mode a); the
+    block at (theta1, theta2) is sum_{m,m'} T_s e^{-i(m-m') theta2} G_t.
     Entry (0, 0) is the double integral of W, checked by the mass guard.
     """
-    g1 = _hermite_products(state.n_cut, grid1, max_order)
-    g2 = g1 if grid2 is grid1 else _hermite_products(state.n_cut, grid2, max_order)
+    g = _hermite_products(state.n_cut, grid, max_order)
     d = state.amplitudes.shape[0]
     n = np.arange(d)
     size = max_order + 1
-    g2 = g2.reshape(size, d * d).T
+    g_flat = g.reshape(size, d * d).T
     blocks = np.empty((phases.size, phases.size, size, size))
     for i, th1 in enumerate(phases):
         phased = state.amplitudes * np.exp(-1j * th1 * n)[:, None]
-        t = (phased.T @ g1 @ phased.conj()).reshape(size, d * d)
+        t = (phased.T @ g @ phased.conj()).reshape(size, d * d)
         for j, th2 in enumerate(phases):
-            blocks[i, j] = ((t * _phase_matrix(d, th2).ravel()) @ g2).real
+            blocks[i, j] = ((t * _phase_matrix(d, th2).ravel()) @ g_flat).real
             _check_mass_defect(
                 abs(blocks[i, j, 0, 0] - 1.0), f"two-mode tomogram at ({th1:.6g}, {th2:.6g})"
             )
     return blocks
 
 
-def _two_mode_entries(obj, phase_sets: dict, grid1, grid2) -> dict:
-    """Every (k, l, p, q) with k + l and p + q in phase_sets, both modes on the same phases.
+def _two_mode_entries(obj, phases: np.ndarray, max_order: int, grid) -> dict:
+    """Every (k, l, p, q) with k + l and p + q each <= max_order, both modes on one phase set.
 
-    Each distinct phase pair gives one block U1^T W U2 of every order pair's
-    double integral: by contraction for a pure state, from the joint
-    tomogram W (then dropped) for a density matrix.
+    Each phase pair gives one block U^T W U of every order pair's double
+    integral: by contraction for a pure state, from the joint tomogram W
+    (then dropped) for a density matrix.
     """
-    if grid1 is None:
-        grid1 = default_grid(obj)
-    if grid2 is None:
-        grid2 = grid1
-    phases, positions = _phase_union(phase_sets)
-    order = max(phase_sets)
+    if grid is None:
+        grid = default_grid(obj)
     if isinstance(obj, TwoModeState):
-        blocks = _pure_blocks(obj, phases, grid1, grid2, order)
+        blocks = _pure_blocks(obj, phases, grid, max_order)
     else:
-        u1, u2 = hermite_weights(grid1, order), hermite_weights(grid2, order)
-        blocks = np.empty((phases.size, phases.size, order + 1, order + 1))
-        for i, th1 in enumerate(phases):
-            for j, th2 in enumerate(phases):
-                blocks[i, j] = u1.T @ tomogram_joint(obj, th1, th2, grid1, grid2).values @ u2
-    entries = {}
-    for s1, p1 in positions.items():
-        for s2, p2 in positions.items():
-            integrals = blocks[np.ix_(p1, p2)][:, :, s1, s2]
-            for k in range(s1 + 1):
-                w1 = _phase_weights(k, s1 - k, phase_sets[s1])
-                for p in range(s2 + 1):
-                    w2 = _phase_weights(p, s2 - p, phase_sets[s2])
-                    entries[(k, s1 - k, p, s2 - p)] = complex(w1 @ integrals @ w2)
-    return entries
+        u = hermite_weights(grid, max_order)
+        blocks = np.array(
+            [[u.T @ tomogram_joint(obj, th1, th2, grid).values @ u for th2 in phases] for th1 in phases]
+        )
+    weights = {key: _phase_weights(*key, phases) for key in _indices(max_order)}
+    return {
+        a + b: complex(wa @ blocks[:, :, sum(a), sum(b)] @ wb)
+        for a, wa in weights.items()
+        for b, wb in weights.items()
+    }
 
 
 def oracle_moment(obj, k: int, l: int, mode: str | None = None) -> complex:
@@ -307,35 +296,37 @@ def moment_table(
 ) -> MomentTable:
     """All <a^dag^k a^l> with k + l <= max_order from one tomogram family.
 
-    Each distinct phase across the orders is evaluated once.
+    Every order is extracted from the same max_order + 1 phases, each
+    evaluated once.
     """
     _check_order(max_order, 0)
+    _check_source(source)
     if source == SOURCE_FOCK_ORACLE:
         entries = {key: oracle_moment(obj, *key, mode=mode) for key in _indices(max_order)}
     else:
-        phase_sets = {order: extraction_phases(order) for order in range(max_order + 1)}
-        entries = _single_mode_entries(obj, phase_sets, grid, mode)
+        entries = _single_mode_entries(obj, extraction_phases(max_order), max_order, grid, mode)
     return MomentTable(entries, max_order, source)
 
 
 def two_mode_moment_table(
     obj,
     max_order_each: int = 2,
-    grid1: QuadratureGrid | None = None,
-    grid2: QuadratureGrid | None = None,
+    grid: QuadratureGrid | None = None,
     source: str = SOURCE_TOMOGRAM,
 ) -> MomentTable:
     """All <a^dag^k a^l b^dag^p b^q> with k+l and p+q each <= max_order_each.
 
-    Each distinct phase pair across the order pairs is evaluated once, 16 of
-    them at max_order_each = 2: contracted from the amplitudes for a pure
-    state, from one joint tomogram each for a density matrix.
+    Both modes share one grid and the max_order_each + 1 phases of
+    extraction_phases, so each of the (max_order_each + 1)^2 phase pairs is
+    evaluated once, 9 of them at max_order_each = 2: contracted from the
+    amplitudes for a pure state, from one joint tomogram each for a density
+    matrix.
     """
     _check_order(max_order_each, 0)
+    _check_source(source)
     if source == SOURCE_FOCK_ORACLE:
         pairs = _indices(max_order_each)
         entries = {a + b: oracle_moment_two_mode(obj, *a, *b) for a in pairs for b in pairs}
     else:
-        phase_sets = {order: extraction_phases(order) for order in range(max_order_each + 1)}
-        entries = _two_mode_entries(obj, phase_sets, grid1, grid2)
+        entries = _two_mode_entries(obj, extraction_phases(max_order_each), max_order_each, grid)
     return MomentTable(entries, max_order_each, source)

@@ -25,6 +25,7 @@ import numpy as np
 from . import decoherence as dec
 from .beamsplitter import BeamsplitterConfig, apply
 from .errors import (
+    AuditFailure,
     ConfigError,
     DegenerateParameter,
     GridTooNarrow,
@@ -49,6 +50,7 @@ from .metrics import (
     variance,
 )
 from .moments import (
+    K_MAX_DEFAULT,
     moment_table,
     oracle_moment,
     oracle_moment_two_mode,
@@ -120,15 +122,23 @@ def parse_config(path: str) -> dict:
     return values
 
 
-def _get(cfg: dict, key: str, conv, default=None, required: bool = False):
+def _get(cfg: dict, key: str, conv, default=None, required: bool = False, low=None, high=None):
+    """Field `key` parsed by `conv`; a number must be finite and, when given, within low..high."""
     if key not in cfg:
         if required:
             raise ConfigError(f"missing required field {key!r}")
         return default
     try:
-        return conv(cfg[key])
+        value = conv(cfg[key])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field {key!r}: cannot parse {cfg[key]!r} ({exc})")
+    numbers = value if isinstance(value, list) else [value]
+    if any(isinstance(v, (float, complex)) and not np.isfinite(v) for v in numbers):
+        raise ConfigError(f"field {key!r}: {cfg[key]!r} is not finite")
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"field {key!r}: must be {span}, got {value}")
+    return value
 
 
 def _as_complex(text: str) -> complex:
@@ -138,9 +148,7 @@ def _as_complex(text: str) -> complex:
 def _parse_range(cfg: dict, prefix: str) -> np.ndarray:
     start = _get(cfg, f"{prefix}_start", float, required=True)
     stop = _get(cfg, f"{prefix}_stop", float, required=True)
-    count = _get(cfg, f"{prefix}_count", int, required=True)
-    if count < 1:
-        raise ConfigError(f"field {prefix}_count: must be at least 1")
+    count = _get(cfg, f"{prefix}_count", int, required=True, low=1)
     if count == 1 and stop != start:
         raise ConfigError(f"field {prefix}_count: count 1 needs {prefix}_start == {prefix}_stop")
     return np.linspace(start, stop, count)
@@ -175,7 +183,7 @@ def _spec(family: str, value, cfg: dict, suffix: str = "") -> StateSpec:
         params["m"] = _get(cfg, f"m{suffix}", int, default=1)
     if family == "isospectral":
         params["base"] = _get(cfg, f"base{suffix}", int, default=1)
-    return StateSpec(family, params, _get(cfg, f"n_cut{suffix}", int))
+    return StateSpec(family, params, _get(cfg, f"n_cut{suffix}", int, low=0))
 
 
 def parse_state_spec(cfg: dict, suffix: str = "") -> StateSpec:
@@ -284,11 +292,11 @@ def run_scenario(cfg: dict, out_dir: str) -> list:
 def _run_tomogram(cfg: dict, col: _Collector) -> None:
     spec = parse_state_spec(cfg)
     state = build_state(spec)
-    theta_count = _get(cfg, "theta_count", int, default=DEFAULT_THETAS.size)
-    points = _get(cfg, "grid_points", int)
+    theta_count = _get(cfg, "theta_count", int, default=DEFAULT_THETAS.size, low=1)
+    points = _get(cfg, "grid_points", int, low=3)
     thetas = np.linspace(0.0, np.pi, theta_count)
+    grid = default_grid(state, points)
     if isinstance(state, SingleModeState):
-        grid = default_grid(state, points) if points else default_grid(state)
         tomo = tomogram_pure(state, thetas, grid)
         name = _get(cfg, "output", str, default="tomogram.csv")
         tomogram_to_csv(tomo, col.path(name), comment=f"family={spec.family} {_CSV_CONVENTIONS}")
@@ -296,7 +304,6 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
     else:
         theta2 = _get(cfg, "theta2", float, default=0.0)
         x2 = _get(cfg, "x2", float, default=1.0)
-        grid = default_grid(state, points) if points else default_grid(state)
         if abs(x2) > grid.half_width:
             raise ConfigError(f"x2 = {x2} lies outside the grid half-width {grid.half_width:.6g}")
         rows = _two_mode_pure_slice(state, thetas, theta2, x2, grid)
@@ -375,7 +382,7 @@ def _run_rfp(cfg: dict, col: _Collector) -> None:
     state2 = build_state(parse_state_spec(cfg, "_2"))
     if not isinstance(state1, SingleModeState) or not isinstance(state2, SingleModeState):
         raise ConfigError("rfp needs two single-mode states")
-    count = _get(cfg, "theta_count", int, default=181)
+    count = _get(cfg, "theta_count", int, default=181, low=1)
     thetas = np.linspace(0.0, np.pi, count)
     f, g = relative_fluctuation_product(state1, state2, thetas)
     coeffs, residual = fit_cos2theta_quadratic(thetas, f**2)
@@ -469,8 +476,7 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
         rho_t = dec.evolve(rho0, chan, t)
         s = None
         if t in on_entropy_grid:
-            grid = default_grid(rho_t)
-            s = entropy_two_mode(tomogram_joint(rho_t, theta, theta, grid, grid))
+            s = entropy_two_mode(tomogram_joint(rho_t, theta, theta))
         return t, (dec.purity(rho_t), dec.mean_total_photon(rho_t), s)
 
     at = dict(_parallel_map(_guarded(one, "t={0}"), sorted(set(times) | on_entropy_grid)))
@@ -530,7 +536,7 @@ def _oracle_differences(state, table) -> dict:
 
 def _run_oracle_audit(cfg: dict, col: _Collector) -> None:
     tolerance = _get(cfg, "tolerance", float, default=1e-7)
-    max_order = _get(cfg, "max_order", int, default=4)
+    max_order = _get(cfg, "max_order", int, default=4, low=0, high=K_MAX_DEFAULT)
     rows = []
     for name, spec in default_battery():
         state = build_state(spec)
@@ -548,7 +554,7 @@ def _run_oracle_audit(cfg: dict, col: _Collector) -> None:
         f"tomogram extraction vs Fock oracle; worst {worst_overall:.3e}, tolerance {tolerance:g}",
     )
     if worst_overall >= tolerance:
-        raise TomolensError(
+        raise AuditFailure(
             f"oracle audit worst difference {worst_overall:.3e} exceeds {tolerance:g}"
         )
 
@@ -624,14 +630,14 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
             continue
         try:
             grid = state_grid(state)
-            joint = tomogram_joint(state, 0.4, 1.1, grid, grid)
+            joint = tomogram_joint(state, 0.4, 1.1, grid)
             defect = joint.normalization_defect()
             record("two-mode-normalization", name, defect < 1e-7, f"defect={defect:.2e}")
             s_ab = entropy_two_mode(joint)
-            conj = tomogram_joint(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid, grid)
+            conj = tomogram_joint(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid)
             eur = s_ab + entropy_two_mode(conj)
             record("two-mode-eur", name, eur >= 2.0 * LN_PI_E - 1e-6, f"EUR sum={eur:.9f}")
-            ttab = two_mode_moment_table(state, 2, grid1=grid, grid2=grid)
+            ttab = two_mode_moment_table(state, 2, grid)
             worst = max(_oracle_differences(state, ttab).values())
             record("oracle-equivalence", name, worst < 1e-6, f"worst={worst:.2e}")
         except TomolensError as exc:

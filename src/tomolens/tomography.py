@@ -10,7 +10,8 @@ X2 needs only psi(X2), not the whole joint tomogram.
 Every other tomogram depends only on a density matrix and is a contraction
 of it.  The products psi_n(X) psi_n'(X) do not depend on the phase and are
 symmetric in (n, n'), so Q holds one row per pair n <= n': a d(d+1)/2 x N
-matrix.  The joint tomogram of rho[n, n', m, m'] is Q1^T F Q2, where rho~ is
+matrix.  Both modes of a joint tomogram share one grid, and the joint
+tomogram of rho[n, n', m, m'] is Q^T F Q, where rho~ is
 rho times e^{-i(n-n') theta1 - i(m-m') theta2} and F is Re(rho~) folded onto
 those pairs in both modes: entries (n, n') and (n', n) are summed into one
 for n != n'.  The imaginary part cancels because rho is Hermitian.  A
@@ -182,15 +183,11 @@ def _checked_mass(tomo, what: str):
     return tomo
 
 
-def _joint_grids(obj, grid1, grid2):
-    """Both grids (defaulted from `obj`) and their psi_n matrices, shared when the grids are."""
-    if grid1 is None:
-        grid1 = default_grid(obj)
-    if grid2 is None:
-        grid2 = grid1
-    psis1 = hermite_psi_matrix(obj.n_cut, grid1.x)
-    psis2 = psis1 if grid2 is grid1 else hermite_psi_matrix(obj.n_cut, grid2.x)
-    return grid1, grid2, psis1, psis2
+def _joint_grid(obj, grid):
+    """The grid both modes share (defaulted from `obj`) and its psi_n matrix."""
+    if grid is None:
+        grid = default_grid(obj)
+    return grid, hermite_psi_matrix(obj.n_cut, grid.x)
 
 
 def _nonnegative(values: np.ndarray, labels: list) -> np.ndarray:
@@ -241,25 +238,21 @@ def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = 
 
 
 def tomogram_two_mode_pure(
-    state: TwoModeState,
-    theta1: float,
-    theta2: float,
-    grid1: QuadratureGrid | None = None,
-    grid2: QuadratureGrid | None = None,
+    state: TwoModeState, theta1: float, theta2: float, grid: QuadratureGrid | None = None
 ) -> TwoModeTomogram:
-    """Joint tomogram of a pure two-mode state at one phase pair."""
-    grid1, grid2, psis1, psis2 = _joint_grids(state, grid1, grid2)
+    """Joint tomogram of a pure two-mode state at one phase pair, both modes on `grid`."""
+    grid, psis = _joint_grid(state, grid)
     c = state.amplitudes
     n = np.arange(c.shape[0])
     phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
-    # psis2 is real, so A = psis1^T c~ goes through one real GEMM as [Re A; Im A].
-    amp = psis1.T @ phased
-    parts = np.concatenate([amp.real, amp.imag]) @ psis2
+    # psis is real, so A = psis^T c~ goes through one real GEMM as [Re A; Im A].
+    amp = psis.T @ phased
+    parts = np.concatenate([amp.real, amp.imag]) @ psis
     real_sq, imag_sq = np.split(np.square(parts, out=parts), 2)
     values = real_sq + imag_sq  # a fresh array, which the tomogram keeps
     del parts, real_sq, imag_sq  # freed before the clamp's mask is made
     values = _clamped(values)
-    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "two-mode tomogram")
+    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid, grid), "two-mode tomogram")
 
 
 def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float, grid: QuadratureGrid):
@@ -270,7 +263,7 @@ def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float,
     of each phase pair stays exact: the double integral of W is
     Tr(c~^dag M c~ M) with M = psi diag(weights) psi^T.
     """
-    grid, _, psis, _ = _joint_grids(state, grid, grid)
+    grid, psis = _joint_grid(state, grid)
     thetas1 = np.atleast_1d(np.asarray(thetas1, dtype=float))
     n = np.arange(psis.shape[0])
     phase1 = np.exp(-1j * np.outer(thetas1, n))
@@ -303,36 +296,31 @@ def density_eigenmodes(rho: TwoModeDensityMatrix, floor: float = 1e-14):
 
 
 def tomogram_mixed(
-    rho: TwoModeDensityMatrix,
-    theta1: float,
-    theta2: float,
-    grid1: QuadratureGrid | None = None,
-    grid2: QuadratureGrid | None = None,
+    rho: TwoModeDensityMatrix, theta1: float, theta2: float, grid: QuadratureGrid | None = None
 ) -> TwoModeTomogram:
-    """Joint tomogram of a two-mode density matrix at one phase pair.
+    """Joint tomogram of a two-mode density matrix at one phase pair, both modes on `grid`.
 
-    Two real matrix products, Q1^T F Q2 with F the folded Re(rho~) (see the
+    Two real matrix products, Q^T F Q with F the folded Re(rho~) (see the
     module docstring).
     Raises NegativeTomogram, naming the phase pair, when rho is not positive
     enough for the values to stay above -1e-12 times their maximum.
     """
-    grid1, grid2, psis1, psis2 = _joint_grids(rho, grid1, grid2)
-    q1 = _psi_products(psis1)
-    q2 = q1 if psis2 is psis1 else _psi_products(psis2)
+    grid, psis = _joint_grid(rho, grid)
+    q = _psi_products(psis)
     d = rho.dim
     phased = rho.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
     # Folding (m, m'), then (n, n') after a transpose, leaves F indexed [(m, m'), (n, n')].
     folded = _folded(_folded(phased.real.reshape(d * d, d * d), d).T, d)
-    values = q1.T @ folded.T @ q2
+    values = q.T @ folded.T @ q
     values = _nonnegative(values, [f"({theta1:.6g}, {theta2:.6g})"])
-    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid1, grid2), "mixed tomogram")
+    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid, grid), "mixed tomogram")
 
 
-def tomogram_joint(obj, theta1, theta2, grid1=None, grid2=None) -> TwoModeTomogram:
-    """Dispatch to the pure or mixed two-mode evaluation."""
+def tomogram_joint(obj, theta1, theta2, grid=None) -> TwoModeTomogram:
+    """Dispatch to the pure or mixed two-mode evaluation, both modes on `grid`."""
     if isinstance(obj, TwoModeState):
-        return tomogram_two_mode_pure(obj, theta1, theta2, grid1, grid2)
-    return tomogram_mixed(obj, theta1, theta2, grid1, grid2)
+        return tomogram_two_mode_pure(obj, theta1, theta2, grid)
+    return tomogram_mixed(obj, theta1, theta2, grid)
 
 
 def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None) -> Tomogram:

@@ -166,17 +166,17 @@ def test_criterion_3_distribution_laws(battery):
         else:
             grid = default_grid(state)
             for th1, th2 in ((0.0, 0.0), (0.4, 1.1)):
-                joint = tomogram_joint(state, th1, th2, grid, grid)
+                joint = tomogram_joint(state, th1, th2, grid)
                 worst_norm2 = max(worst_norm2, joint.normalization_defect())
-                shifted = tomogram_joint(state, th1 + np.pi, th2 + np.pi, grid, grid)
+                shifted = tomogram_joint(state, th1 + np.pi, th2 + np.pi, grid)
                 worst_shift2 = max(
                     worst_shift2,
                     float(np.max(np.abs(shifted.values - joint.values[::-1, ::-1]))),
                 )
             for th in thetas12:
-                s_here = entropy_two_mode(tomogram_joint(state, th, th, grid, grid))
+                s_here = entropy_two_mode(tomogram_joint(state, th, th, grid))
                 s_conj = entropy_two_mode(
-                    tomogram_joint(state, th + np.pi / 2, th + np.pi / 2, grid, grid)
+                    tomogram_joint(state, th + np.pi / 2, th + np.pi / 2, grid)
                 )
                 worst_eur2 = min(worst_eur2, s_here + s_conj)
     passed = (
@@ -310,7 +310,7 @@ def test_criterion_5c_phase_controls_entropy_squeezing():
                 inp = make_product(make_cat(alpha, kind), make_coherent(0.0))
                 out = apply(BeamsplitterConfig(phi), inp)
                 grid = default_grid(out)
-                joint = tomogram_joint(out, np.pi / 2, np.pi / 2, grid, grid)
+                joint = tomogram_joint(out, np.pi / 2, np.pi / 2, grid)
                 entropies[(kind, phi, alpha)] = entropy_two_mode(joint)
     ecs_zero = all(
         entropies[("even", 0.0, a)] < TWO_MODE_ENTROPY_THRESHOLD for a in alphas
@@ -339,7 +339,7 @@ def test_criterion_5d_traced_port_entropy_phase_invariant():
     for phi in (0.0, 0.7, np.pi / 2):
         out = apply(BeamsplitterConfig(phi), inp)
         grid = default_grid(out)
-        joint = tomogram_joint(out, np.pi / 2, np.pi / 2, grid, grid)
+        joint = tomogram_joint(out, np.pi / 2, np.pi / 2, grid)
         values.append(entropy_from_density(marginal(joint, "a").values[0], grid))
     spread = max(values) - min(values)
     _report(
@@ -394,7 +394,7 @@ def test_criterion_6c_phase_channel(cat_vacuum_outputs):
         diag1 = np.einsum("nnmm->nm", evolved.entries)
         worst_diag = max(worst_diag, float(np.max(np.abs(diag0 - diag1))))
         grid = default_grid(evolved)
-        entropies[name] = entropy_two_mode(tomogram_joint(evolved, 0.0, 0.0, grid, grid))
+        entropies[name] = entropy_two_mode(tomogram_joint(evolved, 0.0, 0.0, grid))
     gap = abs(entropies["ecs"] - entropies["ocs"])
     _report(
         "criterion 6c (phase channel)",

@@ -181,7 +181,7 @@ def test_two_mode_entropy_equals_single_mode_shifted_at_zero_phase():
                 BeamsplitterConfig(0.0), make_product(make_cat(alpha, kind), make_coherent(0.0))
             )
             grid = default_grid(out, n_points=2401)
-            joint = entropy_two_mode(tomogram_joint(out, np.pi / 2, np.pi / 2, grid, grid))
+            joint = entropy_two_mode(tomogram_joint(out, np.pi / 2, np.pi / 2, grid))
             # agreement down to the entropy quadrature floor (the odd cat's
             # interior zeros slow Simpson convergence to ~1e-6)
             assert joint - TWO_MODE_ENTROPY_THRESHOLD == pytest.approx(
@@ -209,7 +209,7 @@ def test_traced_port_entropy_is_phase_invariant():
     for phi in (0.0, 0.8, np.pi / 2):
         out = apply(BeamsplitterConfig(phi), inp)
         grid = default_grid(out)
-        joint = tomogram_joint(out, np.pi / 2, np.pi / 2, grid, grid)
+        joint = tomogram_joint(out, np.pi / 2, np.pi / 2, grid)
         kept_c.append(entropy_from_density(marginal(joint, "a").values[0], grid))
         kept_d.append(entropy_from_density(marginal(joint, "b").values[0], grid))
     assert max(kept_c) - min(kept_c) < 1e-8
@@ -227,8 +227,8 @@ def test_cat_pair_entropy_and_variance_sign_patterns():
         inp = make_product(make_cat(1.0, kind), make_cat(1.0, kind))
         out = apply(BeamsplitterConfig(0.0), inp)
         grid = default_grid(out)
-        entropy_val = entropy_two_mode(tomogram_joint(out, np.pi / 2, np.pi / 2, grid, grid))
-        table = two_mode_moment_table(out, 2, grid1=grid, grid2=grid)
+        entropy_val = entropy_two_mode(tomogram_joint(out, np.pi / 2, np.pi / 2, grid))
+        table = two_mode_moment_table(out, 2, grid)
         results[kind] = (entropy_val, two_mode_variance(table, np.pi / 2, np.pi / 2))
     assert results["even"][0] < TWO_MODE_ENTROPY_THRESHOLD
     assert results["odd"][0] < TWO_MODE_ENTROPY_THRESHOLD

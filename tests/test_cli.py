@@ -92,6 +92,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         "slice-off-grid": ("scenario = tomogram\nfamily = pair-coherent\nr = 1.0\n"
                            "theta_count = 3\nx2 = 50\n",
                            "x2 = 50.0 lies outside the grid half-width 11.16"),
+        "one-grid-point": ("scenario = tomogram\nfamily = coherent\nalpha = 1.0\ngrid_points = 1\n",
+                           "field 'grid_points': must be at least 3, got 1"),
+        "no-phases-map": ("scenario = tomogram\nfamily = coherent\nalpha = 1.0\ntheta_count = 0\n",
+                          "field 'theta_count': must be at least 1, got 0"),
+        "no-phases-slice": ("scenario = tomogram\nfamily = pair-coherent\nr = 1.0\ntheta_count = 0\n",
+                            "field 'theta_count': must be at least 1, got 0"),
+        "no-phases-rfp": ("scenario = rfp\nfamily_1 = ecs\nalpha_1 = 1.0\n"
+                          "family_2 = coherent\nalpha_2 = 0.5\ntheta_count = 0\n",
+                          "field 'theta_count': must be at least 1, got 0"),
+        "negative-n-cut": ("scenario = tomogram\nfamily = coherent\nalpha = 1.0\nn_cut = -3\n",
+                           "field 'n_cut': must be at least 0, got -3"),
+        "nan-theta": ("scenario = entropy-sweep\nfamily = ecs\nparam_start = 0.5\n"
+                      "param_stop = 0.5\nparam_count = 1\ntheta = nan\n",
+                      "field 'theta': 'nan' is not finite"),
+        "order-too-high": ("scenario = oracle-audit\nmax_order = 7\n",
+                           "field 'max_order': must be in 0..6, got 7"),
+        "negative-order": ("scenario = oracle-audit\nmax_order = -1\n",
+                           "field 'max_order': must be in 0..6, got -1"),
     }
     for name, (text, message) in rejected.items():
         path = write_config(tmp_path, text, f"{name}.cfg")
@@ -232,6 +250,15 @@ def test_oracle_audit_scenario(tmp_path):
     rows = [line.split(",") for line in lines[3:]]
     assert all(int(r[-1]) for r in rows)
     assert max(float(r[-2]) for r in rows) < 1e-7
+
+
+def test_failed_oracle_audit_exits_3_without_traceback(tmp_path, capsys):
+    path = write_config(tmp_path, "scenario = oracle-audit\nmax_order = 0\ntolerance = 1e-20\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("audit failure: oracle audit worst difference") and "Traceback" not in err
+    rows = (tmp_path / "out" / "oracle_audit.csv").read_text().splitlines()[3:]
+    assert rows and not all(int(row.split(",")[-1]) for row in rows)
 
 
 def test_default_battery_constructs():

@@ -308,7 +308,7 @@ def test_long_time_tomogram_is_vacuum():
     rho = beamsplitter_output("even")
     final = evolve_amplitude(rho, AMP, 20.0)
     grid = default_grid(final)
-    joint = tomogram_mixed(final, 0.4, 1.1, grid, grid)
+    joint = tomogram_mixed(final, 0.4, 1.1, grid)
     vac = make_coherent(0.0).padded(final.n_cut)
     row1 = tomogram_pure(vac, [0.4], grid).values[0]
     row2 = tomogram_pure(vac, [1.1], grid).values[0]
@@ -323,15 +323,15 @@ def test_phase_channel_entropy_saturation_depends_on_input():
         rho = beamsplitter_output(kind)
         late = evolve_phase(rho, PHASE, 10.0)
         grid = default_grid(late)
-        entropies[kind] = entropy_two_mode(tomogram_mixed(late, 0.0, 0.0, grid, grid))
+        entropies[kind] = entropy_two_mode(tomogram_mixed(late, 0.0, 0.0, grid))
     assert abs(entropies["even"] - entropies["odd"]) > 1e-3
 
 
 def test_decohered_state_keeps_pi_shift_symmetry():
     rho = evolve_phase(beamsplitter_output("even"), PHASE, 0.7)
     grid = default_grid(rho)
-    base = tomogram_mixed(rho, 0.4, 1.1, grid, grid)
-    shifted = tomogram_mixed(rho, 0.4 + np.pi, 1.1 + np.pi, grid, grid)
+    base = tomogram_mixed(rho, 0.4, 1.1, grid)
+    shifted = tomogram_mixed(rho, 0.4 + np.pi, 1.1 + np.pi, grid)
     assert np.max(np.abs(shifted.values - base.values[::-1, ::-1])) < 1e-9
 
 

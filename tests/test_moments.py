@@ -31,13 +31,16 @@ from tomolens.tomography import (
     _check_mass_defect,
     default_grid,
     tomogram_joint,
+    tomogram_pure,
 )
 
 
 def test_extraction_constant():
-    assert extraction_constant(0, 0) == pytest.approx(1.0)
-    assert extraction_constant(1, 1) == pytest.approx(1.0 / (6.0 * 2.0))
-    assert extraction_constant(2, 0) == pytest.approx(2.0 / (6.0 * 2.0))
+    assert extraction_constant(0, 0, 1) == pytest.approx(1.0)
+    assert extraction_constant(1, 1, 3) == pytest.approx(1.0 / (6.0 * 2.0))
+    assert extraction_constant(2, 0, 3) == pytest.approx(2.0 / (6.0 * 2.0))
+    # An order-4 table averages its order-2 entries over 5 phases, not 3.
+    assert extraction_constant(1, 1, 5) == pytest.approx(1.0 / (5.0 * 2.0 * 2.0))
 
 
 def test_vacuum_moments_vanish():
@@ -80,11 +83,20 @@ CATALOG = [
 ]
 
 
-@pytest.mark.parametrize("name,builder", CATALOG, ids=[c[0] for c in CATALOG])
-def test_single_mode_oracle_equivalence(name, builder):
+# Every order 0..K_MAX_DEFAULT; the default order 4 keeps the bare state id.
+ORACLE_CASES = [
+    pytest.param(name, builder, order, id=name if order == 4 else f"{name}-order{order}")
+    for name, builder in CATALOG
+    for order in range(K_MAX_DEFAULT + 1)
+]
+
+
+@pytest.mark.parametrize("name,builder,max_order", ORACLE_CASES)
+def test_single_mode_oracle_equivalence(name, builder, max_order):
     state = builder()
-    table = moment_table(state, 4)
-    reference = moment_table(state, 4, source=SOURCE_FOCK_ORACLE)
+    table = moment_table(state, max_order)
+    reference = moment_table(state, max_order, source=SOURCE_FOCK_ORACLE)
+    assert table.entries.keys() == reference.entries.keys()
     worst = max(abs(table.entries[key] - reference.entries[key]) for key in table.entries)
     assert worst < 1e-7
 
@@ -155,18 +167,41 @@ def test_mixed_decohered_state_table_invariants():
 
 
 def test_phase_count_is_load_bearing():
-    # With fewer than k+l+1 phases the roots-of-unity cancellation breaks;
-    # a coherent state exposes it ((2,0) comes out 4/3 instead of 1).  The
-    # vacuum is blind to the defect: every H_{k+l} integral vanishes by
-    # orthogonality, so its (2,0) stays zero even with too few phases.
-    two_phases = {2: np.arange(2) * np.pi / 2}
+    # With a shared phase set of fewer than K+1 phases the roots-of-unity
+    # cancellation breaks for the order-K entries; a coherent state exposes
+    # it ((2,0) comes out 2 instead of 1).  The vacuum is blind to the
+    # defect: every H_{k+l} integral vanishes by orthogonality, so its (2,0)
+    # stays zero even with too few phases.
+    two_phases = moments.extraction_phases(1)
     coh = make_coherent(1.0)
     good = moment_table(coh, 2).get(2, 0)
-    bad = moments._single_mode_entries(coh, two_phases, None, None)[(2, 0)]
+    bad = moments._single_mode_entries(coh, two_phases, 2, None, None)[(2, 0)]
     assert good == pytest.approx(1.0, abs=1e-9)
     assert abs(bad - good) > 0.1
     vac = make_coherent(0.0)
-    assert abs(moments._single_mode_entries(vac, two_phases, None, None)[(2, 0)]) < 1e-9
+    assert abs(moments._single_mode_entries(vac, two_phases, 2, None, None)[(2, 0)]) < 1e-9
+
+
+@pytest.mark.parametrize("max_order", range(K_MAX_DEFAULT + 1))
+def test_moment_table_evaluates_one_row_per_shared_phase(monkeypatch, max_order):
+    # Every order comes from the same max_order + 1 phases: one tomogram of
+    # max_order + 1 rows, however many orders the table holds.
+    calls = []
+
+    def counting_pure(state, thetas, *args):
+        calls.append(np.atleast_1d(thetas).size)
+        return tomogram_pure(state, thetas, *args)
+
+    monkeypatch.setattr(moments, "tomogram_pure", counting_pure)
+    moment_table(make_coherent(1.0), max_order)
+    assert calls == [max_order + 1]
+
+
+@pytest.mark.parametrize("builder", [moment_table, two_mode_moment_table])
+def test_table_builders_reject_an_unknown_source(builder):
+    state = make_coherent(1.0) if builder is moment_table else make_two_mode("pair-coherent", 1.0)
+    with pytest.raises(ValueError, match="unknown moment source 'oracle'"):
+        builder(state, 2, source="oracle")
 
 
 def test_moment_table_validation_and_errors():
@@ -246,13 +281,13 @@ def test_two_mode_table_evaluates_each_phase_pair_once(monkeypatch, mixed):
     monkeypatch.setattr(moments, "tomogram_joint", counting_joint)
     monkeypatch.setattr(moments, "_check_mass_defect", counting_guard)
     table = two_mode_moment_table(state, 2)
-    # Phases {0, pi/2, pi/3, 2pi/3} per mode at order 2: 4 x 4 distinct pairs.
+    # Phases {0, pi/3, 2pi/3} per mode at order 2: 3 x 3 distinct pairs.
     # A pure state contracts each pair without a joint tomogram, with one mass
     # check per pair; a density matrix evaluates each pair's joint tomogram.
     pairs = joint_pairs if mixed else contracted
-    assert len(joint_pairs) == (16 if mixed else 0)
-    assert len(pairs) == 16
-    assert len(set(pairs)) == 16
+    assert len(joint_pairs) == (9 if mixed else 0)
+    assert len(pairs) == 9
+    assert len(set(pairs)) == 9
     reference = two_mode_moment_table(state, 2, source=SOURCE_FOCK_ORACLE)
     worst = max(abs(value - reference.entries[key]) for key, value in table.entries.items())
     assert worst < 1e-6
@@ -271,24 +306,18 @@ def test_pure_contraction_matches_joint_tomogram_route(builder):
     # joint tomograms; the pure route never forms W.
     state = builder()
     rho = TwoModeDensityMatrix.from_pure(state)
-    grid = default_grid(state)
-    pure = two_mode_moment_table(state, 2, grid, grid)
-    mixed = two_mode_moment_table(rho, 2, grid, grid)
-    for key, value in pure.entries.items():
-        assert abs(value - mixed.entries[key]) <= 1e-13, key
-    # Unequal grids build G once for each.
-    grid2 = default_grid(state, 801)
-    pure = two_mode_moment_table(state, 2, grid, grid2)
-    mixed = two_mode_moment_table(rho, 2, grid, grid2)
-    for key, value in pure.entries.items():
-        assert abs(value - mixed.entries[key]) <= 1e-13, key
+    for grid in (default_grid(state), default_grid(state, 801)):
+        pure = two_mode_moment_table(state, 2, grid)
+        mixed = two_mode_moment_table(rho, 2, grid)
+        for key, value in pure.entries.items():
+            assert abs(value - mixed.entries[key]) <= 1e-13, key
 
 
 def test_two_mode_table_mass_guard_names_the_phase_pair():
     state = make_product(make_cat(1.0, "even"), make_coherent(0.0))
     narrow = QuadratureGrid.uniform(1.0, 201)
     with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0, 0\): mass misses 1"):
-        two_mode_moment_table(state, 2, narrow, narrow)
+        two_mode_moment_table(state, 2, narrow)
 
 
 def test_two_mode_table_rejects_non_physical_density_matrix():

@@ -171,8 +171,8 @@ def test_mixed_tomogram_matches_pure_projector():
     pair = make_product(make_cat(0.9, "even"), make_coherent(0.3))
     rho = TwoModeDensityMatrix.from_pure(pair)
     grid = default_grid(pair)
-    pure = tomogram_two_mode_pure(pair, 0.2, 1.1, grid, grid)
-    mixed = tomogram_mixed(rho, 0.2, 1.1, grid, grid)
+    pure = tomogram_two_mode_pure(pair, 0.2, 1.1, grid)
+    mixed = tomogram_mixed(rho, 0.2, 1.1, grid)
     np.testing.assert_allclose(mixed.values, pure.values, atol=1e-12)
 
 
@@ -190,22 +190,21 @@ def test_mixed_tomogram_matches_eigenmode_sum(kind):
         for lam, c in zip(weights, modes):
             phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
             expected += lam * np.abs(psis.T @ phased @ psis) ** 2
-        direct = tomogram_mixed(rho, theta1, theta2, grid, grid).values
+        direct = tomogram_mixed(rho, theta1, theta2, grid).values
         assert np.max(np.abs(direct - expected)) <= 1e-13
 
 
 def test_pure_joint_tomogram_matches_complex_contraction():
-    # Reference: the complex product |psi1^T c~ psi2|^2, on equal and on unequal grids.
+    # Reference: the complex product |psi^T c~ psi|^2, on the default grid and on a wider, coarser one.
     state = apply(BeamsplitterConfig(0.3), make_product(make_cat(0.9, "even"), make_coherent(0.5)))
-    grid = default_grid(state)
+    default = default_grid(state)
     n = np.arange(state.amplitudes.shape[0])
-    for grid2 in (grid, QuadratureGrid.uniform(grid.half_width + 1.5, 901)):
-        psis1 = hermite_psi_matrix(state.n_cut, grid.x)
-        psis2 = hermite_psi_matrix(state.n_cut, grid2.x)
+    for grid in (default, QuadratureGrid.uniform(default.half_width + 1.5, 901)):
+        psis = hermite_psi_matrix(state.n_cut, grid.x)
         for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
             phased = state.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
-            expected = np.abs(psis1.T @ phased @ psis2) ** 2
-            values = tomogram_two_mode_pure(state, theta1, theta2, grid, grid2).values
+            expected = np.abs(psis.T @ phased @ psis) ** 2
+            values = tomogram_two_mode_pure(state, theta1, theta2, grid).values
             assert np.max(np.abs(values - expected)) <= 1e-15 * expected.max()
 
 
@@ -222,24 +221,25 @@ def phase_matrix(dim, theta):
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DECAY])
 def test_folded_contractions_match_full_pair_form(kind):
-    # Reference: Q1^T Re(rho~) Q2 and Re(rho~_a) Q over every (n, n') pair,
-    # against the contractions folded onto n <= n'.
+    # Reference: Q^T Re(rho~) Q and Re(rho~_a) Q over every (n, n') pair,
+    # against the contractions folded onto n <= n', on the default grid and
+    # on a wider, coarser one.
     rho = decohered_output(kind)
     d = rho.dim
-    grid1 = default_grid(rho)
-    grid2 = QuadratureGrid.uniform(grid1.half_width + 1.5, 901)
-    q1, q2 = full_pair_products(rho, grid1), full_pair_products(rho, grid2)
-    for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
-        phased = rho.entries * phase_matrix(d, theta1)[:, :, None, None] * phase_matrix(d, theta2)
-        expected = q1.T @ phased.real.reshape(d * d, d * d) @ q2
-        values = tomogram_mixed(rho, theta1, theta2, grid1, grid2).values
-        assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
-    thetas = np.array([0.0, 0.7, 2.0])
-    for mode, grid, q in (("a", grid1, q1), ("b", grid2, q2)):
-        reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", rho.entries)
-        expected = (reduced * phase_matrix(d, thetas)).real.reshape(thetas.size, d * d) @ q
-        values = tomogram_reduced(rho, mode, thetas, grid).values
-        assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
+    default = default_grid(rho)
+    for grid in (default, QuadratureGrid.uniform(default.half_width + 1.5, 901)):
+        q = full_pair_products(rho, grid)
+        for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
+            phased = rho.entries * phase_matrix(d, theta1)[:, :, None, None] * phase_matrix(d, theta2)
+            expected = q.T @ phased.real.reshape(d * d, d * d) @ q
+            values = tomogram_mixed(rho, theta1, theta2, grid).values
+            assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
+        thetas = np.array([0.0, 0.7, 2.0])
+        for mode in ("a", "b"):
+            reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", rho.entries)
+            expected = (reduced * phase_matrix(d, thetas)).real.reshape(thetas.size, d * d) @ q
+            values = tomogram_reduced(rho, mode, thetas, grid).values
+            assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
 
 
 @pytest.mark.parametrize("mode", ["a", "b"])
@@ -254,7 +254,7 @@ def test_reduced_tomogram_matches_joint_marginal(source, mode):
     reduced = tomogram_reduced(obj, mode, thetas, grid)
     for theta, row in zip(thetas, reduced.values):
         pair = (theta, 0.7) if mode == "a" else (0.7, theta)
-        joint = tomogram_joint(obj, pair[0], pair[1], grid, grid)
+        joint = tomogram_joint(obj, pair[0], pair[1], grid)
         assert np.max(np.abs(row - marginal(joint, mode).values[0])) <= 1e-12
 
 
@@ -284,8 +284,8 @@ def test_diagonal_density_matrix_is_phase_independent():
             entries[n, n, m, m] = weights[n, m]
     rho = TwoModeDensityMatrix(entries).validate()
     grid = default_grid(rho)
-    base = tomogram_mixed(rho, 0.0, 0.0, grid, grid)
-    other = tomogram_mixed(rho, 1.3, 2.4, grid, grid)
+    base = tomogram_mixed(rho, 0.0, 0.0, grid)
+    other = tomogram_mixed(rho, 1.3, 2.4, grid)
     assert np.max(np.abs(base.values - other.values)) < 1e-9
 
 
@@ -303,16 +303,16 @@ def test_marginal_of_product_equals_factor():
 def test_marginal_independent_of_traced_phase():
     state = make_two_mode("caves-schumaker", 1.0)
     grid = default_grid(state)
-    m1 = marginal(tomogram_joint(state, 0.4, 0.0, grid, grid), "a")
-    m2 = marginal(tomogram_joint(state, 0.4, 1.9, grid, grid), "a")
+    m1 = marginal(tomogram_joint(state, 0.4, 0.0, grid), "a")
+    m2 = marginal(tomogram_joint(state, 0.4, 1.9, grid), "a")
     assert np.max(np.abs(m1.values - m2.values)) < 1e-8
 
 
 def test_caves_schumaker_marginal_is_theta_independent():
     state = make_two_mode("caves-schumaker", 1.0)
     grid = default_grid(state)
-    m1 = marginal(tomogram_joint(state, 0.0, 0.0, grid, grid), "a")
-    m2 = marginal(tomogram_joint(state, 1.2, 0.0, grid, grid), "a")
+    m1 = marginal(tomogram_joint(state, 0.0, 0.0, grid), "a")
+    m2 = marginal(tomogram_joint(state, 1.2, 0.0, grid), "a")
     assert np.max(np.abs(m1.values - m2.values)) < 1e-8
 
 
@@ -366,7 +366,7 @@ def test_csv_row_writer_matches_per_cell_formatting(tmp_path):
     head = "# pin\nX," + ",".join(f"theta={th:.17g}" for th in tomo.thetas) + "\n"
     assert (tmp_path / "map.csv").read_text() == head + _per_cell_rows(tomo.grid.x, tomo.values)
     small = QuadratureGrid.uniform(8.0, 201)
-    joint = tomogram_joint(make_two_mode("pair-coherent", 0.6), 0.2, 0.9, small, small)
+    joint = tomogram_joint(make_two_mode("pair-coherent", 0.6), 0.2, 0.9, small)
     two_mode_tomogram_to_csv(joint, tmp_path / "joint.csv")
     body = (tmp_path / "joint.csv").read_text().split("\n", 2)[2]
     assert body == _per_cell_rows(joint.grid1.x, joint.values.T)
@@ -387,7 +387,7 @@ def test_two_mode_slice_matches_joint_tomogram_column(state):
         rows = _two_mode_pure_slice(state, thetas, theta2, x2, grid)
         j = int(np.argmin(np.abs(grid.x - x2)))
         for theta1, row in zip(thetas, rows):
-            column = tomogram_joint(state, theta1, theta2, grid, grid).values[:, j]
+            column = tomogram_joint(state, theta1, theta2, grid).values[:, j]
             assert np.max(np.abs(row - column)) <= 1e-13 * np.max(column)
 
 
