@@ -36,7 +36,8 @@ from .tomography import (
     QuadratureGrid,
     Tomogram,
     TwoModeTomogram,
-    tomogram_joint,
+    _joint_blocks,
+    default_grid,
 )
 
 LN_PI_E = float(np.log(np.pi * np.e))
@@ -82,6 +83,15 @@ def entropy(tomo: Tomogram, theta: float) -> float:
 def entropy_two_mode(tomo: TwoModeTomogram) -> float:
     """Bipartite tomographic entropy -int int w ln w dX1 dX2, in nats."""
     return float(tomo.grid1.weights @ _entropy_integrand(tomo.values) @ tomo.grid2.weights)
+
+
+def _joint_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid | None = None) -> float:
+    """entropy_two_mode of the joint tomogram at (theta1, theta2), reduced one row block at a time."""
+    if grid is None:
+        grid = default_grid(obj)
+    w = grid.weights
+    blocks = _joint_blocks(obj, theta1, theta2, grid)
+    return float(sum(w[rows] @ _entropy_integrand(block) @ w for rows, block in blocks))
 
 
 def _raw_quadrature_moments(table: MomentTable, theta: float, q: int) -> list:
@@ -256,10 +266,8 @@ def two_mode_report(
         rows, row_grid = single_mode_rows(obj, [theta], grid, mode)
         return entropy_from_density(rows[0], row_grid)
 
-    joint = tomogram_joint(obj, theta1, theta2, grid)
-    joint_conj = tomogram_joint(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid)
-    s_ab = entropy_two_mode(joint)
-    eur = s_ab + entropy_two_mode(joint_conj)
+    s_ab = _joint_entropy(obj, theta1, theta2, grid)
+    eur = s_ab + _joint_entropy(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid)
     table = two_mode_moment_table(obj, 2, grid)
     var = two_mode_variance(table, theta1, theta2)
     return TwoModeSqueezingReport(

@@ -36,8 +36,9 @@ once per theta1 and each block is sum_{m,m'} T_s e^{-i(m-m') theta2} G_t,
 O(K d^3) per theta1.  Entry (0, 0) is the double integral of W and carries
 the per-pair mass guard.  G is a quadrature of the tomogram, not a
 ladder-operator closed form, so the route stays independent of the oracle.
-A density matrix's block is U^T W U of its joint tomogram, which keeps the
-negativity guard on every value of W.
+A density matrix's block is the sum of U[rows]^T W[rows] U over the row
+blocks of its joint tomogram, so W is never held whole and the negativity
+guard still sees every value of W.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ from .fock import (
 from .tomography import (
     QuadratureGrid,
     _check_mass_defect,
+    _joint_blocks,
     _phase_matrix,
     default_grid,
-    tomogram_joint,
+    tomogram_joint,  # not called here; perfbench/tests/test_tracer.py rebinds this name
     tomogram_pure,
     tomogram_reduced,
 )
@@ -178,8 +180,8 @@ def _two_mode_entries(obj, phases: np.ndarray, max_order: int, grid) -> dict:
     """Every (k, l, p, q) with k + l and p + q each <= max_order, both modes on one phase set.
 
     Each phase pair gives one block U^T W U of every order pair's double
-    integral: by contraction for a pure state, from the joint tomogram W
-    (then dropped) for a density matrix.
+    integral: by contraction for a pure state, summed over the row blocks of
+    the joint tomogram W for a density matrix.
     """
     if grid is None:
         grid = default_grid(obj)
@@ -188,7 +190,10 @@ def _two_mode_entries(obj, phases: np.ndarray, max_order: int, grid) -> dict:
     else:
         u = hermite_weights(grid, max_order)
         blocks = np.array(
-            [[u.T @ tomogram_joint(obj, th1, th2, grid).values @ u for th2 in phases] for th1 in phases]
+            [
+                [sum(u[rows].T @ w @ u for rows, w in _joint_blocks(obj, th1, th2, grid)) for th2 in phases]
+                for th1 in phases
+            ]
         )
     weights = {key: _phase_weights(*key, phases) for key in _indices(max_order)}
     return {

@@ -40,10 +40,11 @@ from .metrics import (
     LN_PI_E,
     TWO_MODE_ENTROPY_THRESHOLD,
     VARIANCE_THRESHOLD,
+    _entropy_integrand,
+    _joint_entropy,
     below_threshold,
     central_moment,
     entropy_from_density,
-    entropy_two_mode,
     fit_cos2theta_quadratic,
     relative_fluctuation_product,
     two_mode_report,
@@ -60,11 +61,12 @@ from .states import StateSpec, build_state, make_cat, make_coherent, make_pacs, 
 from .tomography import (
     DEFAULT_THETAS,
     QuadratureGrid,
+    _joint_blocks,
     _two_mode_pure_slice,
     _write_rows,
     check_pi_shift,
     default_grid,
-    tomogram_joint,
+    tomogram_joint,  # not called here; perfbench/tests/test_tracer.py rebinds this name
     tomogram_pure,
     tomogram_to_csv,
 )
@@ -382,7 +384,8 @@ def _run_rfp(cfg: dict, col: _Collector) -> None:
     state2 = build_state(parse_state_spec(cfg, "_2"))
     if not isinstance(state1, SingleModeState) or not isinstance(state2, SingleModeState):
         raise ConfigError("rfp needs two single-mode states")
-    count = _get(cfg, "theta_count", int, default=181, low=1)
+    # linspace(0, pi, n) first gives three distinct cos(2 theta), as the f^2 fit needs, at n = 5.
+    count = _get(cfg, "theta_count", int, default=181, low=5)
     thetas = np.linspace(0.0, np.pi, count)
     f, g = relative_fluctuation_product(state1, state2, thetas)
     coeffs, residual = fit_cos2theta_quadratic(thetas, f**2)
@@ -476,7 +479,7 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
         rho_t = dec.evolve(rho0, chan, t)
         s = None
         if t in on_entropy_grid:
-            s = entropy_two_mode(tomogram_joint(rho_t, theta, theta))
+            s = _joint_entropy(rho_t, theta, theta)
         return t, (dec.purity(rho_t), dec.mean_total_photon(rho_t), s)
 
     at = dict(_parallel_map(_guarded(one, "t={0}"), sorted(set(times) | on_entropy_grid)))
@@ -630,12 +633,14 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
             continue
         try:
             grid = state_grid(state)
-            joint = tomogram_joint(state, 0.4, 1.1, grid)
-            defect = joint.normalization_defect()
+            w = grid.weights
+            mass = s_ab = 0.0
+            for rows, block in _joint_blocks(state, 0.4, 1.1, grid):
+                mass += w[rows] @ block @ w
+                s_ab += w[rows] @ _entropy_integrand(block) @ w
+            defect = abs(mass - 1.0)
             record("two-mode-normalization", name, defect < 1e-7, f"defect={defect:.2e}")
-            s_ab = entropy_two_mode(joint)
-            conj = tomogram_joint(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid)
-            eur = s_ab + entropy_two_mode(conj)
+            eur = s_ab + _joint_entropy(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid)
             record("two-mode-eur", name, eur >= 2.0 * LN_PI_E - 1e-6, f"EUR sum={eur:.9f}")
             ttab = two_mode_moment_table(state, 2, grid)
             worst = max(_oracle_differences(state, ttab).values())

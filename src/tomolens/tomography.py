@@ -20,6 +20,16 @@ formed as c c^dag for a pure state.  A physical rho gives non-negative
 values up to rounding; a contraction dipping below -1e-12 times its maximum
 raises NegativeTomogram, and the rounding-level rest is set to zero.
 
+No caller keeps a joint tomogram W: each reads a mass, the entropy
+-sum w_i w_j W ln W or a block U^T W U off it.  So W is evaluated one block
+of rows at a time, |A[rows] psi|^2 with A = psi^T c~ for a pure state and
+(Q^T F^T)[rows] Q for a density matrix, and every such number is summed
+over the blocks as they come; the running minimum and maximum and the
+summed mass feed the negativity and mass guards after the last block.
+Blocks of 105 rows keep the largest temporary near 2 MB on the default
+1201-point grid, where W itself is 11.5 MB.  The full-array builders stack
+the same blocks.
+
 Integrals use composite Simpson weights on a uniform, symmetric grid; the
 default half-width is an energy-based support estimate from the highest
 occupied level.  Values below 1e-300 are set to zero so downstream
@@ -49,6 +59,10 @@ CLAMP = 1e-300
 NEGATIVITY_GUARD = 1e-12
 
 _CSV_CHUNK_ROWS = 256
+# Rows per block of a joint tomogram: the pure route's [Re; Im] product over
+# 2 x 105 rows of the default 1201-point grid is 2.0 MB.  Odd, so grids (odd
+# by construction) can hold a whole number of blocks.
+_BLOCK_ROWS = 105
 
 # theta sampling for plot-ready tomogram maps (the [0, pi] convention).
 DEFAULT_THETAS = np.linspace(0.0, np.pi, 181)
@@ -190,14 +204,18 @@ def _joint_grid(obj, grid):
     return grid, hermite_psi_matrix(obj.n_cut, grid.x)
 
 
-def _nonnegative(values: np.ndarray, labels: list) -> np.ndarray:
-    """Clamped values after the negativity guard; one block of values per phase label."""
-    blocks = values.reshape(len(labels), -1)
-    low, high = blocks.min(axis=1), blocks.max(axis=1)
-    bad = np.nonzero(low < -NEGATIVITY_GUARD * high)[0]
+def _check_nonnegative(low, high, labels: list) -> None:
+    """The negativity guard on each phase label's minimum and maximum value."""
+    bad = np.nonzero(np.asarray(low) < -NEGATIVITY_GUARD * np.asarray(high))[0]
     if bad.size:
         where = "; ".join(f"phase {labels[i]}: min {low[i]:.3e}, max {high[i]:.3e}" for i in bad)
         raise NegativeTomogram(f"density matrix gives a negative tomogram ({where})")
+
+
+def _nonnegative(values: np.ndarray, labels: list) -> np.ndarray:
+    """Clamped values after the negativity guard; one block of values per phase label."""
+    blocks = values.reshape(len(labels), -1)
+    _check_nonnegative(blocks.min(axis=1), blocks.max(axis=1), labels)
     return _clamped(values)
 
 
@@ -237,22 +255,64 @@ def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = 
     return _checked_mass(tomo, f"per-theta tomogram on half-width {grid.half_width:.2f}")
 
 
+def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
+    """Yield (rows, W[rows]) over the row blocks of the joint tomogram at (theta1, theta2).
+
+    A pure state's block is |A[rows] psi|^2 with A = psi^T c~, through one
+    real matrix product of [Re A[rows]; Im A[rows]]; a density matrix's is
+    (Q^T F^T)[rows] Q with the folded F formed once (see the module
+    docstring).  Each block is clamped before it is yielded.  After the last
+    block the negativity guard (on the running minimum and maximum) and the
+    mass guard (on the summed mass) raise, naming the phase pair, so a
+    caller that reduces every block never returns a sum that failed them.
+    """
+    psis = hermite_psi_matrix(obj.n_cut, grid.x)
+    d = psis.shape[0]
+    if isinstance(obj, TwoModeState):
+        n = np.arange(d)
+        phased = obj.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
+        amp = psis.T @ phased
+
+        def block(rows):
+            parts = np.concatenate([amp.real[rows], amp.imag[rows]]) @ psis
+            real_sq, imag_sq = np.split(np.square(parts, out=parts), 2)
+            return real_sq + imag_sq
+
+    else:
+        q = _psi_products(psis)
+        phased = obj.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
+        # Folding (m, m'), then (n, n') after a transpose, leaves F indexed [(m, m'), (n, n')].
+        folded = _folded(_folded(phased.real.reshape(d * d, d * d), d).T, d)
+
+        def block(rows):
+            return q[:, rows].T @ folded.T @ q
+
+    low, high, mass = np.inf, -np.inf, 0.0
+    for start in range(0, grid.x.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        values = block(rows)
+        low, high = min(low, values.min()), max(high, values.max())
+        values = _clamped(values)
+        mass += grid.weights[rows] @ values @ grid.weights
+        yield rows, values
+    where = f"({theta1:.6g}, {theta2:.6g})"
+    _check_nonnegative([low], [high], [where])
+    _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at {where}")
+
+
+def _stacked(obj, theta1: float, theta2: float, grid) -> TwoModeTomogram:
+    """The joint tomogram at one phase pair with its row blocks stacked, both modes on `grid`."""
+    if grid is None:
+        grid = default_grid(obj)
+    values = np.concatenate([block for _, block in _joint_blocks(obj, theta1, theta2, grid)])
+    return TwoModeTomogram(theta1, theta2, values, grid, grid)
+
+
 def tomogram_two_mode_pure(
     state: TwoModeState, theta1: float, theta2: float, grid: QuadratureGrid | None = None
 ) -> TwoModeTomogram:
     """Joint tomogram of a pure two-mode state at one phase pair, both modes on `grid`."""
-    grid, psis = _joint_grid(state, grid)
-    c = state.amplitudes
-    n = np.arange(c.shape[0])
-    phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
-    # psis is real, so A = psis^T c~ goes through one real GEMM as [Re A; Im A].
-    amp = psis.T @ phased
-    parts = np.concatenate([amp.real, amp.imag]) @ psis
-    real_sq, imag_sq = np.split(np.square(parts, out=parts), 2)
-    values = real_sq + imag_sq  # a fresh array, which the tomogram keeps
-    del parts, real_sq, imag_sq  # freed before the clamp's mask is made
-    values = _clamped(values)
-    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid, grid), "two-mode tomogram")
+    return _stacked(state, theta1, theta2, grid)
 
 
 def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float, grid: QuadratureGrid):
@@ -300,20 +360,11 @@ def tomogram_mixed(
 ) -> TwoModeTomogram:
     """Joint tomogram of a two-mode density matrix at one phase pair, both modes on `grid`.
 
-    Two real matrix products, Q^T F Q with F the folded Re(rho~) (see the
-    module docstring).
+    Q^T F Q with F the folded Re(rho~) (see the module docstring).
     Raises NegativeTomogram, naming the phase pair, when rho is not positive
     enough for the values to stay above -1e-12 times their maximum.
     """
-    grid, psis = _joint_grid(rho, grid)
-    q = _psi_products(psis)
-    d = rho.dim
-    phased = rho.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
-    # Folding (m, m'), then (n, n') after a transpose, leaves F indexed [(m, m'), (n, n')].
-    folded = _folded(_folded(phased.real.reshape(d * d, d * d), d).T, d)
-    values = q.T @ folded.T @ q
-    values = _nonnegative(values, [f"({theta1:.6g}, {theta2:.6g})"])
-    return _checked_mass(TwoModeTomogram(theta1, theta2, values, grid, grid), "mixed tomogram")
+    return _stacked(rho, theta1, theta2, grid)
 
 
 def tomogram_joint(obj, theta1, theta2, grid=None) -> TwoModeTomogram:

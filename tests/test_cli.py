@@ -100,7 +100,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                             "field 'theta_count': must be at least 1, got 0"),
         "no-phases-rfp": ("scenario = rfp\nfamily_1 = ecs\nalpha_1 = 1.0\n"
                           "family_2 = coherent\nalpha_2 = 0.5\ntheta_count = 0\n",
-                          "field 'theta_count': must be at least 1, got 0"),
+                          "field 'theta_count': must be at least 5, got 0"),
+        # linspace(0, pi, n) gives only two distinct cos(2 theta) for n < 5,
+        # too few for the three-coefficient f^2 fit.
+        **{
+            f"rank-deficient-rfp-{n}": ("scenario = rfp\nfamily_1 = ecs\nalpha_1 = 1.0\n"
+                                        f"family_2 = coherent\nalpha_2 = 0.5\ntheta_count = {n}\n",
+                                        f"field 'theta_count': must be at least 5, got {n}")
+            for n in (1, 2, 3, 4)
+        },
         "negative-n-cut": ("scenario = tomogram\nfamily = coherent\nalpha = 1.0\nn_cut = -3\n",
                            "field 'n_cut': must be at least 0, got -3"),
         "nan-theta": ("scenario = entropy-sweep\nfamily = ecs\nparam_start = 0.5\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -285,3 +287,17 @@ def test_isospectral_bands_more_prominent_than_pacs():
     contrast_pacs = band_contrast(pacs_row.values[0], pacs_row.grid.x)
     contrast_iso = band_contrast(iso_row.values[0], iso_row.grid.x)
     assert contrast_iso / contrast_pacs > 1.0
+
+
+def test_two_mode_report_never_holds_a_joint_tomogram():
+    # One 1201 x 1201 joint tomogram is 11.5 MB; the report reduces each of
+    # its two block by block, so its allocation peak stays below one of them.
+    out = apply(BeamsplitterConfig(phi=0.0), make_product(make_pacs(0.835, 1), make_coherent(0.0)))
+    assert out.n_cut + 1 == 24
+    tracemalloc.start()
+    try:
+        two_mode_report(out, 0.7, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"

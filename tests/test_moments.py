@@ -29,6 +29,7 @@ from tomolens.tomography import (
     DEFAULT_POINTS_TWO_MODE,
     QuadratureGrid,
     _check_mass_defect,
+    _joint_blocks,
     default_grid,
     tomogram_joint,
     tomogram_pure,
@@ -272,18 +273,18 @@ def test_two_mode_table_evaluates_each_phase_pair_once(monkeypatch, mixed):
 
     def counting_joint(obj, theta1, theta2, *args, **kwargs):
         joint_pairs.append((theta1, theta2))
-        return tomogram_joint(obj, theta1, theta2, *args, **kwargs)
+        return _joint_blocks(obj, theta1, theta2, *args, **kwargs)
 
     def counting_guard(defect, what):
         contracted.append(what)
         return _check_mass_defect(defect, what)
 
-    monkeypatch.setattr(moments, "tomogram_joint", counting_joint)
+    monkeypatch.setattr(moments, "_joint_blocks", counting_joint)
     monkeypatch.setattr(moments, "_check_mass_defect", counting_guard)
     table = two_mode_moment_table(state, 2)
     # Phases {0, pi/3, 2pi/3} per mode at order 2: 3 x 3 distinct pairs.
     # A pure state contracts each pair without a joint tomogram, with one mass
-    # check per pair; a density matrix evaluates each pair's joint tomogram.
+    # check per pair; a density matrix reduces each pair's joint tomogram.
     pairs = joint_pairs if mixed else contracted
     assert len(joint_pairs) == (9 if mixed else 0)
     assert len(pairs) == 9

@@ -397,6 +397,14 @@ def test_two_mode_slice_mass_guard_names_the_phase():
         _two_mode_pure_slice(state, [0.4], 1.1, 0.5, QuadratureGrid.uniform(1.0, 201))
 
 
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_joint_tomogram_mass_guard_names_the_phase_pair(mixed):
+    state = make_two_mode("pair-coherent", 1.0)
+    obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
+    with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1"):
+        tomogram_joint(obj, 0.4, 1.1, QuadratureGrid.uniform(1.0, 201))
+
+
 def test_janus_partner_slices_share_peak_structure():
     # The pi/2-rotated tomogram slice of each cat matches its squeezed
     # partner's theta = 0 slice in peak count and mirror symmetry:
