@@ -16,9 +16,9 @@ with vacuum through the other produces coefficients proportional to
 K conserves total photon number, so the unitary is built and applied
 blockwise on the fixed-total subspaces: exact conservation by construction
 and O(T^3) per block instead of O(N^6) for the full space.  The output basis
-holds every block up to its truncation whole.  By default that truncation is
-the constructors' certified cut of the input's total-photon distribution,
-so it follows the input's probabilities, not their rounding.
+holds every block up to its truncation whole.  That truncation is the
+constructors' certified cut of the input's total-photon distribution, so
+it follows the input's probabilities, not their rounding.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ from .states import _adaptive_cut, make_cat, make_coherent, make_product
 
 @dataclass(frozen=True)
 class BeamsplitterConfig:
-    """Relative phase between reflected and transmitted fields, plus an
-    optional output truncation override (adaptive when None)."""
+    """Relative phase between reflected and transmitted fields."""
 
     phi: float = 0.0
-    n_cut: int | None = None
 
 
 def block_generator(total: int, phi: float) -> np.ndarray:
@@ -70,17 +68,13 @@ def apply(cfg: BeamsplitterConfig, state: TwoModeState) -> TwoModeState:
     """Send a normalized two-mode state through the beamsplitter.
 
     Every total-photon block T <= n_cut is evolved, and the output basis
-    |n, m>, n, m <= n_cut, holds each of them whole.  The adaptive n_cut is
-    the constructors' rule (states._adaptive_cut) applied to the input's
+    |n, m>, n, m <= n_cut, holds each of them whole.  n_cut is the
+    constructors' rule (states._adaptive_cut) applied to the input's
     total-photon distribution: the input's mass above n_cut - BUFFER_LEVELS
     is below TAIL_TOLERANCE, so neither output mode carries that much in its
-    top BUFFER_LEVELS.  An explicit n_cut below the adaptive one raises
-    TruncationOverflow.
+    top BUFFER_LEVELS.
     """
-    required = _adaptive_cut(state.total_photon_distribution())
-    cut = required if cfg.n_cut is None else cfg.n_cut
-    if cut < required:
-        raise TruncationOverflow(f"n_cut={cut} below the certified output truncation {required}")
+    cut = _adaptive_cut(state.total_photon_distribution())
     # Blocks T <= cut read the input only at n, m <= cut.
     c_in = np.zeros((cut + 1, cut + 1), dtype=complex)
     size = min(cut, state.n_cut) + 1

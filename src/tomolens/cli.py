@@ -1,8 +1,8 @@
 """Command-line entry points: `tomolens run <config>` and `tomolens audit`.
 
 Exit codes: 0 success, 1 configuration error (including a value the library
-rejects, such as a negative channel rate or a parameter at which a state
-family is undefined), 2 numerical-guard failure (inadequate truncation or
+rejects, such as a negative channel rate, a family parameter below its
+bound, or a parameter at which a state family is undefined), 2 numerical-guard failure (inadequate truncation or
 grid, or a density matrix whose tomogram goes negative, with the offending
 point named), 3 audit failures (a failed `tomolens audit` check, or an
 oracle-audit scenario whose worst difference reaches its tolerance).

@@ -85,13 +85,16 @@ def entropy_two_mode(tomo: TwoModeTomogram) -> float:
     return float(tomo.grid1.weights @ _entropy_integrand(tomo.values) @ tomo.grid2.weights)
 
 
-def _joint_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid | None = None) -> float:
-    """entropy_two_mode of the joint tomogram at (theta1, theta2), reduced one row block at a time."""
+def _joint_mass_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid | None = None) -> tuple:
+    """(mass, entropy_two_mode) of the joint tomogram at (theta1, theta2), reduced one row block at a time."""
     if grid is None:
         grid = default_grid(obj)
     w = grid.weights
-    blocks = _joint_blocks(obj, theta1, theta2, grid)
-    return float(sum(w[rows] @ _entropy_integrand(block) @ w for rows, block in blocks))
+    mass = entropy = 0.0
+    for rows, block in _joint_blocks(obj, theta1, theta2, grid):
+        mass += w[rows] @ block @ w
+        entropy += w[rows] @ _entropy_integrand(block) @ w
+    return float(mass), float(entropy)
 
 
 def _raw_quadrature_moments(table: MomentTable, theta: float, q: int) -> list:
@@ -266,8 +269,8 @@ def two_mode_report(
         rows, row_grid = single_mode_rows(obj, [theta], grid, mode)
         return entropy_from_density(rows[0], row_grid)
 
-    s_ab = _joint_entropy(obj, theta1, theta2, grid)
-    eur = s_ab + _joint_entropy(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid)
+    s_ab = _joint_mass_entropy(obj, theta1, theta2, grid)[1]
+    eur = s_ab + _joint_mass_entropy(obj, theta1 + np.pi / 2, theta2 + np.pi / 2, grid)[1]
     table = two_mode_moment_table(obj, 2, grid)
     var = two_mode_variance(table, theta1, theta2)
     return TwoModeSqueezingReport(

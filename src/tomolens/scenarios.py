@@ -5,6 +5,9 @@ dataset: a tomogram map, a squeezing sweep, a relative-fluctuation-product
 curve, a beamsplitter phase study, a decoherence time series, or an oracle
 audit.  Outputs are CSV files plus a manifest naming every artifact and the
 tolerance conventions; identical configs produce byte-identical outputs.
+SCENARIOS is the runner table: parse_config accepts exactly its names, and
+run_scenario dispatches through it.  A state's family, scalar, extras and
+their bounds are read from the catalog table states.FAMILIES.
 
 The audit runs the frozen invariant battery (normalization, tail
 certificates, tomogram distribution laws, pi-shift symmetry, entropic and
@@ -40,8 +43,7 @@ from .metrics import (
     LN_PI_E,
     TWO_MODE_ENTROPY_THRESHOLD,
     VARIANCE_THRESHOLD,
-    _entropy_integrand,
-    _joint_entropy,
+    _joint_mass_entropy,
     below_threshold,
     central_moment,
     entropy_from_density,
@@ -57,11 +59,10 @@ from .moments import (
     oracle_moment_two_mode,
     two_mode_moment_table,
 )
-from .states import StateSpec, build_state, make_cat, make_coherent, make_pacs, make_product
+from .states import FAMILIES, StateSpec, build_state, make_cat, make_coherent, make_pacs, make_product
 from .tomography import (
     DEFAULT_THETAS,
     QuadratureGrid,
-    _joint_blocks,
     _two_mode_pure_slice,
     _write_rows,
     check_pi_shift,
@@ -69,17 +70,6 @@ from .tomography import (
     tomogram_joint,  # not called here; perfbench/tests/test_tracer.py rebinds this name
     tomogram_pure,
     tomogram_to_csv,
-)
-
-SCENARIOS = (
-    "tomogram",
-    "entropy-sweep",
-    "variance-sweep",
-    "higher-order-sweep",
-    "rfp",
-    "beamsplitter-sweep",
-    "decoherence-run",
-    "oracle-audit",
 )
 
 _CSV_CONVENTIONS = (
@@ -91,8 +81,6 @@ _CSV_CONVENTIONS = (
 
 
 def _fmt(value) -> str:
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -147,56 +135,47 @@ def _as_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
-def _parse_range(cfg: dict, prefix: str) -> np.ndarray:
-    start = _get(cfg, f"{prefix}_start", float, required=True)
-    stop = _get(cfg, f"{prefix}_stop", float, required=True)
+def _parse_range(cfg: dict, prefix: str, low=None) -> np.ndarray:
+    start = _get(cfg, f"{prefix}_start", float, required=True, low=low)
+    stop = _get(cfg, f"{prefix}_stop", float, required=True, low=low)
     count = _get(cfg, f"{prefix}_count", int, required=True, low=1)
     if count == 1 and stop != start:
         raise ConfigError(f"field {prefix}_count: count 1 needs {prefix}_start == {prefix}_stop")
     return np.linspace(start, stop, count)
 
 
-_PARAM_KEYS = {
-    "coherent": ("alpha", _as_complex),
-    "ecs": ("alpha", _as_complex),
-    "ocs": ("alpha", _as_complex),
-    "yurke-stoler": ("alpha", _as_complex),
-    "squeezed-vacuum": ("xi", _as_complex),
-    "yuen": ("xi", _as_complex),
-    "pacs": ("alpha", _as_complex),
-    "isospectral": ("zeta", _as_complex),
-    "pair-coherent": ("r", float),
-    "caves-schumaker": ("r", float),
-    "fock": ("n", int),
-}
-
-
 def _family(cfg: dict, suffix: str = "") -> str:
+    """The family named by `family<suffix>`; the product family has no config form."""
     family = _get(cfg, f"family{suffix}", str, required=True)
-    if family not in _PARAM_KEYS:
+    if family not in FAMILIES or FAMILIES[family].key is None:
         raise ConfigError(f"field family{suffix}: unknown family {family!r}")
     return family
 
 
+def _extras(family: str, cfg: dict, suffix: str = "") -> dict:
+    """The family's extra integers from cfg, each at its default when absent."""
+    return {
+        name: _get(cfg, f"{name}{suffix}", int, default=default, low=low)
+        for name, (default, low) in FAMILIES[family].extras.items()
+    }
+
+
 def _spec(family: str, value, cfg: dict, suffix: str = "") -> StateSpec:
     """StateSpec with the family's scalar set to `value` and its extras read from cfg."""
-    params = {_PARAM_KEYS[family][0]: value}
-    if family == "pacs":
-        params["m"] = _get(cfg, f"m{suffix}", int, default=1)
-    if family == "isospectral":
-        params["base"] = _get(cfg, f"base{suffix}", int, default=1)
+    params = {FAMILIES[family].key: value, **_extras(family, cfg, suffix)}
     return StateSpec(family, params, _get(cfg, f"n_cut{suffix}", int, low=0))
 
 
 def parse_state_spec(cfg: dict, suffix: str = "") -> StateSpec:
     family = _family(cfg, suffix)
-    key, conv = _PARAM_KEYS[family]
-    return _spec(family, _get(cfg, f"{key}{suffix}", conv, required=True), cfg, suffix)
+    fam = FAMILIES[family]
+    conv = _as_complex if fam.kind is complex else fam.kind
+    return _spec(family, _get(cfg, f"{fam.key}{suffix}", conv, required=True, low=fam.low), cfg, suffix)
 
 
 def sweep_spec(family: str, value: float, cfg: dict) -> StateSpec:
     """StateSpec for one point of a parameter sweep over the family's scalar."""
-    return _spec(family, int(value) if _PARAM_KEYS[family][0] == "n" else value, cfg)
+    return _spec(family, int(value) if FAMILIES[family].kind is int else value, cfg)
 
 
 def _thread_count() -> int:
@@ -272,25 +251,6 @@ class _Collector:
             fh.write("\n")
 
 
-def run_scenario(cfg: dict, out_dir: str) -> list:
-    """Execute a parsed scenario config; returns the artifact list."""
-    scenario = cfg["scenario"]
-    collector = _Collector(out_dir, scenario, cfg)
-    runner = {
-        "tomogram": _run_tomogram,
-        "entropy-sweep": _run_sweep,
-        "variance-sweep": _run_sweep,
-        "higher-order-sweep": _run_sweep,
-        "rfp": _run_rfp,
-        "beamsplitter-sweep": _run_beamsplitter_sweep,
-        "decoherence-run": _run_decoherence,
-        "oracle-audit": _run_oracle_audit,
-    }[scenario]
-    runner(cfg, collector)
-    collector.finish()
-    return collector.artifacts
-
-
 def _run_tomogram(cfg: dict, col: _Collector) -> None:
     spec = parse_state_spec(cfg)
     state = build_state(spec)
@@ -298,9 +258,9 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
     points = _get(cfg, "grid_points", int, low=3)
     thetas = np.linspace(0.0, np.pi, theta_count)
     grid = default_grid(state, points)
+    name = _get(cfg, "output", str, default="tomogram.csv")
     if isinstance(state, SingleModeState):
         tomo = tomogram_pure(state, thetas, grid)
-        name = _get(cfg, "output", str, default="tomogram.csv")
         tomogram_to_csv(tomo, col.path(name), comment=f"family={spec.family} {_CSV_CONVENTIONS}")
         col.add(name, f"tomogram map for {spec.family}, {theta_count} phases")
     else:
@@ -309,7 +269,6 @@ def _run_tomogram(cfg: dict, col: _Collector) -> None:
         if abs(x2) > grid.half_width:
             raise ConfigError(f"x2 = {x2} lies outside the grid half-width {grid.half_width:.6g}")
         rows = _two_mode_pure_slice(state, thetas, theta2, x2, grid)
-        name = _get(cfg, "output", str, default="tomogram.csv")
         with open(col.path(name), "w", encoding="utf-8") as fh:
             fh.write(f"# scenario: tomogram (two-mode slice at X2={x2}, theta2={theta2})\n")
             fh.write(f"# conventions: {_CSV_CONVENTIONS}; slice displayed unnormalized\n")
@@ -363,9 +322,9 @@ def _run_sweep(cfg: dict, col: _Collector) -> None:
     """Build and measure each parameter point in one guarded pool pass."""
     measure, header, output, what = _SWEEPS[cfg["scenario"]]
     family = _family(cfg)
-    if family in ("pair-coherent", "caves-schumaker"):
+    if FAMILIES[family].two_mode:
         raise ConfigError(f"{cfg['scenario']} needs a single-mode family, got {family!r}")
-    values = _parse_range(cfg, "param")
+    values = _parse_range(cfg, "param", low=FAMILIES[family].low)
     theta = _get(cfg, "theta", float, default=0.0)
 
     def one(v):
@@ -380,10 +339,10 @@ def _run_sweep(cfg: dict, col: _Collector) -> None:
 
 
 def _run_rfp(cfg: dict, col: _Collector) -> None:
-    state1 = build_state(parse_state_spec(cfg, "_1"))
-    state2 = build_state(parse_state_spec(cfg, "_2"))
-    if not isinstance(state1, SingleModeState) or not isinstance(state2, SingleModeState):
+    specs = [parse_state_spec(cfg, suffix) for suffix in ("_1", "_2")]
+    if any(FAMILIES[spec.family].two_mode for spec in specs):
         raise ConfigError("rfp needs two single-mode states")
+    state1, state2 = (build_state(spec) for spec in specs)
     # linspace(0, pi, n) first gives three distinct cos(2 theta), as the f^2 fit needs, at n = 5.
     count = _get(cfg, "theta_count", int, default=181, low=5)
     thetas = np.linspace(0.0, np.pi, count)
@@ -400,23 +359,22 @@ def _run_rfp(cfg: dict, col: _Collector) -> None:
     )
 
 
-# Beamsplitter input kind -> (alpha, cfg) -> two-mode product input.
+# Beamsplitter input kind -> (alpha, cfg) -> the two single-mode factors of the product input.
 _BS_INPUTS = {
-    "ecs-vacuum": lambda alpha, cfg: make_product(make_cat(alpha, "even"), make_coherent(0.0)),
-    "ocs-vacuum": lambda alpha, cfg: make_product(make_cat(alpha, "odd"), make_coherent(0.0)),
-    "ecs-ecs": lambda alpha, cfg: make_product(make_cat(alpha, "even"), make_cat(alpha, "even")),
-    "ocs-ocs": lambda alpha, cfg: make_product(make_cat(alpha, "odd"), make_cat(alpha, "odd")),
-    "pacs-vacuum": lambda alpha, cfg: make_product(
-        make_pacs(alpha, _get(cfg, "m", int, default=1)), make_coherent(0.0)
-    ),
+    "ecs-vacuum": lambda alpha, cfg: (make_cat(alpha, "even"), make_coherent(0.0)),
+    "ocs-vacuum": lambda alpha, cfg: (make_cat(alpha, "odd"), make_coherent(0.0)),
+    "ecs-ecs": lambda alpha, cfg: (make_cat(alpha, "even"), make_cat(alpha, "even")),
+    "ocs-ocs": lambda alpha, cfg: (make_cat(alpha, "odd"), make_cat(alpha, "odd")),
+    "pacs-vacuum": lambda alpha, cfg: (make_pacs(alpha, **_extras("pacs", cfg)), make_coherent(0.0)),
 }
 
 
-def _bs_kind(cfg: dict) -> str:
+def _bs_input(cfg: dict):
+    """(kind, alpha -> two-mode product input) for the beamsplitter input named by `input`."""
     kind = _get(cfg, "input", str, required=True)
     if kind not in _BS_INPUTS:
         raise ConfigError(f"field input: unknown beamsplitter input {kind!r}")
-    return kind
+    return kind, lambda alpha: make_product(*_BS_INPUTS[kind](alpha, cfg))
 
 
 def _float_list(text: str) -> list:
@@ -424,14 +382,14 @@ def _float_list(text: str) -> list:
 
 
 def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
-    kind = _bs_kind(cfg)
+    kind, make_input = _bs_input(cfg)
     values = _parse_range(cfg, "param")
     phis = _get(cfg, "phi_values", _float_list, default=[0.0])
     theta = _get(cfg, "theta", float, default=np.pi / 2)
 
     def one(point):
         alpha, phi = point
-        out = apply(BeamsplitterConfig(phi=phi), _BS_INPUTS[kind](alpha, cfg))
+        out = apply(BeamsplitterConfig(phi=phi), make_input(alpha))
         r = two_mode_report(out, theta, theta, default_grid(out))
         return (
             alpha, phi, theta, r.entropy, int(r.entropy_squeezed), r.variance,
@@ -449,7 +407,7 @@ def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
 
 
 def _run_decoherence(cfg: dict, col: _Collector) -> None:
-    kind = _bs_kind(cfg)
+    kind, make_input = _bs_input(cfg)
     alpha = _get(cfg, "alpha", float, default=1.0)
     phi = _get(cfg, "phi", float, default=0.0)
     channel = _get(cfg, "channel", str, default=dec.AMPLITUDE_DECAY)
@@ -471,15 +429,13 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
         chan = dec.ChannelConfig(channel, rate_c, rate_d)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from exc
-    rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(phi=phi), _BS_INPUTS[kind](alpha, cfg)))
+    rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(phi=phi), make_input(alpha)))
     on_entropy_grid = set(ent_times)
 
     def one(t):
         # Each distinct time is evolved once; entropy points reuse its rho(t).
         rho_t = dec.evolve(rho0, chan, t)
-        s = None
-        if t in on_entropy_grid:
-            s = _joint_entropy(rho_t, theta, theta)
+        s = _joint_mass_entropy(rho_t, theta, theta)[1] if t in on_entropy_grid else None
         return t, (dec.purity(rho_t), dec.mean_total_photon(rho_t), s)
 
     at = dict(_parallel_map(_guarded(one, "t={0}"), sorted(set(times) | on_entropy_grid)))
@@ -562,6 +518,27 @@ def _run_oracle_audit(cfg: dict, col: _Collector) -> None:
         )
 
 
+# scenario -> runner(cfg, collector); parse_config accepts exactly these names.
+SCENARIOS = {
+    "tomogram": _run_tomogram,
+    "entropy-sweep": _run_sweep,
+    "variance-sweep": _run_sweep,
+    "higher-order-sweep": _run_sweep,
+    "rfp": _run_rfp,
+    "beamsplitter-sweep": _run_beamsplitter_sweep,
+    "decoherence-run": _run_decoherence,
+    "oracle-audit": _run_oracle_audit,
+}
+
+
+def run_scenario(cfg: dict, out_dir: str) -> list:
+    """Execute a parsed scenario config; returns the artifact list."""
+    collector = _Collector(out_dir, cfg["scenario"], cfg)
+    SCENARIOS[cfg["scenario"]](cfg, collector)
+    collector.finish()
+    return collector.artifacts
+
+
 @dataclass(frozen=True)
 class AuditResult:
     check: str
@@ -633,14 +610,10 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
             continue
         try:
             grid = state_grid(state)
-            w = grid.weights
-            mass = s_ab = 0.0
-            for rows, block in _joint_blocks(state, 0.4, 1.1, grid):
-                mass += w[rows] @ block @ w
-                s_ab += w[rows] @ _entropy_integrand(block) @ w
+            mass, s_ab = _joint_mass_entropy(state, 0.4, 1.1, grid)
             defect = abs(mass - 1.0)
             record("two-mode-normalization", name, defect < 1e-7, f"defect={defect:.2e}")
-            eur = s_ab + _joint_entropy(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid)
+            eur = s_ab + _joint_mass_entropy(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid)[1]
             record("two-mode-eur", name, eur >= 2.0 * LN_PI_E - 1e-6, f"EUR sum={eur:.9f}")
             ttab = two_mode_moment_table(state, 2, grid)
             worst = max(_oracle_differences(state, ttab).values())

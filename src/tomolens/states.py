@@ -14,10 +14,16 @@ chosen and the buffer is added on top.  Exponential-of-generator states
 exponential (fock.unitary_exp) of the truncated anti-Hermitian generator's
 invariant block that holds the base state, and validated against closed
 forms in the test suite.
+
+FAMILIES is the catalog's one table.  Each entry names a family's scalar
+parameter with its type and lower bound, its extra integers with their
+defaults and lower bounds, whether it is two-mode, and its constructor;
+build_state and the config parser both read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,22 +37,6 @@ from .fock import (
     ln_factorial,
     unitary_exp,
 )
-
-FAMILIES = (
-    "coherent",
-    "fock",
-    "ecs",
-    "ocs",
-    "yurke-stoler",
-    "squeezed-vacuum",
-    "yuen",
-    "pacs",
-    "isospectral",
-    "pair-coherent",
-    "caves-schumaker",
-    "product",
-)
-
 
 def _normalize_certified(amps: np.ndarray) -> SingleModeState:
     return SingleModeState(amps).normalized().certify()
@@ -289,6 +279,51 @@ def make_product(state_a: SingleModeState, state_b: SingleModeState) -> TwoModeS
 
 
 @dataclass(frozen=True)
+class Family:
+    """One catalog family: its scalar parameter, its extra integers, its mode count and constructor.
+
+    `key` names the scalar and `kind` is its type (complex, float or int);
+    a scalar below `low` is out of range.  `extras` maps each extra integer
+    to its (default, lower bound).  `build(params, n_cut)` makes the state.
+    The product family has no scalar: its params are the two factors'
+    StateSpecs under "a" and "b".
+    """
+
+    key: str | None
+    kind: type | None
+    low: float | None
+    build: Callable
+    extras: dict = field(default_factory=dict)
+    two_mode: bool = False
+
+
+# The catalog.  Each constructor is looked up by name when it is called, so a
+# rebound module attribute (a tracer's wrapper) is the one that runs.
+FAMILIES = {
+    "coherent": Family("alpha", complex, None, lambda p, cut: make_coherent(p["alpha"], cut)),
+    "fock": Family("n", int, 0, lambda p, cut: make_fock(int(p["n"]), cut)),
+    "ecs": Family("alpha", complex, None, lambda p, cut: make_cat(p["alpha"], "even", cut)),
+    "ocs": Family("alpha", complex, None, lambda p, cut: make_cat(p["alpha"], "odd", cut)),
+    "yurke-stoler": Family("alpha", complex, None, lambda p, cut: make_cat(p["alpha"], "yurke-stoler", cut)),
+    "squeezed-vacuum": Family("xi", complex, None, lambda p, cut: make_squeezed(p["xi"], "vacuum", cut)),
+    "yuen": Family("xi", complex, None, lambda p, cut: make_squeezed(p["xi"], "one", cut)),
+    "pacs": Family("alpha", complex, None, lambda p, cut: make_pacs(p["alpha"], p["m"], cut), {"m": (1, 0)}),
+    "isospectral": Family(
+        "zeta", complex, None, lambda p, cut: make_isospectral(p["zeta"], p["base"], cut), {"base": (1, 1)}
+    ),
+    "pair-coherent": Family(
+        "r", float, 0.0, lambda p, cut: make_two_mode("pair-coherent", p["r"], cut), two_mode=True
+    ),
+    "caves-schumaker": Family(
+        "r", float, 0.0, lambda p, cut: make_two_mode("caves-schumaker", p["r"], cut), two_mode=True
+    ),
+    "product": Family(
+        None, None, None, lambda p, cut: make_product(build_state(p["a"]), build_state(p["b"])), two_mode=True
+    ),
+}
+
+
+@dataclass(frozen=True)
 class StateSpec:
     """Declarative description of a catalog state, the unit of CLI configs."""
 
@@ -298,35 +333,11 @@ class StateSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
 
 
 def build_state(spec: StateSpec):
-    """Construct the state described by `spec` (single- or two-mode)."""
-    p = spec.params
-    fam = spec.family
-    if fam == "coherent":
-        return make_coherent(p.get("alpha", 0.0), spec.n_cut)
-    if fam == "fock":
-        return make_fock(int(p.get("n", 0)), spec.n_cut)
-    if fam == "ecs":
-        return make_cat(p["alpha"], "even", spec.n_cut)
-    if fam == "ocs":
-        return make_cat(p["alpha"], "odd", spec.n_cut)
-    if fam == "yurke-stoler":
-        return make_cat(p["alpha"], "yurke-stoler", spec.n_cut)
-    if fam == "squeezed-vacuum":
-        return make_squeezed(p["xi"], "vacuum", spec.n_cut)
-    if fam == "yuen":
-        return make_squeezed(p["xi"], "one", spec.n_cut)
-    if fam == "pacs":
-        return make_pacs(p["alpha"], int(p.get("m", 1)), spec.n_cut)
-    if fam == "isospectral":
-        return make_isospectral(p["zeta"], int(p.get("base", 1)), spec.n_cut)
-    if fam == "pair-coherent":
-        return make_two_mode("pair-coherent", p["r"], spec.n_cut)
-    if fam == "caves-schumaker":
-        return make_two_mode("caves-schumaker", p["r"], spec.n_cut)
-    if fam == "product":
-        return make_product(build_state(p["a"]), build_state(p["b"]))
-    raise ValueError(f"unhandled family {fam!r}")
+    """Construct the state described by `spec` (single- or two-mode); an absent extra takes its default."""
+    family = FAMILIES[spec.family]
+    extras = {name: int(spec.params.get(name, default)) for name, (default, _) in family.extras.items()}
+    return family.build({**spec.params, **extras}, spec.n_cut)

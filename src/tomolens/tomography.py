@@ -57,6 +57,8 @@ NORMALIZATION_GUARD = 1e-6
 CLAMP = 1e-300
 # A contraction of rho may dip below zero by rounding only, relative to its maximum.
 NEGATIVITY_GUARD = 1e-12
+# density_eigenmodes drops eigenvalues below this, relative to the largest.
+EIGENMODE_FLOOR = 1e-14
 
 _CSV_CHUNK_ROWS = 256
 # Rows per block of a joint tomogram: the pure route's [Re; Im] product over
@@ -337,19 +339,19 @@ def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float,
     return _clamped(np.abs((phase1 * (c2 @ psis[:, j])) @ psis) ** 2)
 
 
-def density_eigenmodes(rho: TwoModeDensityMatrix, floor: float = 1e-14):
+def density_eigenmodes(rho: TwoModeDensityMatrix):
     """Spectral decomposition of rho as (weights, list of c_{nm} matrices).
 
     The reference the direct contraction of tomogram_mixed is tested
     against: sum_k weights[k] |amplitude of mode k|^2 is the same tomogram.
-    Eigenvalues below `floor` (relative to the largest) are dropped; small
-    negative eigenvalues from rounding are rejected if they exceed 1e-10.
+    Eigenvalues below EIGENMODE_FLOOR (relative to the largest) are dropped;
+    small negative eigenvalues from rounding are rejected if they exceed 1e-10.
     """
     mat = rho.as_matrix()
     vals, vecs = np.linalg.eigh(mat)
     if vals.min() < -1e-10:
         raise ValueError(f"density matrix has negative eigenvalue {vals.min():.3e}")
-    keep = vals > floor * max(vals.max(), 1.0)
+    keep = vals > EIGENMODE_FLOOR * max(vals.max(), 1.0)
     d = rho.dim
     modes = [vecs[:, i].reshape(d, d) for i in np.nonzero(keep)[0]]
     return vals[keep], modes

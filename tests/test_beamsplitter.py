@@ -10,7 +10,6 @@ from tomolens.beamsplitter import (
     block_unitaries,
     output_closed_form,
 )
-from tomolens.errors import TruncationOverflow
 from tomolens.fock import SingleModeState, fidelity_pure
 from tomolens.metrics import (
     ENTROPY_THRESHOLD,
@@ -122,12 +121,6 @@ def test_forward_then_reverse_is_identity():
     assert abs(out.norm() - 1.0) < 1e-9
 
 
-def test_truncation_guard():
-    inp = make_product(make_coherent(1.5), make_coherent(0.0))
-    with pytest.raises(TruncationOverflow):
-        apply(BeamsplitterConfig(0.0, n_cut=3), inp)
-
-
 @pytest.mark.parametrize("kind", ["ecs", "ocs"])
 @pytest.mark.parametrize("alpha", [0.56, 0.62, 1.5])
 @pytest.mark.parametrize("phi", [0.0, 0.9])
@@ -159,9 +152,6 @@ def test_output_truncation_ignores_rounding_dust(kind, alpha):
         rebuilt = SingleModeState(np.array(amps) * (1.0 + dust * (-1.0) ** np.arange(len(amps))))
         inp = make_product(rebuilt.normalized(), vacuum)
         assert apply(BeamsplitterConfig(0.0), inp).n_cut == expected
-        assert apply(BeamsplitterConfig(np.pi / 2, n_cut=expected), inp).n_cut == expected
-        with pytest.raises(TruncationOverflow):
-            apply(BeamsplitterConfig(0.0, n_cut=expected - 1), inp)
 
 
 def test_unknown_closed_form_kind():

@@ -118,6 +118,24 @@ def test_cli_exit_codes(tmp_path, capsys):
                            "field 'max_order': must be in 0..6, got 7"),
         "negative-order": ("scenario = oracle-audit\nmax_order = -1\n",
                            "field 'max_order': must be in 0..6, got -1"),
+        # Family parameters below their catalog bounds.
+        "negative-m": ("scenario = tomogram\nfamily = pacs\nalpha = 1.0\nm = -1\n",
+                       "field 'm': must be at least 0, got -1"),
+        "zero-base": ("scenario = tomogram\nfamily = isospectral\nzeta = 1.0\nbase = 0\n",
+                      "field 'base': must be at least 1, got 0"),
+        "negative-n": ("scenario = tomogram\nfamily = fock\nn = -2\n",
+                       "field 'n': must be at least 0, got -2"),
+        "negative-r": ("scenario = tomogram\nfamily = pair-coherent\nr = -0.5\n",
+                       "field 'r': must be at least 0.0, got -0.5"),
+        "negative-m-beamsplitter": ("scenario = beamsplitter-sweep\ninput = pacs-vacuum\nm = -1\n"
+                                    "param_start = 0.8\nparam_stop = 0.8\nparam_count = 1\n",
+                                    "field 'm': must be at least 0, got -1"),
+        "negative-m-decoherence": ("scenario = decoherence-run\ninput = pacs-vacuum\nm = -1\nalpha = 0.8\n"
+                                   "time_count = 3\ntime_min = 0.01\ntime_max = 1\n",
+                                   "field 'm': must be at least 0, got -1"),
+        "negative-fock-sweep": ("scenario = entropy-sweep\nfamily = fock\nparam_start = -1\n"
+                                "param_stop = 2\nparam_count = 4\n",
+                                "field 'param_start': must be at least 0, got -1.0"),
     }
     for name, (text, message) in rejected.items():
         path = write_config(tmp_path, text, f"{name}.cfg")

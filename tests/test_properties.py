@@ -28,7 +28,7 @@ from hypothesis.extra import numpy as hnp
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, _lindblad_rhs, evolve
 from tomolens.errors import NegativeTomogram
 from tomolens.fock import TwoModeDensityMatrix, TwoModeState
-from tomolens.metrics import _joint_entropy, entropy_two_mode, two_mode_variance
+from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_variance
 from tomolens.moments import SOURCE_FOCK_ORACLE, hermite_weights, moment_table, two_mode_moment_table
 from tomolens.tomography import _BLOCK_ROWS, _joint_blocks, default_grid, tomogram_joint
 
@@ -139,13 +139,11 @@ def test_channel_semigroup_at_random_rates_and_times(kind, rho, rate_c, rate_d, 
 def _check_blocked_reductions(obj, theta1, theta2, n_points):
     grid = default_grid(obj, n_points)
     w, u = grid.weights, hermite_weights(grid, 2)
-    mass, moments = 0.0, 0.0
-    for rows, block in _joint_blocks(obj, theta1, theta2, grid):
-        mass += w[rows] @ block @ w
-        moments = moments + u[rows].T @ block @ u
+    moments = sum(u[rows].T @ block @ u for rows, block in _joint_blocks(obj, theta1, theta2, grid))
+    mass, entropy = _joint_mass_entropy(obj, theta1, theta2, grid)
     dense = tomogram_joint(obj, theta1, theta2, grid)
     assert abs(mass - w @ dense.values @ w) <= 1e-13
-    assert abs(_joint_entropy(obj, theta1, theta2, grid) - entropy_two_mode(dense)) <= 1e-13
+    assert abs(entropy - entropy_two_mode(dense)) <= 1e-13
     # The H_2 x H_2 entry reaches a few hundred, so the block is compared
     # relative to its largest entry; its (0, 0) entry is the mass, 1.
     reference = u.T @ dense.values @ u
@@ -171,6 +169,6 @@ def test_non_positive_rho_raises_on_both_routes(rho, theta1, theta2, n_points):
     with pytest.raises(NegativeTomogram) as stacked:
         tomogram_joint(rho, theta1, theta2, grid)
     with pytest.raises(NegativeTomogram) as blocked:
-        _joint_entropy(rho, theta1, theta2, grid)
+        _joint_mass_entropy(rho, theta1, theta2, grid)
     assert f"phase ({theta1:.6g}, {theta2:.6g}): min -" in str(stacked.value)
     assert str(blocked.value) == str(stacked.value)
