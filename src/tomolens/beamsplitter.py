@@ -53,15 +53,8 @@ def block_generator(total: int, phi: float) -> np.ndarray:
 
 
 def block_unitaries(max_total: int, phi: float) -> list:
-    """exp(-K) per total-photon block, verified unitary to 1e-9."""
-    out = []
-    for total in range(max_total + 1):
-        u = unitary_exp(-block_generator(total, phi))
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(total + 1)))
-        if defect > 1e-9:
-            raise TruncationOverflow(f"block {total} unitary defect {defect:.2e}")
-        out.append(u)
-    return out
+    """exp(-K) per total-photon block, verified unitary to 1e-9 by unitary_exp."""
+    return [unitary_exp(-block_generator(total, phi)) for total in range(max_total + 1)]
 
 
 def apply(cfg: BeamsplitterConfig, state: TwoModeState) -> TwoModeState:

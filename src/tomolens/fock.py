@@ -117,14 +117,32 @@ def ln_factorial(n) -> np.ndarray:
 
 
 def unitary_exp(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for an anti-Hermitian matrix gen.
+    """exp(gen) for an anti-Hermitian matrix gen, verified unitary to 1e-9.
 
     i gen is Hermitian, so with i gen = V diag(lam) V^dag the exponential is
-    V diag(e^{-i lam}) V^dag.  eigh reads one triangle of i gen only: gen must
-    be anti-Hermitian, and callers check it or build it so.
+    V diag(e^{-i lam}) V^dag.  eigh reads one triangle of i gen only, so a gen
+    that is not anti-Hermitian to 1e-12 of its largest entry raises
+    ValueError; a result whose unitarity defect exceeds 1e-9 raises
+    TruncationOverflow.
     """
+    if np.max(np.abs(gen + gen.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(gen))):
+        raise ValueError("generator is not anti-Hermitian")
     lam, vecs = np.linalg.eigh(1j * gen)
-    return (vecs * np.exp(-1j * lam)) @ vecs.conj().T
+    u = (vecs * np.exp(-1j * lam)) @ vecs.conj().T
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    if defect > 1e-9:
+        raise TruncationOverflow(f"truncated exponential not unitary: defect {defect:.2e}")
+    return u
+
+
+def _top_above_floor(p: np.ndarray) -> int:
+    """Highest level whose probability in `p` exceeds the occupancy floor 1e-13 (0 if none).
+
+    Every carrier's top_occupied reads it, and default quadrature grids are
+    sized from that level.
+    """
+    idx = np.nonzero(p > 1e-13)[0]
+    return int(idx[-1]) if idx.size else 0
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -178,10 +196,8 @@ class SingleModeState:
         return float(np.dot(np.arange(p.size), p))
 
     def top_occupied(self) -> int:
-        """Highest level with probability above 1e-13 (0 if none)."""
-        p = np.abs(self.amplitudes) ** 2
-        idx = np.nonzero(p > 1e-13)[0]
-        return int(idx[-1]) if idx.size else 0
+        """Highest level occupied above the occupancy floor (0 if none)."""
+        return _top_above_floor(np.abs(self.amplitudes) ** 2)
 
     def padded(self, n_cut: int) -> "SingleModeState":
         if n_cut < self.n_cut:
@@ -223,11 +239,8 @@ class TwoModeState:
         return p.sum(axis=1) if mode == "a" else p.sum(axis=0)
 
     def top_occupied(self) -> int:
-        """Highest level either mode occupies above 1e-13 (0 if none)."""
-        pa = self.mode_probabilities("a")
-        pb = self.mode_probabilities("b")
-        occ = np.nonzero((pa > 1e-13) | (pb > 1e-13))[0]
-        return int(occ[-1]) if occ.size else 0
+        """Highest level either mode occupies above the occupancy floor (0 if none)."""
+        return _top_above_floor(np.maximum(self.mode_probabilities("a"), self.mode_probabilities("b")))
 
     def total_photon_distribution(self) -> np.ndarray:
         """Probability of total photon number T = n + m, T = 0 .. 2 n_cut."""
@@ -311,11 +324,8 @@ class TwoModeDensityMatrix:
         return diag.sum(axis=1) if mode == "a" else diag.sum(axis=0)
 
     def top_occupied(self) -> int:
-        """Highest level either mode occupies above 1e-13 (0 if none)."""
-        pa = self.mode_occupations("a")
-        pb = self.mode_occupations("b")
-        occ = np.nonzero((pa > 1e-13) | (pb > 1e-13))[0]
-        return int(occ[-1]) if occ.size else 0
+        """Highest level either mode occupies above the occupancy floor (0 if none)."""
+        return _top_above_floor(np.maximum(self.mode_occupations("a"), self.mode_occupations("b")))
 
 
 def apply_annihilation(state: SingleModeState) -> SingleModeState:

@@ -91,8 +91,8 @@ def _joint_mass_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid 
         grid = default_grid(obj)
     w = grid.weights
     mass = entropy = 0.0
-    for rows, block in _joint_blocks(obj, theta1, theta2, grid):
-        mass += w[rows] @ block @ w
+    for rows, block, share in _joint_blocks(obj, theta1, theta2, grid):
+        mass += share
         entropy += w[rows] @ _entropy_integrand(block) @ w
     return float(mass), float(entropy)
 

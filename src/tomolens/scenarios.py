@@ -325,6 +325,9 @@ def _run_sweep(cfg: dict, col: _Collector) -> None:
     if FAMILIES[family].two_mode:
         raise ConfigError(f"{cfg['scenario']} needs a single-mode family, got {family!r}")
     values = _parse_range(cfg, "param", low=FAMILIES[family].low)
+    off = [v for v in values.tolist() if FAMILIES[family].kind is int and v != int(v)]
+    if off:
+        raise ConfigError(f"field 'param': {family} needs whole-number points, got {off[0]!r}")
     theta = _get(cfg, "theta", float, default=0.0)
 
     def one(v):
@@ -421,7 +424,7 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
             f"time grid: need time_count >= 1 and 0 < time_min <= time_max, got "
             f"time_count={t_count}, time_min={t_min:g}, time_max={t_max:g}"
         )
-    entropy_count = _get(cfg, "entropy_time_count", int, default=0)
+    entropy_count = _get(cfg, "entropy_time_count", int, default=0, low=0)
     theta = _get(cfg, "theta", float, default=0.0)
     times = dec.default_time_grid(t_count, t_min, t_max)
     ent_times = dec.default_time_grid(entropy_count, t_min, t_max) if entropy_count > 0 else []

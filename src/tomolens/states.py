@@ -38,9 +38,6 @@ from .fock import (
     unitary_exp,
 )
 
-def _normalize_certified(amps: np.ndarray) -> SingleModeState:
-    return SingleModeState(amps).normalized().certify()
-
 
 def _adaptive_cut(probabilities: np.ndarray) -> int:
     """Smallest level M with mass above M below TAIL_TOLERANCE, plus buffer."""
@@ -50,6 +47,13 @@ def _adaptive_cut(probabilities: np.ndarray) -> int:
     if ok.size == 0:
         raise TruncationOverflow("probe basis too small for the requested parameters")
     return int(ok[0]) + BUFFER_LEVELS
+
+
+def _certified(amps: np.ndarray, n_cut: int | None) -> SingleModeState:
+    """`amps` cut at _adaptive_cut unless `n_cut` was given, normalized, through the tail certificate."""
+    if n_cut is None:
+        amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
+    return SingleModeState(amps).normalized().certify()
 
 
 def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
@@ -72,10 +76,7 @@ def _coherent_probe_cut(alpha: complex) -> int:
 def make_coherent(alpha: complex, n_cut: int | None = None) -> SingleModeState:
     """Coherent state |alpha>."""
     probe = n_cut if n_cut is not None else _coherent_probe_cut(alpha)
-    amps = _coherent_amplitudes(alpha, probe)
-    if n_cut is None:
-        amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    return _normalize_certified(amps)
+    return _certified(_coherent_amplitudes(alpha, probe), n_cut)
 
 
 def make_fock(n: int, n_cut: int | None = None) -> SingleModeState:
@@ -87,7 +88,7 @@ def make_fock(n: int, n_cut: int | None = None) -> SingleModeState:
         raise TruncationOverflow(f"n_cut={cut} below photon number {n}")
     amps = np.zeros(cut + 1, dtype=complex)
     amps[n] = 1.0
-    return _normalize_certified(amps)
+    return _certified(amps, cut)
 
 
 def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> SingleModeState:
@@ -114,9 +115,7 @@ def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> Si
     if kind in ("even", "odd"):
         # Parity support is exact by construction; stamp out rounding dust.
         amps[(1 if kind == "even" else 0) :: 2] = 0.0
-    if n_cut is None:
-        amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    return _normalize_certified(amps)
+    return _certified(amps, n_cut)
 
 
 def _exponentiated_generator_state(
@@ -130,24 +129,13 @@ def _exponentiated_generator_state(
     """
     dim = probe_start if n_cut is None else n_cut + 1
     while True:
-        gen = build_generator(dim)[first::step, first::step]
-        herm = np.max(np.abs(gen + gen.conj().T))
-        if herm > 1e-12 * max(1.0, np.max(np.abs(gen))):
-            raise ValueError("generator is not anti-Hermitian")
-        u = unitary_exp(gen)
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(gen.shape[0])))
-        if defect > 1e-9:
-            raise TruncationOverflow(f"truncated exponential not unitary: defect {defect:.2e}")
+        u = unitary_exp(build_generator(dim)[first::step, first::step])
         vec = np.zeros(dim, dtype=complex)
         vec[first::step] = u[:, 0]
         probs = np.abs(vec) ** 2
-        top_mass = probs[-max(3, dim // 10) :].sum()
-        if n_cut is not None:
-            return _normalize_certified(vec)
-        if top_mass < 1e-14:
-            cut = _adaptive_cut(probs)
-            if cut + 1 <= dim:
-                return _normalize_certified(vec[: cut + 1])
+        # A probe basis whose top tenth is empty and that holds the adaptive cut is large enough.
+        if n_cut is not None or (probs[-max(3, dim // 10) :].sum() < 1e-14 and _adaptive_cut(probs) < dim):
+            return _certified(vec, n_cut)
         dim = int(dim * 1.6) + 8
 
 
@@ -189,9 +177,7 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
         logmag -= logmag.max()
         amps = np.zeros(probe + 1, dtype=complex)
         amps[m:] = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
-    if n_cut is None:
-        amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    return _normalize_certified(amps)
+    return _certified(amps, n_cut)
 
 
 def deformed_annihilation_matrix(dim: int, base: int = 1) -> np.ndarray:
@@ -252,17 +238,10 @@ def make_two_mode(kind: str, r: float, n_cut: int | None = None) -> TwoModeState
         with np.errstate(divide="ignore"):
             logmag = n * np.log(r) - ln_factorial(n) if r > 0 else np.where(n == 0, 0.0, -np.inf)
         diag = np.exp(logmag - logmag.max())
-    if n_cut is None:
-        cut = _adaptive_cut(np.abs(diag) ** 2)
-        diag = diag[: cut + 1]
-    amps = np.diag(diag)
-    state = TwoModeState(amps).normalized()
-    pa = state.mode_probabilities("a")
-    if pa[-BUFFER_LEVELS:].sum() >= TAIL_TOLERANCE:
-        raise TruncationOverflow(
-            f"n_cut={state.n_cut} cannot certify the two-mode tail for r={r}"
-        )
-    return state
+    # Each mode's distribution is |diag|^2, so certifying the diagonal certifies
+    # both modes; the 2-d state is normalized as a whole.
+    cut = _certified(diag, n_cut).n_cut
+    return TwoModeState(np.diag(diag[: cut + 1])).normalized()
 
 
 def pair_coherent_normalization(r: float) -> float:

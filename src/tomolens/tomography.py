@@ -61,9 +61,10 @@ NEGATIVITY_GUARD = 1e-12
 EIGENMODE_FLOOR = 1e-14
 
 _CSV_CHUNK_ROWS = 256
-# Rows per block of a joint tomogram: the pure route's [Re; Im] product over
-# 2 x 105 rows of the default 1201-point grid is 2.0 MB.  Odd, so grids (odd
-# by construction) can hold a whole number of blocks.
+# Rows per block of a joint tomogram, chosen to keep each block's temporaries
+# near 2 MB: the pure route's [Re; Im] product over 2 x 105 rows of the
+# default 1201-point grid is 2.0 MB.  The last block of a grid is shorter
+# (46 rows at 1201 points, 6 at 2001).
 _BLOCK_ROWS = 105
 
 # theta sampling for plot-ready tomogram maps (the [0, pi] convention).
@@ -193,12 +194,6 @@ def _check_mass_defect(defect: float, what: str) -> None:
         raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; enlarge the grid")
 
 
-def _checked_mass(tomo, what: str):
-    """`tomo` after the normalization guard."""
-    _check_mass_defect(tomo.normalization_defect(), what)
-    return tomo
-
-
 def _joint_grid(obj, grid):
     """The grid both modes share (defaulted from `obj`) and its psi_n matrix."""
     if grid is None:
@@ -212,13 +207,6 @@ def _check_nonnegative(low, high, labels: list) -> None:
     if bad.size:
         where = "; ".join(f"phase {labels[i]}: min {low[i]:.3e}, max {high[i]:.3e}" for i in bad)
         raise NegativeTomogram(f"density matrix gives a negative tomogram ({where})")
-
-
-def _nonnegative(values: np.ndarray, labels: list) -> np.ndarray:
-    """Clamped values after the negativity guard; one block of values per phase label."""
-    blocks = values.reshape(len(labels), -1)
-    _check_nonnegative(blocks.min(axis=1), blocks.max(axis=1), labels)
-    return _clamped(values)
 
 
 def _psi_products(psis: np.ndarray) -> np.ndarray:
@@ -252,21 +240,22 @@ def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = 
     psis = hermite_psi_matrix(state.n_cut, grid.x)
     n = np.arange(state.n_cut + 1)
     phased = np.exp(-1j * np.outer(thetas, n)) * state.amplitudes
-    values = _clamped(np.abs(phased @ psis) ** 2)
-    tomo = Tomogram(thetas, values, grid)
-    return _checked_mass(tomo, f"per-theta tomogram on half-width {grid.half_width:.2f}")
+    tomo = Tomogram(thetas, _clamped(np.abs(phased @ psis) ** 2), grid)
+    _check_mass_defect(tomo.normalization_defect(), f"per-theta tomogram on half-width {grid.half_width:.2f}")
+    return tomo
 
 
 def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
-    """Yield (rows, W[rows]) over the row blocks of the joint tomogram at (theta1, theta2).
+    """Yield (rows, W[rows], mass share) over the row blocks of the joint tomogram at (theta1, theta2).
 
     A pure state's block is |A[rows] psi|^2 with A = psi^T c~, through one
     real matrix product of [Re A[rows]; Im A[rows]]; a density matrix's is
     (Q^T F^T)[rows] Q with the folded F formed once (see the module
-    docstring).  Each block is clamped before it is yielded.  After the last
-    block the negativity guard (on the running minimum and maximum) and the
-    mass guard (on the summed mass) raise, naming the phase pair, so a
-    caller that reduces every block never returns a sum that failed them.
+    docstring).  Each block is clamped before it is yielded, with its share
+    w[rows] W[rows] w of the mass.  After the last block the negativity
+    guard (on the running minimum and maximum) and the mass guard (on the
+    summed shares) raise, naming the phase pair, so a caller that reduces
+    every block never returns a sum that failed them.
     """
     psis = hermite_psi_matrix(obj.n_cut, grid.x)
     d = psis.shape[0]
@@ -295,8 +284,9 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
         values = block(rows)
         low, high = min(low, values.min()), max(high, values.max())
         values = _clamped(values)
-        mass += grid.weights[rows] @ values @ grid.weights
-        yield rows, values
+        share = grid.weights[rows] @ values @ grid.weights
+        mass += share
+        yield rows, values, share
     where = f"({theta1:.6g}, {theta2:.6g})"
     _check_nonnegative([low], [high], [where])
     _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at {where}")
@@ -306,7 +296,7 @@ def _stacked(obj, theta1: float, theta2: float, grid) -> TwoModeTomogram:
     """The joint tomogram at one phase pair with its row blocks stacked, both modes on `grid`."""
     if grid is None:
         grid = default_grid(obj)
-    values = np.concatenate([block for _, block in _joint_blocks(obj, theta1, theta2, grid)])
+    values = np.concatenate([block for _, block, _ in _joint_blocks(obj, theta1, theta2, grid)])
     return TwoModeTomogram(theta1, theta2, values, grid, grid)
 
 
@@ -397,8 +387,10 @@ def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None)
     d = reduced.shape[0]
     folded = _folded((reduced * _phase_matrix(d, thetas)).real.reshape(thetas.size, d * d), d)
     values = folded @ _psi_products(hermite_psi_matrix(obj.n_cut, grid.x))
-    tomo = Tomogram(thetas, _nonnegative(values, [f"{th:.6g}" for th in thetas]), grid)
-    return _checked_mass(tomo, f"reduced-mode tomogram on half-width {grid.half_width:.2f}")
+    _check_nonnegative(values.min(axis=1), values.max(axis=1), [f"{th:.6g}" for th in thetas])
+    tomo = Tomogram(thetas, _clamped(values), grid)
+    _check_mass_defect(tomo.normalization_defect(), f"reduced-mode tomogram on half-width {grid.half_width:.2f}")
+    return tomo
 
 
 def marginal(tomo: TwoModeTomogram, keep: str = "a") -> Tomogram:

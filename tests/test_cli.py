@@ -136,6 +136,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         "negative-fock-sweep": ("scenario = entropy-sweep\nfamily = fock\nparam_start = -1\n"
                                 "param_stop = 2\nparam_count = 4\n",
                                 "field 'param_start': must be at least 0, got -1.0"),
+        # linspace(0.5, 2.5, 3) would otherwise build |0>, |1>, |2> under params 0.5, 1.5, 2.5.
+        "fractional-fock-sweep": ("scenario = variance-sweep\nfamily = fock\nparam_start = 0.5\n"
+                                  "param_stop = 2.5\nparam_count = 3\n",
+                                  "field 'param': fock needs whole-number points, got 0.5"),
+        "negative-entropy-times": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"
+                                   "time_count = 3\ntime_min = 0.01\ntime_max = 1\nentropy_time_count = -2\n",
+                                   "field 'entropy_time_count': must be at least 0, got -2"),
     }
     for name, (text, message) in rejected.items():
         path = write_config(tmp_path, text, f"{name}.cfg")
@@ -304,6 +311,11 @@ def test_audit_negative_controls():
         for r in inadequate
         if r.check == "construction+tail-certificate" and r.subject == "coherent-2"
     )
+    # The two-mode constructors fail the same tail certificate as the single-mode ones.
+    certificates = {r.subject: r for r in inadequate if r.check == "construction+tail-certificate"}
+    for subject in ("caves-schumaker", "pair-coherent"):
+        r = certificates[subject]
+        assert not r.passed and r.detail.startswith("TruncationOverflow: tail mass "), r.detail
 
 
 def test_audit_cli_exit_code_on_failure():

@@ -237,6 +237,12 @@ def test_unitary_exp_matches_expm(gen):
     np.testing.assert_allclose(unitary_exp(-gen), expm(-gen), rtol=0.0, atol=tol)
 
 
+def test_unitary_exp_rejects_a_generator_that_is_not_anti_hermitian():
+    gen = _squeezing_generator(12, 0.5)
+    with pytest.raises(ValueError, match="not anti-Hermitian"):
+        unitary_exp(gen + 1e-9 * np.eye(12))
+
+
 def test_unitary_exp_matches_extended_precision():
     gen = _squeezing_generator(40, 0.5)
     with mp.workdps(40):

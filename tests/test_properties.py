@@ -139,7 +139,7 @@ def test_channel_semigroup_at_random_rates_and_times(kind, rho, rate_c, rate_d, 
 def _check_blocked_reductions(obj, theta1, theta2, n_points):
     grid = default_grid(obj, n_points)
     w, u = grid.weights, hermite_weights(grid, 2)
-    moments = sum(u[rows].T @ block @ u for rows, block in _joint_blocks(obj, theta1, theta2, grid))
+    moments = sum(u[rows].T @ block @ u for rows, block, _ in _joint_blocks(obj, theta1, theta2, grid))
     mass, entropy = _joint_mass_entropy(obj, theta1, theta2, grid)
     dense = tomogram_joint(obj, theta1, theta2, grid)
     assert abs(mass - w @ dense.values @ w) <= 1e-13
