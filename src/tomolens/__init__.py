@@ -28,6 +28,7 @@ from .errors import (
     MissingOrder,
     NegativeTomogram,
     OrderTooHigh,
+    ProjectionDefect,
     TomolensError,
     TruncationOverflow,
 )

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 configuration error (including a value the library
 rejects, such as a negative channel rate, a family parameter below its
 bound, or a parameter at which a state family is undefined), 2 numerical-guard failure (inadequate truncation or
-grid, or a density matrix whose tomogram goes negative, with the offending
-point named), 3 audit failures (a failed `tomolens audit` check, or an
+grid, a density matrix whose tomogram goes negative, or a product-basis
+projection off by more than rounding, with the offending point named),
+3 audit failures (a failed `tomolens audit` check, or an
 oracle-audit scenario whose worst difference reaches its tolerance).
 """
 
@@ -19,6 +20,7 @@ from .errors import (
     DegenerateParameter,
     GridTooNarrow,
     NegativeTomogram,
+    ProjectionDefect,
     TruncationOverflow,
 )
 from .scenarios import audit_table, parse_config, run_audit, run_scenario
@@ -58,7 +60,7 @@ def main(argv=None) -> int:
         except (ConfigError, DegenerateParameter) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        except (TruncationOverflow, GridTooNarrow, NegativeTomogram) as exc:
+        except (TruncationOverflow, GridTooNarrow, NegativeTomogram, ProjectionDefect) as exc:
             print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         except AuditFailure as exc:

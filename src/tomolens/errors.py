@@ -33,5 +33,9 @@ class NegativeTomogram(TomolensError):
     """A density matrix yields tomogram values below zero beyond rounding."""
 
 
+class ProjectionDefect(TomolensError):
+    """A product-basis projection misses the psi products it stands in for beyond rounding."""
+
+
 class AuditFailure(TomolensError):
     """An audit found a value outside its tolerance."""

@@ -185,9 +185,12 @@ class SingleModeState:
     def certify(self) -> "SingleModeState":
         tail = self.tail_mass()
         if tail >= TAIL_TOLERANCE:
+            # Below the reserve the whole basis is tail, and there is no level to quote.
+            above, verdict = f" above level {self.n_cut - BUFFER_LEVELS}", "is inadequate"
+            if self.n_cut < BUFFER_LEVELS:
+                above, verdict = "", f"is below the BUFFER_LEVELS reserve of {BUFFER_LEVELS}"
             raise TruncationOverflow(
-                f"tail mass {tail:.3e} above level {self.n_cut - BUFFER_LEVELS} exceeds "
-                f"{TAIL_TOLERANCE:.0e}; n_cut={self.n_cut} is inadequate"
+                f"tail mass {tail:.3e}{above} exceeds {TAIL_TOLERANCE:.0e}; n_cut={self.n_cut} {verdict}"
             )
         return self
 

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateParameter,
     GridTooNarrow,
     NegativeTomogram,
+    ProjectionDefect,
     TomolensError,
     TruncationOverflow,
 )
@@ -200,7 +201,7 @@ def _guarded(fn, point: str):
     def wrapped(*args):
         try:
             return fn(*args)
-        except (TruncationOverflow, GridTooNarrow, NegativeTomogram, DegenerateParameter) as exc:
+        except (TruncationOverflow, GridTooNarrow, NegativeTomogram, ProjectionDefect, DegenerateParameter) as exc:
             raise type(exc)(f"{exc} [at {point.format(*args)}]") from exc
 
     return wrapped

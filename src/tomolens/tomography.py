@@ -20,10 +20,19 @@ formed as c c^dag for a pure state.  A physical rho gives non-negative
 values up to rounding; a contraction dipping below -1e-12 times its maximum
 raises NegativeTomogram, and the rounding-level rest is set to zero.
 
+The d(d+1)/2 rows of Q span only 2d - 1 functions: psi_n psi_n' is a
+polynomial of degree n + n' times e^{-X^2}, and so is
+P_k(X) = psi_k(sqrt(2) X) for k <= 2d - 2.  So Q = R P exactly, with R a
+d(d+1)/2 x (2d - 1) matrix fixed by d alone (a Gauss-Hermite rule with
+2d - 1 nodes integrates every psi_n psi_n' P_k exactly), and a joint
+tomogram is P^T C P with C = R^T F^T R of size (2d - 1)^2: N^2 (2d - 1)
+multiply-adds instead of N^2 d(d+1)/2.  Every call checks max|Q - R P|
+against PROJECTION_GUARD and raises ProjectionDefect, naming d and N, above it.
+
 No caller keeps a joint tomogram W: each reads a mass, the entropy
 -sum w_i w_j W ln W or a block U^T W U off it.  So W is evaluated one block
 of rows at a time, |A[rows] psi|^2 with A = psi^T c~ for a pure state and
-(Q^T F^T)[rows] Q for a density matrix, and every such number is summed
+P[:, rows]^T (C P) for a density matrix, and every such number is summed
 over the blocks as they come; the running minimum and maximum and the
 summed mass feed the negativity and mass guards after the last block.
 Blocks of 105 rows keep the largest temporary near 2 MB on the default
@@ -39,10 +48,11 @@ logarithms stay finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridTooNarrow, NegativeTomogram
+from .errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
 from .fock import (
     BUFFER_LEVELS,
     SingleModeState,
@@ -59,12 +69,16 @@ CLAMP = 1e-300
 NEGATIVITY_GUARD = 1e-12
 # density_eigenmodes drops eigenvalues below this, relative to the largest.
 EIGENMODE_FLOOR = 1e-14
+# max|Q - R P| may reach this by rounding only (|Q| <= 1/sqrt(pi)); measured
+# at most 1.1e-14 for d up to 120, and near 0.1 with one Gauss-Hermite node short.
+PROJECTION_GUARD = 1e-13
 
 _CSV_CHUNK_ROWS = 256
 # Rows per block of a joint tomogram, chosen to keep each block's temporaries
 # near 2 MB: the pure route's [Re; Im] product over 2 x 105 rows of the
-# default 1201-point grid is 2.0 MB.  The last block of a grid is shorter
-# (46 rows at 1201 points, 6 at 2001).
+# default 1201-point grid is 2.0 MB, and the mixed route's block
+# P[:, rows]^T (C P) is one 105 x N product, 1.0 MB.  The last block of a
+# grid is shorter (46 rows at 1201 points, 6 at 2001).
 _BLOCK_ROWS = 105
 
 # theta sampling for plot-ready tomogram maps (the [0, pi] convention).
@@ -226,6 +240,52 @@ def _folded(re_rho: np.ndarray, d: int) -> np.ndarray:
     return pairs * np.where(n == m, 0.5, 1.0)
 
 
+@lru_cache(maxsize=64)
+def _product_projection(d: int, nodes: int) -> np.ndarray:
+    """R with psi_n psi_n' = sum_k R[(n, n'), k] psi_k(sqrt(2) X) over k <= 2d - 2, by a `nodes`-point rule.
+
+    The P_k(X) = psi_k(sqrt(2) X) are orthogonal with squared norm
+    1/sqrt(2), so R[(n, n'), k] = sqrt(2) int psi_n psi_n' P_k dX, which
+    X = t/sqrt(2) turns into int psi_n(t/sqrt(2)) psi_n'(t/sqrt(2)) psi_k(t) dt:
+    a polynomial of degree <= 4d - 4 times e^{-t^2}, integrated exactly by
+    Gauss-Hermite with nodes >= 2d - 1.  Its weights times e^{t^2} are the
+    Christoffel numbers 1 / sum_{k < nodes} psi_k(t)^2, formed without an
+    exponential.  Rows are the pairs n <= n' of _psi_products.  The
+    read-only result is cached, since it depends on d and nodes alone.
+    """
+    t = np.polynomial.hermite.hermgauss(nodes)[0]
+    psi_t = hermite_psi_matrix(max(nodes, 2 * d - 1) - 1, t)
+    christoffel = 1.0 / np.einsum("kj,kj->j", psi_t[:nodes], psi_t[:nodes])
+    q = _psi_products(hermite_psi_matrix(d - 1, t / np.sqrt(2.0)))
+    projection = (q * christoffel) @ psi_t[: 2 * d - 1].T
+    projection.setflags(write=False)
+    return projection
+
+
+def _product_basis(psis: np.ndarray, grid: QuadratureGrid):
+    """(R, P): the projection of _psi_products(psis) onto P_k = psi_k(sqrt(2) X) on `grid`, certified.
+
+    Raises ProjectionDefect, naming d and N, when max|Q - R P| exceeds
+    PROJECTION_GUARD.  The pairs (n, n' >= n) of each n are checked
+    together, so no d(d+1)/2 x N temporary is formed.
+    """
+    d = psis.shape[0]
+    projection = _product_projection(d, 2 * d - 1)
+    basis = hermite_psi_matrix(2 * d - 2, np.sqrt(2.0) * grid.x)
+    defect, start = 0.0, 0
+    for n in range(d):
+        rows = slice(start, start + d - n)
+        start = rows.stop
+        diff = projection[rows] @ basis - psis[n] * psis[n:]
+        defect = max(defect, float(np.abs(diff, out=diff).max()))
+    if defect > PROJECTION_GUARD:
+        raise ProjectionDefect(
+            f"product basis misses psi_n psi_n' by {defect:.3e} > {PROJECTION_GUARD:.0e} "
+            f"at d={d}, N={grid.x.size}"
+        )
+    return projection, basis
+
+
 def _phase_matrix(dim: int, theta) -> np.ndarray:
     """e^{-i(n - n') theta} of shape (dim, dim), behind one leading axis per theta for an array."""
     n = np.arange(dim)
@@ -250,12 +310,13 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
 
     A pure state's block is |A[rows] psi|^2 with A = psi^T c~, through one
     real matrix product of [Re A[rows]; Im A[rows]]; a density matrix's is
-    (Q^T F^T)[rows] Q with the folded F formed once (see the module
-    docstring).  Each block is clamped before it is yielded, with its share
-    w[rows] W[rows] w of the mass.  After the last block the negativity
-    guard (on the running minimum and maximum) and the mass guard (on the
-    summed shares) raise, naming the phase pair, so a caller that reduces
-    every block never returns a sum that failed them.
+    P[:, rows]^T (C P) with C = R^T F^T R, the folded F projected onto the
+    certified product basis once (see the module docstring).  Each block is
+    clamped before it is yielded, with its share w[rows] W[rows] w of the
+    mass.  After the last block the negativity guard (on the running minimum
+    and maximum) and the mass guard (on the summed shares) raise, naming the
+    phase pair, so a caller that reduces every block never returns a sum
+    that failed them.
     """
     psis = hermite_psi_matrix(obj.n_cut, grid.x)
     d = psis.shape[0]
@@ -270,13 +331,14 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
             return real_sq + imag_sq
 
     else:
-        q = _psi_products(psis)
+        projection, basis = _product_basis(psis, grid)
         phased = obj.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
         # Folding (m, m'), then (n, n') after a transpose, leaves F indexed [(m, m'), (n, n')].
         folded = _folded(_folded(phased.real.reshape(d * d, d * d), d).T, d)
+        right = projection.T @ folded.T @ projection @ basis
 
         def block(rows):
-            return q[:, rows].T @ folded.T @ q
+            return basis[:, rows].T @ right
 
     low, high, mass = np.inf, -np.inf, 0.0
     for start in range(0, grid.x.size, _BLOCK_ROWS):
@@ -352,7 +414,8 @@ def tomogram_mixed(
 ) -> TwoModeTomogram:
     """Joint tomogram of a two-mode density matrix at one phase pair, both modes on `grid`.
 
-    Q^T F Q with F the folded Re(rho~) (see the module docstring).
+    Q^T F Q with F the folded Re(rho~), evaluated as P^T C P in the
+    product basis (see the module docstring).
     Raises NegativeTomogram, naming the phase pair, when rho is not positive
     enough for the values to stay above -1e-12 times their maximum.
     """

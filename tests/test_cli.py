@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tomolens
-from tomolens import scenarios
+from tomolens import scenarios, tomography
 from tomolens.cli import main
 from tomolens.errors import ConfigError, NegativeTomogram
 from tomolens.scenarios import (
@@ -182,6 +182,22 @@ def test_negative_tomogram_is_a_named_numerical_guard(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("numerical guard: NegativeTomogram: density matrix gives a negative")
     assert "[at param=0.5, phi=0.25]" in err and "Traceback" not in err
+
+
+def test_projection_defect_is_a_named_numerical_guard(tmp_path, capsys, monkeypatch):
+    # One Gauss-Hermite node short, the product basis of the entropy point's
+    # mixed joint tomogram fails its certificate inside the guarded time point.
+    exact = tomography._product_projection
+    monkeypatch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
+    path = write_config(
+        tmp_path,
+        "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\nchannel = phase-damping\n"
+        "time_count = 1\nentropy_time_count = 1\ntime_min = 0.1\ntime_max = 0.1\n",
+    )
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: ProjectionDefect: product basis misses psi_n psi_n'"), err
+    assert ", N=1201 [at t=0.1]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from scipy.special import gammaln
 from tomolens.beamsplitter import block_generator
 from tomolens.errors import TruncationOverflow
 from tomolens.fock import (
+    BUFFER_LEVELS,
     SingleModeState,
     TwoModeDensityMatrix,
     TwoModeState,
@@ -154,6 +155,20 @@ def test_tail_mass_certificate():
     assert state.tail_mass() < 1e-10
     with pytest.raises(TruncationOverflow):
         SingleModeState(np.full(5, np.sqrt(0.2), dtype=complex)).certify()
+
+
+def test_tail_certificate_names_the_buffer_reserve_below_it():
+    # n_cut = 4 leaves no level below the BUFFER_LEVELS reserve: the whole
+    # basis is tail, and the message says so instead of quoting level -6.
+    with pytest.raises(TruncationOverflow) as short:
+        SingleModeState(np.full(5, np.sqrt(0.2), dtype=complex)).certify()
+    assert str(short.value) == (
+        f"tail mass 1.000e+00 exceeds 1e-10; n_cut=4 is below the BUFFER_LEVELS reserve of {BUFFER_LEVELS}"
+    )
+    amps = np.zeros(BUFFER_LEVELS + 3, dtype=complex)
+    amps[[0, -1]] = np.sqrt(0.5)
+    with pytest.raises(TruncationOverflow, match=r"^tail mass 5\.000e-01 above level 2 exceeds 1e-10;"):
+        SingleModeState(amps).certify()
 
 
 def test_two_mode_state_shape_guard():

@@ -12,7 +12,10 @@ or density matrix (d <= 5) one row block at a time, on grids whose point
 count is just below, equal to and one above a whole number of blocks, and
 compare its mass, entropy and moment block with the stacked tomogram; a
 random non-positive Hermitian rho must raise NegativeTomogram, naming the
-phase pair, on the blocked and the stacked route alike.
+phase pair, on the blocked and the stacked route alike.  The mixed-tomogram
+checks draw a density matrix (d <= 5) and compare its joint tomogram with
+the eigenmode sum of density_eigenmodes and with the unfolded full-pair form
+Q^T Re(rho~) Q, and each reduced-mode row with the joint tomogram's marginal.
 Draws are derandomized and nothing is stored between runs.
 """
 
@@ -30,9 +33,17 @@ from tomolens.errors import NegativeTomogram
 from tomolens.fock import TwoModeDensityMatrix, TwoModeState
 from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_variance
 from tomolens.moments import SOURCE_FOCK_ORACLE, hermite_weights, moment_table, two_mode_moment_table
-from tomolens.tomography import _BLOCK_ROWS, _joint_blocks, default_grid, tomogram_joint
+from tomolens.tomography import (
+    _BLOCK_ROWS,
+    _joint_blocks,
+    default_grid,
+    marginal,
+    tomogram_joint,
+    tomogram_mixed,
+    tomogram_reduced,
+)
 
-from references import composite_lindblad_rhs
+from references import composite_lindblad_rhs, eigenmode_tomogram, full_pair_tomogram
 
 # Even without an example database, Hypothesis caches the constants it reads
 # from local source files under ./.hypothesis; a temporary home, removed at
@@ -172,3 +183,30 @@ def test_non_positive_rho_raises_on_both_routes(rho, theta1, theta2, n_points):
         _joint_mass_entropy(rho, theta1, theta2, grid)
     assert f"phase ({theta1:.6g}, {theta2:.6g}): min -" in str(stacked.value)
     assert str(blocked.value) == str(stacked.value)
+
+
+@PROPERTY
+@given(density_matrices(), PHASES, PHASES, BLOCK_GRIDS)
+def test_mixed_tomogram_matches_eigenmode_sum(rho, theta1, theta2, n_points):
+    grid = default_grid(rho, n_points)
+    values = tomogram_mixed(rho, theta1, theta2, grid).values
+    assert np.max(np.abs(values - eigenmode_tomogram(rho, theta1, theta2, grid))) <= 1e-13
+
+
+@PROPERTY
+@given(density_matrices(), PHASES, PHASES, BLOCK_GRIDS)
+def test_mixed_tomogram_matches_full_pair_form(rho, theta1, theta2, n_points):
+    grid = default_grid(rho, n_points)
+    expected = full_pair_tomogram(rho, theta1, theta2, grid)
+    values = tomogram_mixed(rho, theta1, theta2, grid).values
+    assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
+
+
+@PROPERTY
+@given(density_matrices(), PHASES, PHASES, BLOCK_GRIDS)
+def test_reduced_rows_match_joint_marginals(rho, theta1, theta2, n_points):
+    grid = default_grid(rho, n_points)
+    joint = tomogram_mixed(rho, theta1, theta2, grid)
+    for mode, theta in (("a", theta1), ("b", theta2)):
+        row = tomogram_reduced(rho, mode, [theta], grid).values[0]
+        assert np.max(np.abs(row - marginal(joint, mode).values[0])) <= 1e-12

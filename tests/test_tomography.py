@@ -6,18 +6,20 @@ import pytest
 from tomolens import decoherence, tomography
 from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
-from tomolens.errors import GridTooNarrow, NegativeTomogram
+from tomolens.errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
 from tomolens.fock import TwoModeDensityMatrix, hermite_psi_matrix
 from tomolens.metrics import band_peaks
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product, make_squeezed, make_two_mode
 from tomolens.tomography import (
+    PROJECTION_GUARD,
     QuadratureGrid,
     TwoModeTomogram,
+    _product_basis,
+    _psi_products,
     _two_mode_pure_slice,
     _write_rows,
     check_pi_shift,
     default_grid,
-    density_eigenmodes,
     marginal,
     tomogram_joint,
     tomogram_mixed,
@@ -27,6 +29,8 @@ from tomolens.tomography import (
     tomogram_two_mode_pure,
     two_mode_tomogram_to_csv,
 )
+
+from references import eigenmode_tomogram, full_pair_products, full_pair_tomogram, phase_matrix
 
 
 def decohered_output(kind, t=0.3):
@@ -182,14 +186,8 @@ def test_mixed_tomogram_matches_eigenmode_sum(kind):
     # spectral decomposition of rho.
     rho = decohered_output(kind)
     grid = default_grid(rho)
-    psis = hermite_psi_matrix(rho.n_cut, grid.x)
-    weights, modes = density_eigenmodes(rho)
-    n = np.arange(rho.dim)
     for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
-        expected = np.zeros((grid.x.size, grid.x.size))
-        for lam, c in zip(weights, modes):
-            phased = c * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
-            expected += lam * np.abs(psis.T @ phased @ psis) ** 2
+        expected = eigenmode_tomogram(rho, theta1, theta2, grid)
         direct = tomogram_mixed(rho, theta1, theta2, grid).values
         assert np.max(np.abs(direct - expected)) <= 1e-13
 
@@ -208,17 +206,6 @@ def test_pure_joint_tomogram_matches_complex_contraction():
             assert np.max(np.abs(values - expected)) <= 1e-15 * expected.max()
 
 
-def full_pair_products(obj, grid):
-    """Q[(n, n'), j] = psi_n(x_j) psi_n'(x_j) over all d^2 pairs (the unfolded form)."""
-    psis = hermite_psi_matrix(obj.n_cut, grid.x)
-    return (psis[:, None, :] * psis[None, :, :]).reshape(psis.shape[0] ** 2, -1)
-
-
-def phase_matrix(dim, theta):
-    n = np.arange(dim)
-    return np.exp(-1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
-
-
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DECAY])
 def test_folded_contractions_match_full_pair_form(kind):
     # Reference: Q^T Re(rho~) Q and Re(rho~_a) Q over every (n, n') pair,
@@ -228,13 +215,12 @@ def test_folded_contractions_match_full_pair_form(kind):
     d = rho.dim
     default = default_grid(rho)
     for grid in (default, QuadratureGrid.uniform(default.half_width + 1.5, 901)):
-        q = full_pair_products(rho, grid)
         for theta1, theta2 in ((0.0, 0.0), (0.4, 1.1)):
-            phased = rho.entries * phase_matrix(d, theta1)[:, :, None, None] * phase_matrix(d, theta2)
-            expected = q.T @ phased.real.reshape(d * d, d * d) @ q
+            expected = full_pair_tomogram(rho, theta1, theta2, grid)
             values = tomogram_mixed(rho, theta1, theta2, grid).values
             assert np.max(np.abs(values - expected)) <= 1e-14 * expected.max()
         thetas = np.array([0.0, 0.7, 2.0])
+        q = full_pair_products(rho, grid)
         for mode in ("a", "b"):
             reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", rho.entries)
             expected = (reduced * phase_matrix(d, thetas)).real.reshape(thetas.size, d * d) @ q
@@ -403,6 +389,30 @@ def test_joint_tomogram_mass_guard_names_the_phase_pair(mixed):
     obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
     with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1"):
         tomogram_joint(obj, 0.4, 1.1, QuadratureGrid.uniform(1.0, 201))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 24, 40])
+def test_product_basis_reproduces_psi_products(d):
+    # The Gauss-Hermite projection depends on d alone, so it holds on the
+    # narrow mass-guard grid as on a default-sized one.
+    default = QuadratureGrid.uniform(tomography.support_half_width(d - 1), 1201)
+    for grid in (default, QuadratureGrid.uniform(1.0, 201)):
+        psis = hermite_psi_matrix(d - 1, grid.x)
+        projection, basis = _product_basis(psis, grid)
+        assert projection.shape == (d * (d + 1) // 2, 2 * d - 1) and basis.shape == (2 * d - 1, grid.x.size)
+        assert np.max(np.abs(_psi_products(psis) - projection @ basis)) <= PROJECTION_GUARD
+
+
+def test_product_basis_one_node_short_raises_naming_d_and_n(monkeypatch):
+    # Negative control of the projection certificate: 2d - 2 Gauss-Hermite
+    # nodes miss the degree-(4d - 4) integrands by about 0.1, and the mixed
+    # route raises instead of returning a wrong tomogram.
+    rho = decohered_output(PHASE_DAMPING)
+    grid = default_grid(rho)
+    exact = tomography._product_projection
+    monkeypatch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
+    with pytest.raises(ProjectionDefect, match=rf"misses psi_n psi_n' by .* at d={rho.dim}, N={grid.x.size}$"):
+        tomogram_mixed(rho, 0.4, 1.1, grid)
 
 
 def test_janus_partner_slices_share_peak_structure():
