@@ -110,14 +110,21 @@ def evolve_amplitude(rho0: TwoModeDensityMatrix, cfg: ChannelConfig, t: float) -
 
 
 def evolve_phase(rho0: TwoModeDensityMatrix, cfg: ChannelConfig, t: float) -> TwoModeDensityMatrix:
-    """Phase-damping evolution: off-diagonal Fock coherences decay, diagonals persist."""
+    """Phase-damping evolution: off-diagonal Fock coherences decay, diagonals persist.
+
+    Each slab rho[n] is scaled by the product of the two modes' real factors
+    in one complex pass, so no d^4 temporary is made.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
     n = np.arange(rho0.dim)
     diff_sq = (n[:, None] - n[None, :]) ** 2
     factor_c = np.exp(-cfg.rate_c * diff_sq * t)
     factor_d = np.exp(-cfg.rate_d * diff_sq * t)
-    return TwoModeDensityMatrix(rho0.entries * factor_c[:, :, None, None] * factor_d)
+    out = np.empty_like(rho0.entries)
+    for k in range(rho0.dim):
+        np.multiply(rho0.entries[k], factor_c[k, :, None, None] * factor_d, out=out[k])
+    return TwoModeDensityMatrix(out)
 
 
 def evolve(rho0: TwoModeDensityMatrix, cfg: ChannelConfig, t: float) -> TwoModeDensityMatrix:

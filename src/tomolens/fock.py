@@ -46,47 +46,84 @@ def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
     flush the whole column to zero; psi_n(50) for n ~ 2500 is O(0.1) and is
     recovered correctly.
 
+    On an exactly antisymmetric x (x[::-1] == -x bit for bit, as every
+    QuadratureGrid.uniform grid is) the recurrence runs on the last
+    len(x) - len(x)//2 points only, straight into the output, and the first
+    len(x)//2 columns are mirrored from them as psi_n(-x) = (-1)^n psi_n(x).
+    That is bit-identical to running on every point: the recurrence only
+    multiplies by x and by constants, and its rescale tests read |p| and x^2.
+
     Returns an array of shape (n_max + 1, len(x)).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    npts = x.size
-    out = np.empty((n_max + 1, npts))
-
-    # Scaled recurrence: true psi_n = p_n * exp(log_scale), per point.
-    log_scale = -0.5 * x * x
-    p_prev = np.full(npts, np.pi ** -0.25)
-    out[0] = _descale(p_prev, log_scale)
-    if n_max == 0:
-        return out
-    p_cur = np.sqrt(2.0) * x * p_prev
-    out[1] = _descale(p_cur, log_scale)
-    for n in range(1, n_max):
-        p_next = np.sqrt(2.0 / (n + 1)) * x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
-        p_prev, p_cur = p_cur, p_next
-        big = np.abs(p_cur) > _RESCALE_HI
-        if big.any():
-            p_cur[big] *= 1e-200
-            p_prev[big] *= 1e-200
-            log_scale[big] += _LOG_RESCALE
-        small = (np.abs(p_cur) < _RESCALE_LO) & (np.abs(p_cur) > 0.0) & (np.abs(p_prev) < _RESCALE_LO)
-        if small.any():
-            p_cur[small] *= 1e200
-            p_prev[small] *= 1e200
-            log_scale[small] -= _LOG_RESCALE
-        out[n + 1] = _descale(p_cur, log_scale)
+    out = np.empty((n_max + 1, x.size))
+    half = x.size // 2 if np.array_equal(x[::-1], -x) else 0
+    _psi_recurrence(x[half:], out[:, half:])
+    if half:
+        mirrored = out[:, : x.size - half - 1 : -1]
+        out[0::2, :half] = mirrored[0::2]
+        np.negative(mirrored[1::2], out=out[1::2, :half])
     return out
 
 
-def _descale(p: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """p * exp(log_scale) without intermediate overflow or spurious zeros."""
+def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
+    """Write psi_n(x) for n = 0 .. len(out) - 1 into `out` (rows n, one column per point).
+
+    Scaled recurrence: true psi_n = p_n * exp(log_scale), per point.  The
+    factor exp(log_scale) changes only at a rescale, so it is formed once
+    per rescale, not once per row.
+    """
+    n_max = out.shape[0] - 1
+    log_scale = -0.5 * x * x
+    p_prev = np.full(x.size, np.pi ** -0.25)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        direct = p * np.exp(log_scale)
+        scale = _Scale(log_scale)
+        scale.descale(p_prev, out[0])
+        if n_max == 0:
+            return
+        p_cur = np.sqrt(2.0) * x * p_prev
+        scale.descale(p_cur, out[1])
+        for n in range(1, n_max):
+            p_next = np.sqrt(2.0 / (n + 1)) * x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
+            p_prev, p_cur = p_cur, p_next
+            size = np.abs(p_cur)
+            big = size > _RESCALE_HI
+            if big.any():
+                p_cur[big] *= 1e-200
+                p_prev[big] *= 1e-200
+                log_scale[big] += _LOG_RESCALE
+                scale = _Scale(log_scale)
+                size = np.abs(p_cur)
+            small = size < _RESCALE_LO
+            if small.any():
+                small &= (size > 0.0) & (np.abs(p_prev) < _RESCALE_LO)
+                if small.any():
+                    p_cur[small] *= 1e200
+                    p_prev[small] *= 1e200
+                    log_scale[small] -= _LOG_RESCALE
+                    scale = _Scale(log_scale)
+            scale.descale(p_cur, out[n + 1])
+
+
+class _Scale:
+    """exp(log_scale) for the per-point exponents of one stretch between rescales.
+
+    Floating-point warnings are the caller's to silence.
+    """
+
+    def __init__(self, log_scale: np.ndarray):
+        self.log_scale = log_scale.copy()
+        self.factor = np.exp(log_scale)
         # exp(log_scale) alone can overflow while the product is tame.
-        risky = log_scale > 700.0
-        if risky.any():
+        self.risky = log_scale > 700.0
+        self.any_risky = bool(self.risky.any())
+
+    def descale(self, p: np.ndarray, out: np.ndarray) -> None:
+        """out = p * exp(log_scale) without intermediate overflow or spurious zeros."""
+        np.multiply(p, self.factor, out=out)
+        if self.any_risky:
             mag = np.where(p == 0.0, -np.inf, np.log(np.abs(np.where(p == 0.0, 1.0, p))))
-            direct = np.where(risky, np.sign(p) * np.exp(mag + log_scale), direct)
-    return direct
+            out[...] = np.where(self.risky, np.sign(p) * np.exp(mag + self.log_scale), out)
 
 
 def psi(n: int, x: float) -> float:
@@ -305,7 +342,7 @@ class TwoModeDensityMatrix:
 
     def purity(self) -> float:
         # Tr(rho^2) = ||rho||_F^2 for Hermitian rho.
-        return float(np.sum(np.abs(self.entries) ** 2))
+        return float(np.vdot(self.entries, self.entries).real)
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.transpose(1, 0, 3, 2).conj())))

@@ -54,6 +54,7 @@ TWO_MODE_ENTROPY_THRESHOLD = LN_PI_E
 # noise floor, so boundary states (coherent, two-mode squeezed vacuum at its
 # saturating phase) read as unsqueezed instead of flickering.
 FLAG_MARGIN = 1e-9
+_SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
 
 
 def below_threshold(value: float, threshold: float) -> bool:
@@ -61,12 +62,18 @@ def below_threshold(value: float, threshold: float) -> bool:
 
 
 def _entropy_integrand(values: np.ndarray) -> np.ndarray:
-    """-w ln w element-wise, with 0 ln 0 := 0."""
-    v = np.asarray(values)
-    out = np.zeros(v.shape)
-    np.log(v, out=out, where=v > 0.0)
-    # 0 - w is -w, except that it keeps the product at w = 0 a +0.0.
-    out *= np.subtract(0.0, v)
+    """-w ln w element-wise, with 0 ln 0 := 0 and 0 wherever w < 0, in one fresh buffer.
+
+    The logarithm reads max(w, 5e-324), which is w for every w > 0 and keeps
+    ln finite at w = 0, where the product with w is then 0.
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.maximum(v, _SMALLEST_DOUBLE)
+    np.log(out, out=out)
+    out *= v
+    np.negative(out, out=out)
+    if v.min(initial=0.0) < 0.0:
+        out[v < 0.0] = 0.0
     return out
 
 
@@ -86,14 +93,17 @@ def entropy_two_mode(tomo: TwoModeTomogram) -> float:
 
 
 def _joint_mass_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid | None = None) -> tuple:
-    """(mass, entropy_two_mode) of the joint tomogram at (theta1, theta2), reduced one row block at a time."""
+    """(mass, entropy_two_mode) of the joint tomogram at (theta1, theta2), reduced one row block at a time.
+
+    Over half the rows when the state's parity allows (see tomography._joint_blocks).
+    """
     if grid is None:
         grid = default_grid(obj)
     w = grid.weights
     mass = entropy = 0.0
-    for rows, block, share in _joint_blocks(obj, theta1, theta2, grid):
+    for _, row_weights, block, share in _joint_blocks(obj, theta1, theta2, grid, fold=True):
         mass += share
-        entropy += w[rows] @ _entropy_integrand(block) @ w
+        entropy += row_weights @ _entropy_integrand(block) @ w
     return float(mass), float(entropy)
 
 

@@ -191,7 +191,7 @@ def _two_mode_entries(obj, phases: np.ndarray, max_order: int, grid) -> dict:
         u = hermite_weights(grid, max_order)
         blocks = np.array(
             [
-                [sum(u[rows].T @ w @ u for rows, w, _ in _joint_blocks(obj, th1, th2, grid)) for th2 in phases]
+                [sum(u[rows].T @ w @ u for rows, _, w, _ in _joint_blocks(obj, th1, th2, grid)) for th2 in phases]
                 for th1 in phases
             ]
         )

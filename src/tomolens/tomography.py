@@ -39,10 +39,23 @@ Blocks of 105 rows keep the largest temporary near 2 MB on the default
 1201-point grid, where W itself is 11.5 MB.  The full-array builders stack
 the same blocks.
 
-Integrals use composite Simpson weights on a uniform, symmetric grid; the
-default half-width is an energy-based support estimate from the highest
-occupied level.  Values below 1e-300 are set to zero so downstream
-logarithms stay finite.
+A uniform grid is built as x_j = h (j - (N - 1)/2) with h = 2L/(N - 1),
+so x[::-1] == -x bit for bit, and psi_n(-x) = (-1)^n psi_n(x) holds bit for
+bit too (hermite_psi_matrix computes half the grid and mirrors the rest).
+A state of definite parity (c_nm zero on one parity of n + m, or rho zero
+on every odd n + n' + m + m') then has W(-X1, -X2) = W(X1, X2) at every
+phase pair.  The even and odd coherent states through a beamsplitter, and
+their decohered rho(t), are such states: the beamsplitter keeps the total
+photon number and both channels keep the parity sectors.  For them the
+mass and entropy reductions evaluate rows 0 .. N//2 only, weighting each
+row below the centre twice; the test reads exact zeros, so an amplitude
+of 1e-9 in the other sector turns it off.  Stacked tomograms and moment
+blocks keep every row.
+
+Integrals use composite Simpson weights on that grid; the default
+half-width is an energy-based support estimate from the highest occupied
+level.  Values below 1e-300 are set to zero so downstream logarithms stay
+finite.
 """
 
 from __future__ import annotations
@@ -106,10 +119,14 @@ class QuadratureGrid:
 
     @classmethod
     def uniform(cls, half_width: float, n_points: int = DEFAULT_POINTS) -> "QuadratureGrid":
+        """x_j = h (j - (N - 1)/2) with h = 2 half_width / (N - 1), so x[::-1] == -x bit for bit.
+
+        An even n_points is raised to the next odd count.
+        """
         if n_points % 2 == 0:
             n_points += 1
-        x = np.linspace(-half_width, half_width, n_points)
-        h = x[1] - x[0]
+        h = 2.0 * half_width / (n_points - 1)
+        x = h * np.arange(-(n_points // 2), n_points // 2 + 1)
         w = np.ones(n_points)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -124,7 +141,8 @@ class QuadratureGrid:
         return np.asarray(values) @ self.weights
 
     def is_symmetric(self) -> bool:
-        return bool(np.allclose(self.x, -self.x[::-1], atol=1e-12))
+        """Whether x[::-1] == -x and weights[::-1] == weights, bit for bit."""
+        return bool(np.array_equal(self.x[::-1], -self.x) and np.array_equal(self.weights[::-1], self.weights))
 
 
 def support_half_width(top_level: int) -> float:
@@ -305,18 +323,55 @@ def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = 
     return tomo
 
 
-def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
-    """Yield (rows, W[rows], mass share) over the row blocks of the joint tomogram at (theta1, theta2).
+@lru_cache(maxsize=64)
+def _odd_mask(d: int, pairs: bool) -> np.ndarray:
+    """Where n + m is odd over c[n, m], or with `pairs` where n + n' + m + m' is odd over rho as a (d^2, d^2) matrix.
+
+    The mask is laid over the float64 view of the complex array, so every
+    column is doubled (real and imaginary part); it is read-only and cached.
+    """
+    odd = np.arange(d) % 2 == 1
+    if pairs:
+        odd = (odd[:, None] ^ odd).ravel()
+    mask = np.repeat(odd[:, None] ^ odd, 2, axis=1)
+    mask.setflags(write=False)
+    return mask
+
+
+def _definite_parity(obj) -> bool:
+    """Whether W(-X1, -X2) = W(X1, X2) at every phase pair, read off exact zeros.
+
+    psi_n(-X) = (-1)^n psi_n(X), so it holds when a pure state's c_nm
+    vanishes on every odd n + m or on every even one, or when a density
+    matrix's rho[n, n', m, m'] vanishes on every odd n + n' + m + m'.
+    """
+    d = obj.n_cut + 1
+    if isinstance(obj, TwoModeState):
+        parts, odd = obj.amplitudes.view(np.float64), _odd_mask(d, False)
+        return not np.logical_and(parts, odd).any() or not np.logical_and(parts, ~odd).any()
+    parts = obj.entries.reshape(d * d, d * d).view(np.float64)
+    return not np.logical_and(parts, _odd_mask(d, True)).any()
+
+
+def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold: bool = False):
+    """Yield (rows, row weights, W[rows], mass share) over the row blocks of the joint tomogram at (theta1, theta2).
 
     A pure state's block is |A[rows] psi|^2 with A = psi^T c~, through one
     real matrix product of [Re A[rows]; Im A[rows]]; a density matrix's is
     P[:, rows]^T (C P) with C = R^T F^T R, the folded F projected onto the
     certified product basis once (see the module docstring).  Each block is
-    clamped before it is yielded, with its share w[rows] W[rows] w of the
-    mass.  After the last block the negativity guard (on the running minimum
-    and maximum) and the mass guard (on the summed shares) raise, naming the
-    phase pair, so a caller that reduces every block never returns a sum
-    that failed them.
+    clamped before it is yielded, with its rows' quadrature weights and its
+    share (row weights) W[rows] w of the mass.  After the last block the
+    negativity guard (on the running minimum and maximum) and the mass guard
+    (on the summed shares) raise, naming the phase pair, so a caller that
+    reduces every block never returns a sum that failed them.
+
+    With `fold`, a state of definite parity (_definite_parity) on a grid
+    with x[::-1] == -x and symmetric weights has W(-X1, -X2) = W(X1, X2),
+    so only rows 0 .. N//2 are evaluated: each row below the centre stands
+    for itself and its mirror with weight 2 w_i, the centre row keeps w_c.
+    A caller that folds must weight rows by the yielded row weights, and
+    every full-weight sum over the blocks is then the sum over all N rows.
     """
     psis = hermite_psi_matrix(obj.n_cut, grid.x)
     d = psis.shape[0]
@@ -340,15 +395,21 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid):
         def block(rows):
             return basis[:, rows].T @ right
 
+    w = grid.weights
+    row_weights, stop = w, w.size
+    if fold and grid.is_symmetric() and _definite_parity(obj):
+        stop = w.size // 2 + 1
+        row_weights = 2.0 * w[:stop]
+        row_weights[-1] = w[stop - 1]
     low, high, mass = np.inf, -np.inf, 0.0
-    for start in range(0, grid.x.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for start in range(0, stop, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, stop))
         values = block(rows)
         low, high = min(low, values.min()), max(high, values.max())
         values = _clamped(values)
-        share = grid.weights[rows] @ values @ grid.weights
+        share = row_weights[rows] @ values @ w
         mass += share
-        yield rows, values, share
+        yield rows, row_weights[rows], values, share
     where = f"({theta1:.6g}, {theta2:.6g})"
     _check_nonnegative([low], [high], [where])
     _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at {where}")
@@ -358,7 +419,7 @@ def _stacked(obj, theta1: float, theta2: float, grid) -> TwoModeTomogram:
     """The joint tomogram at one phase pair with its row blocks stacked, both modes on `grid`."""
     if grid is None:
         grid = default_grid(obj)
-    values = np.concatenate([block for _, block, _ in _joint_blocks(obj, theta1, theta2, grid)])
+    values = np.concatenate([block for _, _, block, _ in _joint_blocks(obj, theta1, theta2, grid)])
     return TwoModeTomogram(theta1, theta2, values, grid, grid)
 
 
@@ -479,22 +540,17 @@ class PiShiftReport:
 
 
 def check_pi_shift(tomo: Tomogram) -> PiShiftReport:
-    """Verify w(X, theta + pi) = w(-X, theta) on an X-symmetric grid."""
+    """Verify w(X, theta + pi) = w(-X, theta) on a grid with x[::-1] == -x."""
     if not tomo.grid.is_symmetric():
         raise ValueError("pi-shift check requires an X-symmetric grid")
-    worst = 0.0
-    pairs = 0
-    for i, th in enumerate(tomo.thetas):
-        match = np.nonzero(np.isclose(tomo.thetas, th + np.pi, atol=1e-10))[0]
-        if match.size == 0:
-            continue
-        pairs += 1
-        shifted = tomo.values[match[0]]
-        mirrored = tomo.values[i][::-1]
-        worst = max(worst, float(np.max(np.abs(shifted - mirrored))))
-    if pairs == 0:
+    # hits[i, j]: theta_j matches theta_i + pi; each row i is paired with its first match.
+    hits = np.isclose(tomo.thetas, (tomo.thetas + np.pi)[:, None], atol=1e-10)
+    rows = np.nonzero(hits.any(axis=1))[0]
+    if rows.size == 0:
         raise ValueError("tomogram holds no (theta, theta + pi) pairs to compare")
-    return PiShiftReport(pairs, worst)
+    shifted = tomo.values[hits[rows].argmax(axis=1)]
+    worst = float(np.max(np.abs(shifted - tomo.values[rows, ::-1])))
+    return PiShiftReport(int(rows.size), worst)
 
 
 def _write_rows(fh, *columns) -> None:

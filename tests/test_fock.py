@@ -65,6 +65,25 @@ def test_recurrence_matches_direct_formula():
             assert abs(table[n, j] - psi_reference(n, x)) < 1e-10
 
 
+@pytest.mark.parametrize("n_max", [30, 220])
+@pytest.mark.parametrize(
+    "x",
+    [QuadratureGrid.uniform(8.3, 2001).x, QuadratureGrid.uniform(26.45, 1201).x,
+     QuadratureGrid.uniform(45.0, 901).x, np.array([-1.5, -0.5, 0.5, 1.5])],
+    ids=["8.3-2001", "26.45-1201", "45-901", "even-count"],
+)
+def test_mirrored_hermite_matrix_is_bitwise_the_direct_recurrence(n_max, x):
+    # On an antisymmetric grid half the columns are mirrored, not computed;
+    # one appended point breaks the antisymmetry and forces the recurrence
+    # on every point, column by column, so the two must agree bit for bit,
+    # signed zeros included.  |x| reaches 45 and n = 220, where the
+    # recurrence rescales.
+    assert np.array_equal(x[::-1], -x)
+    mirrored = hermite_psi_matrix(n_max, x)
+    direct = hermite_psi_matrix(n_max, np.append(x, 0.5))[:, :-1]
+    assert mirrored.tobytes() == direct.tobytes()
+
+
 def test_orthonormality_under_module_quadrature():
     n_max = 100
     grid = QuadratureGrid.uniform(np.sqrt(2 * (n_max + 10)) + 5, 2001)

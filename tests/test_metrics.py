@@ -64,6 +64,16 @@ def test_entropy_integrand_is_bitwise_the_masked_form(shape):
     assert _entropy_integrand(v).tobytes() == expected.tobytes()
 
 
+def test_entropy_integrand_is_zero_for_negative_values():
+    # A negative entry (a rho that is not positive, or unclamped rounding)
+    # contributes 0, as an exact zero does; the rest is the masked form.
+    v = np.array([[0.3, -1e-3, 0.0, 1.0], [-5.0, 2.0, 1e-300, -1e-300]])
+    got = _entropy_integrand(v)
+    positive = v > 0.0
+    assert np.array_equal(got[~positive], np.zeros(int((~positive).sum())))
+    assert got[positive].tobytes() == (-v[positive] * np.log(v[positive])).tobytes()
+
+
 def test_two_mode_vacuum_entropy():
     pair = make_product(make_coherent(0.0), make_coherent(0.0))
     joint = tomogram_joint(pair, 0.0, 0.0)

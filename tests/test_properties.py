@@ -10,7 +10,11 @@ with its dense kron form, and evolving for t1 then t2 with evolving for t1 + t2.
 The block checks reduce the joint tomogram of a random pure state (d <= 8)
 or density matrix (d <= 5) one row block at a time, on grids whose point
 count is just below, equal to and one above a whole number of blocks, and
-compare its mass, entropy and moment block with the stacked tomogram; a
+compare its mass, entropy and moment block with the stacked tomogram; the
+same checks run on states of definite parity (c_nm zero on one parity of
+n + m, rho zero on odd n + n' + m + m'), whose mass and entropy are reduced
+over half the rows.  A random pure state's joint tomogram at
+(theta1 + pi, theta2 + pi) must mirror the one at (theta1, theta2).  A
 random non-positive Hermitian rho must raise NegativeTomogram, naming the
 phase pair, on the blocked and the stacked route alike.  The mixed-tomogram
 checks draw a density matrix (d <= 5) and compare its joint tomogram with
@@ -35,6 +39,7 @@ from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_var
 from tomolens.moments import SOURCE_FOCK_ORACLE, hermite_weights, moment_table, two_mode_moment_table
 from tomolens.tomography import (
     _BLOCK_ROWS,
+    _definite_parity,
     _joint_blocks,
     default_grid,
     marginal,
@@ -78,6 +83,35 @@ def pure_states(draw):
 def density_matrices(draw, max_dim=5):
     d = draw(st.integers(2, max_dim))
     a = draw(complex_arrays((d * d, d * d)))
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    assume(np.trace(rho).real > 0.1)
+    return TwoModeDensityMatrix.from_matrix(rho / np.trace(rho).real)
+
+
+def _odd_total(d):
+    """Whether n + m is odd, over c[n, m]."""
+    odd = np.arange(d) % 2 == 1
+    return odd[:, None] ^ odd
+
+
+@st.composite
+def parity_pure_states(draw):
+    # c_nm restricted to one parity of n + m, as the beamsplitter outputs of
+    # even and odd coherent states are.
+    d = draw(st.integers(2, 8))
+    c = draw(complex_arrays((d, d))) * (_odd_total(d) == draw(st.booleans()))
+    assume(np.linalg.norm(c) > 0.1)
+    return TwoModeState(c / np.linalg.norm(c))
+
+
+@st.composite
+def parity_density_matrices(draw):
+    # rho = A A^dag with A block diagonal over the parity of n + m, so
+    # rho[n, n', m, m'] vanishes on every odd n + n' + m + m'.
+    d = draw(st.integers(2, 5))
+    sector = _odd_total(d).ravel()
+    a = draw(complex_arrays((d * d, d * d))) * (sector[:, None] == sector)
     rho = a @ a.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     assume(np.trace(rho).real > 0.1)
@@ -150,7 +184,7 @@ def test_channel_semigroup_at_random_rates_and_times(kind, rho, rate_c, rate_d, 
 def _check_blocked_reductions(obj, theta1, theta2, n_points):
     grid = default_grid(obj, n_points)
     w, u = grid.weights, hermite_weights(grid, 2)
-    moments = sum(u[rows].T @ block @ u for rows, block, _ in _joint_blocks(obj, theta1, theta2, grid))
+    moments = sum(u[rows].T @ block @ u for rows, _, block, _ in _joint_blocks(obj, theta1, theta2, grid))
     mass, entropy = _joint_mass_entropy(obj, theta1, theta2, grid)
     dense = tomogram_joint(obj, theta1, theta2, grid)
     assert abs(mass - w @ dense.values @ w) <= 1e-13
@@ -171,6 +205,32 @@ def test_pure_blocked_reductions_match_stacked_tomogram(state, theta1, theta2, n
 @given(density_matrices(), PHASES, PHASES, BLOCK_GRIDS)
 def test_mixed_blocked_reductions_match_stacked_tomogram(rho, theta1, theta2, n_points):
     _check_blocked_reductions(rho, theta1, theta2, n_points)
+
+
+@PROPERTY
+@given(parity_pure_states(), PHASES, PHASES, BLOCK_GRIDS)
+def test_definite_parity_pure_blocked_reductions_match_stacked_tomogram(state, theta1, theta2, n_points):
+    assert _definite_parity(state)
+    _check_blocked_reductions(state, theta1, theta2, n_points)
+
+
+@PROPERTY
+@given(parity_density_matrices(), PHASES, PHASES, BLOCK_GRIDS)
+def test_definite_parity_mixed_blocked_reductions_match_stacked_tomogram(rho, theta1, theta2, n_points):
+    assert _definite_parity(rho)
+    _check_blocked_reductions(rho, theta1, theta2, n_points)
+
+
+@PROPERTY
+@given(pure_states(), PHASES, PHASES, BLOCK_GRIDS)
+def test_pi_shift_of_both_phases_mirrors_the_joint_tomogram(state, theta1, theta2, n_points):
+    # psi_n(-X) = (-1)^n psi_n(X) holds bit for bit on the antisymmetric
+    # grid, so W at (theta1 + pi, theta2 + pi) is W(-X1, -X2) up to the
+    # rounding of the phase factors.
+    grid = default_grid(state, n_points)
+    values = tomogram_joint(state, theta1, theta2, grid).values
+    shifted = tomogram_joint(state, theta1 + np.pi, theta2 + np.pi, grid).values
+    assert np.max(np.abs(shifted - values[::-1, ::-1])) <= 1e-14 * values.max()
 
 
 @PROPERTY

@@ -7,13 +7,15 @@ from tomolens import decoherence, tomography
 from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
-from tomolens.fock import TwoModeDensityMatrix, hermite_psi_matrix
-from tomolens.metrics import band_peaks
+from tomolens.fock import TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
+from tomolens.metrics import _joint_mass_entropy, band_peaks, entropy_two_mode
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product, make_squeezed, make_two_mode
 from tomolens.tomography import (
     PROJECTION_GUARD,
     QuadratureGrid,
     TwoModeTomogram,
+    _definite_parity,
+    _joint_blocks,
     _product_basis,
     _psi_products,
     _two_mode_pure_slice,
@@ -42,6 +44,21 @@ def test_grid_integrates_vacuum_density_exactly():
     grid = QuadratureGrid.uniform(8.0, 801)
     density = np.exp(-grid.x**2) / np.sqrt(np.pi)
     assert abs(grid.integrate(density) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("half_width,n_points", [(8.3, 2001), (26.45, 1201), (18.0, 251), (2.0, 2000)])
+def test_uniform_grid_is_exactly_antisymmetric(half_width, n_points):
+    # An even count is raised to the next odd one; x_j = h (j - (N - 1)/2)
+    # mirrors bit for bit, which linspace does not guarantee.
+    grid = QuadratureGrid.uniform(half_width, n_points)
+    x, size = grid.x, n_points | 1
+    assert x.size == size and x[size // 2] == 0.0
+    assert np.array_equal(x[::-1], -x) and np.array_equal(grid.weights[::-1], grid.weights)
+    assert grid.is_symmetric()
+    assert np.max(np.abs(x - np.linspace(-half_width, half_width, size))) <= 1e-14 * half_width
+    nudged = x.copy()
+    nudged[1] = np.nextafter(nudged[1], 0.0)
+    assert not QuadratureGrid(nudged, grid.weights).is_symmetric()
 
 
 def test_grid_requires_odd_point_count():
@@ -140,6 +157,21 @@ def test_pi_shift_requires_pairs():
     tomo = tomogram_pure(make_coherent(0.0), [0.0, 0.4])
     with pytest.raises(ValueError):
         check_pi_shift(tomo)
+
+
+def test_pi_shift_pairs_each_row_with_its_first_match():
+    # Against the per-row search: unmatched rows are skipped, a row whose
+    # theta + pi appears twice is compared with the first occurrence.
+    thetas = np.array([0.0, 0.5, 1.0, np.pi, np.pi + 0.5, np.pi + 0.5 + 1e-12, 2.9])
+    tomo = tomogram_pure(make_cat(0.9, "yurke-stoler"), thetas)
+    pairs, worst = 0, 0.0
+    for i, th in enumerate(thetas):
+        match = np.nonzero(np.isclose(thetas, th + np.pi, atol=1e-10))[0]
+        if match.size:
+            pairs += 1
+            worst = max(worst, float(np.max(np.abs(tomo.values[match[0]] - tomo.values[i][::-1]))))
+    report = check_pi_shift(tomo)
+    assert (report.pairs_checked, report.max_deviation) == (pairs, worst) and pairs == 2
 
 
 def test_grid_too_narrow_raises():
@@ -472,3 +504,51 @@ def test_evolution_and_joint_tomograms_hand_over_arrays_of_their_own(monkeypatch
         tomogram_mixed(evolve(rho0, ChannelConfig(kind), 0.3), 0.4, 1.1)
     tomogram_two_mode_pure(state, 0.4, 1.1)
     assert handed == [True] * 5
+
+
+def _rows_reduced(obj, grid):
+    """Rows of the joint tomogram that the folding reduction evaluates."""
+    return sum(block.shape[0] for _, _, block, _ in _joint_blocks(obj, 0.4, 1.1, grid, fold=True))
+
+
+@pytest.mark.parametrize("kind,alpha,parity", [("even", 0.56, True), ("odd", 0.62, True), ("pacs", 0.85, False)])
+def test_fold_is_taken_for_cat_vacuum_outputs_and_their_evolution(kind, alpha, parity):
+    # A beamsplitter keeps total photon number and both channels keep the
+    # parity sectors, so an ecs/ocs x vacuum output and every rho(t) have
+    # definite parity; a photon-added coherent input has none.
+    source = make_pacs(alpha, 1) if kind == "pacs" else make_cat(alpha, kind)
+    out = apply(BeamsplitterConfig(0.0), make_product(source, make_coherent(0.0)))
+    rho = TwoModeDensityMatrix.from_pure(out)
+    objs = [out, rho] + [
+        evolve(rho, ChannelConfig(channel), t) for channel in (AMPLITUDE_DECAY, PHASE_DAMPING) for t in (1.5e-3, 0.2, 20.0)
+    ]
+    grid = QuadratureGrid.uniform(tomography.support_half_width(out.n_cut), 211)
+    for obj in objs:
+        assert _definite_parity(obj) is parity
+        assert _rows_reduced(obj, grid) == (106 if parity else 211)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_an_amplitude_in_the_other_parity_sector_disables_the_fold(mixed):
+    # Negative control: 1e-9 on |0, 1> breaks W(-X1, -X2) = W(X1, X2) by far
+    # less than the mass guard sees, and the reduction must take every row.
+    even = apply(BeamsplitterConfig(0.0), make_product(make_cat(0.56, "even"), make_coherent(0.0))).amplitudes.copy()
+    even[0, 1] = 1e-9
+    state = TwoModeState(even).normalized()
+    obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
+    grid = QuadratureGrid.uniform(tomography.support_half_width(state.n_cut), 211)
+    assert not _definite_parity(obj)
+    assert _rows_reduced(obj, grid) == 211
+    mass, entropy = _joint_mass_entropy(obj, 0.4, 1.1, grid)
+    dense = tomogram_joint(obj, 0.4, 1.1, grid)
+    assert abs(mass - grid.weights @ dense.values @ grid.weights) <= 1e-13
+    assert abs(entropy - entropy_two_mode(dense)) <= 1e-13
+
+
+def test_fold_needs_a_mirror_symmetric_grid():
+    # Shifting one weight off its mirror image turns the fold off even for a state of definite parity.
+    state = apply(BeamsplitterConfig(0.0), make_product(make_cat(0.56, "even"), make_coherent(0.0)))
+    grid = QuadratureGrid.uniform(tomography.support_half_width(state.n_cut), 211)
+    weights = grid.weights.copy()
+    weights[0] *= 1.0 + 1e-15
+    assert _rows_reduced(state, QuadratureGrid(grid.x, weights)) == 211
