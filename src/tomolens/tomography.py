@@ -159,7 +159,11 @@ def default_grid(obj, n_points: int | None = None) -> QuadratureGrid:
 
 @dataclass(frozen=True)
 class Tomogram:
-    """Sampled probability densities w[theta_i][x_j], one row per phase."""
+    """Sampled probability densities w[theta_i][x_j], one row per phase.
+
+    Takes ownership of a float `values` array that owns its data (kept, made
+    read-only); a view is copied.
+    """
 
     thetas: np.ndarray
     values: np.ndarray
@@ -171,7 +175,7 @@ class Tomogram:
         if v.shape != (th.size, self.grid.x.size):
             raise ValueError("values must have shape (n_theta, n_x)")
         th = th.copy()
-        v = v.copy()
+        v = v if v.base is None else v.copy()
         th.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "thetas", th)
@@ -553,16 +557,33 @@ def check_pi_shift(tomo: Tomogram) -> PiShiftReport:
     return PiShiftReport(int(rows.size), worst)
 
 
-def _write_rows(fh, *columns) -> None:
-    """Write the columns side by side as CSV rows, every value formatted as f"{v:.17g}".
+def _mirrored(table: np.ndarray) -> bool:
+    """Whether table[::-1] equals `table` bit for bit, so -0.0 and 0.0 (or two NaNs) never match."""
+    bits = table.view(np.uint64)
+    return bool(np.array_equal(bits[::-1], bits))
+
+
+def _write_rows(fh, x, table) -> None:
+    """Write CSV rows x[j], table[j, 0], table[j, 1], ..., every value formatted as f"{v:.17g}".
 
     Rows go out _CSV_CHUNK_ROWS at a time, so the Python floats of a large
-    map (10 MB for 181 x 2001) never all exist at once.
+    map (10 MB for 181 x 2001) never all exist at once.  A table that
+    mirrors bit for bit (_mirrored), as the map of a definite-parity state
+    does on a grid with x[::-1] == -x, has its first n - n//2 rows formatted
+    and kept: each later row j is x[j]'s text plus that of row n - 1 - j.
     """
-    table = np.column_stack(columns)
-    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        fh.writelines(fmt % tuple(row) for row in table[start : start + _CSV_CHUNK_ROWS].tolist())
+    x_text = ["%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+    table = np.asarray(table, dtype=float)
+    fmt = ",%.17g" * table.shape[1] + "\n"
+    n = len(x_text)
+    half = n - n // 2 if _mirrored(table) else n
+    kept = []
+    for start in range(0, half, _CSV_CHUNK_ROWS):
+        text = [fmt % tuple(row) for row in table[start : min(start + _CSV_CHUNK_ROWS, half)].tolist()]
+        fh.writelines(map(str.__add__, x_text[start : start + len(text)], text))
+        if half < n:
+            kept.extend(text)
+    fh.writelines(x_text[j] + kept[n - 1 - j] for j in range(half, n))
 
 
 def tomogram_to_csv(tomo: Tomogram, path, comment: str | None = None) -> None:

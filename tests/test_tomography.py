@@ -5,17 +5,31 @@ import pytest
 
 from tomolens import decoherence, tomography
 from tomolens.beamsplitter import BeamsplitterConfig, apply
+from tomolens.cli import main
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
 from tomolens.fock import TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
 from tomolens.metrics import _joint_mass_entropy, band_peaks, entropy_two_mode
-from tomolens.states import make_cat, make_coherent, make_pacs, make_product, make_squeezed, make_two_mode
+from tomolens.scenarios import parse_state_spec
+from tomolens.states import (
+    build_state,
+    make_cat,
+    make_coherent,
+    make_pacs,
+    make_product,
+    make_squeezed,
+    make_two_mode,
+)
 from tomolens.tomography import (
     PROJECTION_GUARD,
+    _CSV_CHUNK_ROWS,
+    DEFAULT_THETAS,
     QuadratureGrid,
+    Tomogram,
     TwoModeTomogram,
     _definite_parity,
     _joint_blocks,
+    _mirrored,
     _product_basis,
     _psi_products,
     _two_mode_pure_slice,
@@ -390,6 +404,75 @@ def test_csv_row_writer_matches_per_cell_formatting(tmp_path):
     assert body == _per_cell_rows(joint.grid1.x, joint.values.T)
 
 
+def _mirrored_table(n, columns=3, seed=0):
+    # Rows n - n//2 .. n - 1 copy rows n//2 - 1 .. 0; the columns hold the
+    # special values the writer must format alike on both sides.
+    table = np.random.default_rng(seed).standard_normal((n, columns))
+    table[:, 0] = np.resize([0.0, -0.0, 5e-324, 1e-300, np.nan, 2.5e305], n)
+    table[n - n // 2 :] = table[: n // 2][::-1]
+    return table
+
+
+def _written(x, table) -> str:
+    fh = io.StringIO()
+    _write_rows(fh, x, table)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 2 * _CSV_CHUNK_ROWS + 3, 2 * _CSV_CHUNK_ROWS + 4])
+def test_csv_row_writer_reuses_mirrored_rows_byte_for_byte(n):
+    # Odd and even n; above 2 * _CSV_CHUNK_ROWS the kept half spans two chunks.
+    # x need not mirror: each row's x is formatted on its own.
+    table = _mirrored_table(n)
+    x = np.linspace(-1.0, 2.0, n) ** 3
+    assert _mirrored(table)
+    assert _written(x, table) == _per_cell_rows(x, table.T)
+
+
+def test_csv_row_writer_keeps_signed_zeros_and_ulp_nudges_apart():
+    # Equal under ==, but -0.0 and 0.0 format differently, so the table is not mirrored.
+    table = np.array([[1.0, 0.0], [2.0, 3.0], [1.0, -0.0]])
+    x = np.array([-1.0, 0.0, 1.0])
+    assert np.array_equal(table[::-1], table) and not _mirrored(table)
+    assert _written(x, table) == _per_cell_rows(x, table.T)
+    nudged = _mirrored_table(2 * _CSV_CHUNK_ROWS + 3)
+    nudged[-1, 1] = np.nextafter(nudged[-1, 1], np.inf)
+    x = np.arange(len(nudged), dtype=float)
+    assert not _mirrored(nudged)
+    assert _written(x, nudged) == _per_cell_rows(x, nudged.T)
+
+
+def test_tomogram_scenario_map_matches_per_cell_formatting(tmp_path):
+    # An even cat's map mirrors, so the writer reuses its first half's text.
+    cfg = {"family": "ecs", "alpha": "1.2", "theta_count": "19", "grid_points": "601"}
+    path = tmp_path / "map.cfg"
+    path.write_text("scenario = tomogram\noutput = map.csv\n" + "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    state = build_state(parse_state_spec(cfg))
+    tomo = tomogram_pure(state, np.linspace(0.0, np.pi, 19), default_grid(state, 601))
+    assert _mirrored(tomo.values.T)
+    body = (tmp_path / "out" / "map.csv").read_text().split("\n", 2)[2]
+    assert body == _per_cell_rows(tomo.grid.x, tomo.values)
+
+
+@pytest.mark.parametrize("n_points", [257, 601, 2001])
+def test_definite_parity_maps_mirror_bit_for_bit(n_points):
+    # psi_n(-x) = (-1)^n psi_n(x) bit for bit on a uniform grid, so the map of a
+    # state of definite parity mirrors exactly and the CSV writer halves its
+    # formatting; states without definite parity must not mirror.
+    for state, mirrors in [
+        (make_cat(1.2, "even"), True),
+        (make_cat(0.9, "odd"), True),
+        (make_squeezed(0.5), True),
+        (make_coherent(1.2), False),
+        (make_pacs(0.8, 1), False),
+    ]:
+        tomo = tomogram_pure(state, DEFAULT_THETAS, default_grid(state, n_points))
+        bits = tomo.values.view(np.uint64)
+        assert np.array_equal(bits[:, ::-1], bits) == mirrors
+        assert _mirrored(tomo.values.T) == mirrors
+
+
 @pytest.mark.parametrize(
     "state",
     [
@@ -465,6 +548,41 @@ def test_janus_partner_slices_share_peak_structure():
             np.testing.assert_allclose(row, row[::-1], atol=1e-12)
         assert len(band_peaks(cat_slice.values[0], cat_slice.grid.x)) == expected_peaks
         assert len(band_peaks(sq_slice.values[0], sq_slice.grid.x)) == expected_peaks
+
+
+def test_tomogram_keeps_a_fresh_array_read_only():
+    grid = QuadratureGrid(np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    values = np.full((2, 5), 0.5)
+    tomo = Tomogram([0.0, 1.0], values, grid)
+    assert np.shares_memory(tomo.values, values)
+    assert not tomo.values.flags.writeable and not values.flags.writeable
+
+
+def test_tomogram_copies_a_view():
+    joint = tomogram_joint(make_two_mode("pair-coherent", 0.6), 0.2, 0.9, QuadratureGrid.uniform(8.0, 201))
+    source = joint.values @ joint.grid2.weights
+    tomo = marginal(joint, "a")
+    assert np.array_equal(tomo.values[0], source)
+    assert tomo.values.base is None and not tomo.values.flags.writeable
+    view = source[None, :]
+    assert not np.shares_memory(Tomogram([0.2], view, joint.grid1).values, source)
+    assert source.flags.writeable
+
+
+def test_single_mode_tomograms_hand_over_arrays_of_their_own(monkeypatch):
+    # tomogram_pure and tomogram_reduced pass Tomogram a fresh clamped array, kept rather than copied.
+    handed = []
+
+    def build(thetas, values, grid):
+        handed.append(values.base is None)
+        return Tomogram(thetas, values, grid)
+
+    monkeypatch.setattr(tomography, "Tomogram", build)
+    state = apply(BeamsplitterConfig(0.0), make_product(make_cat(1.0, "even"), make_coherent(0.0)))
+    tomogram_pure(make_cat(1.0, "odd"), [0.0, 0.5])
+    tomogram_reduced(state, "a", [0.0, 0.5])
+    tomogram_reduced(TwoModeDensityMatrix.from_pure(state), "b", [0.3])
+    assert handed == [True] * 3
 
 
 def test_two_mode_tomogram_keeps_a_fresh_array_read_only():
