@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error (including a value the library
 rejects, such as a negative channel rate, a family parameter below its
-bound, or a parameter at which a state family is undefined), 2 numerical-guard failure (inadequate truncation or
+bound, a parameter at which a state family is undefined, or an audit
+override out of range), 2 numerical-guard failure (inadequate truncation or
 grid, a density matrix whose tomogram goes negative, or a product-basis
 projection off by more than rounding, with the offending point named),
 3 audit failures (a failed `tomolens audit` check, or an
@@ -70,7 +71,11 @@ def main(argv=None) -> int:
             print(f"wrote {art['file']}: {art['description']}")
         return 0
 
-    results = run_audit(grid_half_width=args.grid_half_width, n_cut=args.n_cut)
+    try:
+        results = run_audit(grid_half_width=args.grid_half_width, n_cut=args.n_cut)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     print(audit_table(results))
     return 0 if all(r.passed for r in results) else 3
 

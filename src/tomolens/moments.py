@@ -18,27 +18,14 @@ The oracle route applies ladder operators directly in the truncated basis:
 for density matrices, touching only annihilation so nothing spills the
 truncation buffer.
 
-H_s inside the integrals is the plain Hermite polynomial.  Orders are capped
-at K_MAX_DEFAULT = 6, and the widest grid the catalog needs (half-width 146.5,
-the support of level 1e4) keeps |H_6| below 6.4e14, so no power of X can
-overflow and the tomogram itself supplies the exp(-X^2) damping.  With U the
-N x (K+1) matrix whose column s is the Simpson weights times H_s(X), every
-order's integral at one phase is an entry of `rows @ U`, and every order
-pair's double integral at one phase pair is an entry of the (K+1) x (K+1)
-block U^T W U of the joint tomogram W, both modes on one grid.  The table
-builders evaluate each phase (or each of the (K+1)^2 phase pairs) once and
-assemble every index from the rows or blocks.
-
-A pure state's block is the same Simpson-weighted sum reassociated, so W is
-never formed: with G_s[n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), built
-once per table from the sampled eigenfunctions, T_s = c~^T G_s c~* is formed
-once per theta1 and each block is sum_{m,m'} T_s e^{-i(m-m') theta2} G_t,
-O(K d^3) per theta1.  Entry (0, 0) is the double integral of W and carries
-the per-pair mass guard.  G is a quadrature of the tomogram, not a
-ladder-operator closed form, so the route stays independent of the oracle.
-A density matrix's block is the sum of U[rows]^T W[rows] U over the row
-blocks of its joint tomogram, so W is never held whole and the negativity
-guard still sees every value of W.
+H_s inside the integrals is the plain Hermite polynomial, and the
+quadrature is tomography's (see its module docstring): every order's
+integral at one phase is an entry of `rows @ U` with U = hermite_weights,
+and every order pair's double integral at one phase pair is an entry of the
+(K+1) x (K+1) block U^T W U of the joint tomogram W from
+tomography._moment_blocks.  The table builders evaluate each phase (or each
+of the (K+1)^2 phase pairs) once and assemble every index from the rows or
+blocks.
 """
 
 from __future__ import annotations
@@ -46,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermvander
 
 from .errors import MissingOrder, OrderTooHigh
 from .fock import (
@@ -54,16 +40,14 @@ from .fock import (
     TwoModeState,
     annihilation_matrix,
     apply_annihilation,
-    hermite_psi_matrix,
+    hermite_psi_matrix,  # not called here; perfbench/tests/test_tracer.py rebinds this name
     inner,
     ln_factorial,
 )
 from .tomography import (
     QuadratureGrid,
-    _check_mass_defect,
-    _joint_blocks,
-    _phase_matrix,
-    default_grid,
+    _moment_blocks,
+    hermite_weights,
     tomogram_joint,  # not called here; perfbench/tests/test_tracer.py rebinds this name
     tomogram_pure,
     tomogram_reduced,
@@ -92,11 +76,6 @@ def extraction_constant(k: int, l: int, n_phases: int) -> float:
 def extraction_phases(max_order: int) -> np.ndarray:
     """The max_order+1 tomogram phases m pi/(max_order+1) shared by every order up to max_order."""
     return np.arange(max_order + 1) * np.pi / (max_order + 1)
-
-
-def hermite_weights(grid: QuadratureGrid, max_order: int) -> np.ndarray:
-    """U[j, s] = Simpson weight_j * H_s(x_j) for s = 0 .. max_order, shape (N, max_order + 1)."""
-    return grid.weights[:, None] * hermvander(grid.x, max_order)
 
 
 def _phase_weights(k: int, l: int, phases: np.ndarray) -> np.ndarray:
@@ -146,55 +125,13 @@ def _single_mode_entries(obj, phases: np.ndarray, max_order: int, grid, mode) ->
     }
 
 
-def _hermite_products(n_cut: int, grid: QuadratureGrid, max_order: int) -> np.ndarray:
-    """G[s, n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j), shape (max_order + 1, d, d)."""
-    psis = hermite_psi_matrix(n_cut, grid.x)
-    return (psis * hermite_weights(grid, max_order).T[:, None, :]) @ psis.T
-
-
-def _pure_blocks(state: TwoModeState, phases, grid, max_order: int) -> np.ndarray:
-    """The blocks U^T W U of a pure state at every phase pair, contracted without forming W.
-
-    Per theta1, T_s = c~^T G_s c~* (c~ phased by theta1 along mode a); the
-    block at (theta1, theta2) is sum_{m,m'} T_s e^{-i(m-m') theta2} G_t.
-    Entry (0, 0) is the double integral of W, checked by the mass guard.
-    """
-    g = _hermite_products(state.n_cut, grid, max_order)
-    d = state.amplitudes.shape[0]
-    n = np.arange(d)
-    size = max_order + 1
-    g_flat = g.reshape(size, d * d).T
-    blocks = np.empty((phases.size, phases.size, size, size))
-    for i, th1 in enumerate(phases):
-        phased = state.amplitudes * np.exp(-1j * th1 * n)[:, None]
-        t = (phased.T @ g @ phased.conj()).reshape(size, d * d)
-        for j, th2 in enumerate(phases):
-            blocks[i, j] = ((t * _phase_matrix(d, th2).ravel()) @ g_flat).real
-            _check_mass_defect(
-                abs(blocks[i, j, 0, 0] - 1.0), f"two-mode tomogram at ({th1:.6g}, {th2:.6g})"
-            )
-    return blocks
-
-
 def _two_mode_entries(obj, phases: np.ndarray, max_order: int, grid) -> dict:
     """Every (k, l, p, q) with k + l and p + q each <= max_order, both modes on one phase set.
 
     Each phase pair gives one block U^T W U of every order pair's double
-    integral: by contraction for a pure state, summed over the row blocks of
-    the joint tomogram W for a density matrix.
+    integral (tomography._moment_blocks).
     """
-    if grid is None:
-        grid = default_grid(obj)
-    if isinstance(obj, TwoModeState):
-        blocks = _pure_blocks(obj, phases, grid, max_order)
-    else:
-        u = hermite_weights(grid, max_order)
-        blocks = np.array(
-            [
-                [sum(u[rows].T @ w @ u for rows, _, w, _ in _joint_blocks(obj, th1, th2, grid)) for th2 in phases]
-                for th1 in phases
-            ]
-        )
+    blocks = _moment_blocks(obj, phases, grid, max_order)
     weights = {key: _phase_weights(*key, phases) for key in _indices(max_order)}
     return {
         a + b: complex(wa @ blocks[:, :, sum(a), sum(b)] @ wb)

@@ -556,8 +556,14 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
 
     `grid_half_width` forces every quadrature grid (a shrunk grid must make
     the distribution checks fail loudly); `n_cut` forces every constructor's
-    truncation (an inadequate one must fail the tail certificate).
+    truncation (an inadequate one must fail the tail certificate).  Raises
+    ConfigError for an n_cut below 0 or a half-width that is not finite and
+    positive.
     """
+    if n_cut is not None and n_cut < 0:
+        raise ConfigError(f"--n-cut must be at least 0, got {n_cut}")
+    if grid_half_width is not None and not 0.0 < grid_half_width < np.inf:
+        raise ConfigError(f"--grid-half-width must be finite and > 0, got {grid_half_width}")
     results: list = []
     thetas12 = np.linspace(0.0, np.pi, 12, endpoint=False)
 

@@ -53,6 +53,8 @@ def _certified(amps: np.ndarray, n_cut: int | None) -> SingleModeState:
     """`amps` cut at _adaptive_cut unless `n_cut` was given, normalized, through the tail certificate."""
     if n_cut is None:
         amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
+    elif not np.any(amps):
+        raise TruncationOverflow(f"n_cut={n_cut} keeps no amplitude of the state")
     return SingleModeState(amps).normalized().certify()
 
 
@@ -127,6 +129,8 @@ def _exponentiated_generator_state(
     and |first> must be the lowest of them: only that block of G is
     exponentiated, and the state has no support off it.
     """
+    if n_cut is not None and n_cut < first:
+        raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {first}")
     dim = probe_start if n_cut is None else n_cut + 1
     while True:
         u = unitary_exp(build_generator(dim)[first::step, first::step])
@@ -166,6 +170,8 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
     """m-photon-added coherent state: a^dag^m |alpha>, normalized."""
     if m < 0:
         raise ValueError("m must be non-negative")
+    if n_cut is not None and n_cut < m:
+        raise TruncationOverflow(f"n_cut={n_cut} below added photon number {m}")
     probe = n_cut if n_cut is not None else _coherent_probe_cut(alpha) + m
     n = np.arange(probe + 1 - m)
     if alpha == 0:

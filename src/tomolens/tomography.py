@@ -56,6 +56,29 @@ Integrals use composite Simpson weights on that grid; the default
 half-width is an energy-based support estimate from the highest occupied
 level.  Values below 1e-300 are set to zero so downstream logarithms stay
 finite.
+
+Moment integrals weight the grid by U = hermite_weights, the N x (K+1)
+matrix whose column s is the Simpson weights times the plain Hermite
+polynomial H_s(X).  Orders are capped at K = 6 (moments.K_MAX_DEFAULT), and
+the widest grid the catalog needs (half-width 146.5, the support of level
+1e4) keeps |H_6| below 6.4e14, so no power of X can overflow and the
+tomogram itself supplies the exp(-X^2) damping.  Every order pair's double
+integral at one phase pair is an entry of the (K+1) x (K+1) block U^T W U
+of the joint tomogram W, both modes on one grid, and _moment_blocks forms
+those blocks for a whole phase set.
+
+A pure state's block is the same Simpson-weighted sum reassociated, so W is
+never formed: with G_s[n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j),
+T_s = c~^T G_s c~* is formed for every theta1 in one batched product and
+each block is sum_{m,m'} T_s e^{-i(m-m') theta2} G_t, O(K d^3) per theta1
+(_pure_moment_blocks).  Entry (0, 0) is the double integral of W and
+carries the per-pair mass guard; the pure two-mode slice takes its mass
+guard from the order-0 block, so that mass is formed one way.  G is a
+quadrature of the tomogram, not a ladder-operator closed form, so the route
+stays independent of the Fock oracle in moments.  A density matrix's block
+is the sum of U[rows]^T W[rows] U over the row blocks of its joint
+tomogram, so W is never held whole and the negativity guard still sees
+every value of W.
 """
 
 from __future__ import annotations
@@ -64,6 +87,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermvander
 
 from .errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
 from .fock import (
@@ -145,6 +169,11 @@ class QuadratureGrid:
         return bool(np.array_equal(self.x[::-1], -self.x) and np.array_equal(self.weights[::-1], self.weights))
 
 
+def hermite_weights(grid: QuadratureGrid, max_order: int) -> np.ndarray:
+    """U[j, s] = Simpson weight_j * H_s(x_j) for s = 0 .. max_order, shape (N, max_order + 1)."""
+    return grid.weights[:, None] * hermvander(grid.x, max_order)
+
+
 def support_half_width(top_level: int) -> float:
     """Energy-based estimate of the quadrature support for states up to `top_level`."""
     return float(np.sqrt(2.0 * (top_level + BUFFER_LEVELS)) + 5.0)
@@ -182,7 +211,7 @@ class Tomogram:
         object.__setattr__(self, "values", v)
 
     def row(self, theta: float) -> np.ndarray:
-        idx = np.nonzero(np.isclose(self.thetas, theta, atol=1e-12))[0]
+        idx = np.nonzero(np.isclose(self.thetas, theta, rtol=0.0, atol=1e-12))[0]
         if idx.size == 0:
             raise KeyError(f"theta {theta!r} not sampled in this tomogram")
         return self.values[idx[0]]
@@ -228,13 +257,6 @@ def _check_mass_defect(defect: float, what: str) -> None:
     """The normalization guard on |mass - 1|; `what` names the tomogram in the error."""
     if defect > NORMALIZATION_GUARD:
         raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; enlarge the grid")
-
-
-def _joint_grid(obj, grid):
-    """The grid both modes share (defaulted from `obj`) and its psi_n matrix."""
-    if grid is None:
-        grid = default_grid(obj)
-    return grid, hermite_psi_matrix(obj.n_cut, grid.x)
 
 
 def _check_nonnegative(low, high, labels: list) -> None:
@@ -419,6 +441,54 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold:
     _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at {where}")
 
 
+def _pure_moment_blocks(state: TwoModeState, thetas1, thetas2, psis, grid: QuadratureGrid, max_order: int):
+    """The blocks U^T W U of a pure state at every (theta1, theta2), contracted without forming W.
+
+    Shape (T1, T2, max_order + 1, max_order + 1).  With `psis` the psi_n
+    matrix on `grid` and G_s = psi diag(U[:, s]) psi^T, T_s = c~^T G_s c~*
+    (c~ phased by theta1 along mode a) is formed for every theta1 in one
+    batched product, and the block at (theta1, theta2) is
+    sum_{m,m'} T_s e^{-i(m-m') theta2} G_t, for every theta1 at once per
+    theta2, so no T1 x T2 x (max_order + 1) x d^2 temporary is formed.
+    Entry (0, 0) is the double integral of W, checked by the mass guard at
+    every phase pair.
+    """
+    g = (psis * hermite_weights(grid, max_order).T[:, None, :]) @ psis.T
+    size, d = g.shape[0], psis.shape[0]
+    thetas1 = np.atleast_1d(np.asarray(thetas1, dtype=float))
+    thetas2 = np.atleast_1d(np.asarray(thetas2, dtype=float))
+    phased = state.amplitudes * np.exp(-1j * np.outer(thetas1, np.arange(d)))[:, :, None]
+    t = (phased.swapaxes(1, 2)[:, None] @ g @ phased.conj()[:, None]).reshape(thetas1.size, size, d * d)
+    g_flat = g.reshape(size, d * d).T
+    blocks = np.stack([((t * phase.ravel()) @ g_flat).real for phase in _phase_matrix(d, thetas2)], axis=1)
+    for (i, j), mass in np.ndenumerate(blocks[:, :, 0, 0]):
+        _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at ({thetas1[i]:.6g}, {thetas2[j]:.6g})")
+    return blocks
+
+
+def _moment_blocks(obj, phases, grid: QuadratureGrid | None, max_order: int) -> np.ndarray:
+    """The blocks U^T W U at every phase pair of `phases` (both modes), shape (T, T, max_order + 1, max_order + 1).
+
+    Block (i, j) holds every order pair's double integral of the joint
+    tomogram at (phases[i], phases[j]), both modes on `grid` (defaulted from
+    `obj`): contracted from the amplitudes for a pure state, summed as
+    U[rows]^T W[rows] U over the row blocks of each joint tomogram for a
+    density matrix, so W is never held whole and the negativity guard still
+    sees every value of W.
+    """
+    if grid is None:
+        grid = default_grid(obj)
+    if isinstance(obj, TwoModeState):
+        return _pure_moment_blocks(obj, phases, phases, hermite_psi_matrix(obj.n_cut, grid.x), grid, max_order)
+    u = hermite_weights(grid, max_order)
+    return np.array(
+        [
+            [sum(u[rows].T @ w @ u for rows, _, w, _ in _joint_blocks(obj, th1, th2, grid)) for th2 in phases]
+            for th1 in phases
+        ]
+    )
+
+
 def _stacked(obj, theta1: float, theta2: float, grid) -> TwoModeTomogram:
     """The joint tomogram at one phase pair with its row blocks stacked, both modes on `grid`."""
     if grid is None:
@@ -439,19 +509,15 @@ def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float,
 
     x2 is moved to its nearest grid point x2_j.  Each row is
     |psi^T (c~ psi(x2_j))|^2, so no joint tomogram is formed.  The mass guard
-    of each phase pair stays exact: the double integral of W is
-    Tr(c~^dag M c~ M) with M = psi diag(weights) psi^T.
+    of each phase pair stays exact: the double integral of W is entry (0, 0)
+    of its order-0 pure moment block (_pure_moment_blocks).
     """
-    grid, psis = _joint_grid(state, grid)
+    psis = hermite_psi_matrix(state.n_cut, grid.x)
     thetas1 = np.atleast_1d(np.asarray(thetas1, dtype=float))
+    _pure_moment_blocks(state, thetas1, [theta2], psis, grid, 0)
     n = np.arange(psis.shape[0])
     phase1 = np.exp(-1j * np.outer(thetas1, n))
     c2 = state.amplitudes * np.exp(-1j * theta2 * n)
-    gram = (psis * grid.weights) @ psis.T
-    phased = phase1[:, :, None] * c2
-    masses = np.einsum("tnm,tnm->t", phased.conj(), gram @ phased @ gram).real
-    for th1, mass in zip(thetas1, masses):
-        _check_mass_defect(abs(mass - 1.0), f"two-mode tomogram at ({th1:.6g}, {theta2:.6g})")
     j = int(np.argmin(np.abs(grid.x - x2)))
     return _clamped(np.abs((phase1 * (c2 @ psis[:, j])) @ psis) ** 2)
 
@@ -548,7 +614,7 @@ def check_pi_shift(tomo: Tomogram) -> PiShiftReport:
     if not tomo.grid.is_symmetric():
         raise ValueError("pi-shift check requires an X-symmetric grid")
     # hits[i, j]: theta_j matches theta_i + pi; each row i is paired with its first match.
-    hits = np.isclose(tomo.thetas, (tomo.thetas + np.pi)[:, None], atol=1e-10)
+    hits = np.isclose(tomo.thetas, (tomo.thetas + np.pi)[:, None], rtol=0.0, atol=1e-10)
     rows = np.nonzero(hits.any(axis=1))[0]
     if rows.size == 0:
         raise ValueError("tomogram holds no (theta, theta + pi) pairs to compare")

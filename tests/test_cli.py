@@ -338,6 +338,33 @@ def test_audit_cli_exit_code_on_failure():
     assert main(["audit", "--n-cut", "4"]) == 3
 
 
+@pytest.mark.parametrize(
+    "override",
+    [["--n-cut", "-1"], ["--grid-half-width", "nan"], ["--grid-half-width", "inf"],
+     ["--grid-half-width", "-3"], ["--grid-half-width", "0"]],
+)
+def test_audit_rejects_invalid_overrides(capsys, override):
+    assert main(["audit", *override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {override[0]} must be") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [["--grid-half-width", "2.0"], ["--n-cut", "0"]])
+def test_audit_negative_controls_fail_loudly(capsys, override):
+    assert main(["audit", *override]) == 3
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_cut_that_keeps_no_amplitude_is_a_truncation_failure(tmp_path, capsys):
+    # The odd cat has no amplitude at n = 0.
+    path = write_config(tmp_path, "scenario = tomogram\nfamily = ocs\nalpha = 1.0\nn_cut = 0\n")
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guard: TruncationOverflow: n_cut=0 keeps no amplitude") and "Traceback" not in err
+    certificates = {r.subject: r for r in run_audit(n_cut=0) if r.check == "construction+tail-certificate"}
+    assert certificates["ocs"].detail == "TruncationOverflow: n_cut=0 keeps no amplitude of the state"
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomolens import moments
+from tomolens import moments, tomography
 from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, MissingOrder, NegativeTomogram, OrderTooHigh
@@ -10,7 +10,6 @@ from tomolens.moments import (
     K_MAX_DEFAULT,
     SOURCE_FOCK_ORACLE,
     extraction_constant,
-    hermite_weights,
     moment_table,
     oracle_moment,
     oracle_moment_two_mode,
@@ -31,6 +30,7 @@ from tomolens.tomography import (
     _check_mass_defect,
     _joint_blocks,
     default_grid,
+    hermite_weights,
     tomogram_joint,
     tomogram_pure,
 )
@@ -279,8 +279,8 @@ def test_two_mode_table_evaluates_each_phase_pair_once(monkeypatch, mixed):
         contracted.append(what)
         return _check_mass_defect(defect, what)
 
-    monkeypatch.setattr(moments, "_joint_blocks", counting_joint)
-    monkeypatch.setattr(moments, "_check_mass_defect", counting_guard)
+    monkeypatch.setattr(tomography, "_joint_blocks", counting_joint)
+    monkeypatch.setattr(tomography, "_check_mass_defect", counting_guard)
     table = two_mode_moment_table(state, 2)
     # Phases {0, pi/3, 2pi/3} per mode at order 2: 3 x 3 distinct pairs.
     # A pure state contracts each pair without a joint tomogram, with one mass

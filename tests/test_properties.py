@@ -13,7 +13,10 @@ count is just below, equal to and one above a whole number of blocks, and
 compare its mass, entropy and moment block with the stacked tomogram; the
 same checks run on states of definite parity (c_nm zero on one parity of
 n + m, rho zero on odd n + n' + m + m'), whose mass and entropy are reduced
-over half the rows.  A random pure state's joint tomogram at
+over half the rows.  A random pure state's moment blocks, contracted over
+two phase sets of different sizes, must match the blocks of its density
+matrix summed over the row blocks of each joint tomogram.  A random pure
+state's joint tomogram at
 (theta1 + pi, theta2 + pi) must mirror the one at (theta1, theta2).  A
 random non-positive Hermitian rho must raise NegativeTomogram, naming the
 phase pair, on the blocked and the stacked route alike.  The mixed-tomogram
@@ -34,14 +37,16 @@ from hypothesis.extra import numpy as hnp
 
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, _lindblad_rhs, evolve
 from tomolens.errors import NegativeTomogram
-from tomolens.fock import TwoModeDensityMatrix, TwoModeState
+from tomolens.fock import TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
 from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_variance
-from tomolens.moments import SOURCE_FOCK_ORACLE, hermite_weights, moment_table, two_mode_moment_table
+from tomolens.moments import SOURCE_FOCK_ORACLE, moment_table, two_mode_moment_table
 from tomolens.tomography import (
     _BLOCK_ROWS,
     _definite_parity,
     _joint_blocks,
+    _pure_moment_blocks,
     default_grid,
+    hermite_weights,
     marginal,
     tomogram_joint,
     tomogram_mixed,
@@ -219,6 +224,25 @@ def test_definite_parity_pure_blocked_reductions_match_stacked_tomogram(state, t
 def test_definite_parity_mixed_blocked_reductions_match_stacked_tomogram(rho, theta1, theta2, n_points):
     assert _definite_parity(rho)
     _check_blocked_reductions(rho, theta1, theta2, n_points)
+
+
+@PROPERTY
+@given(pure_states(), st.lists(PHASES, min_size=1, max_size=4), st.lists(PHASES, min_size=1, max_size=4), BLOCK_GRIDS)
+def test_pure_moment_blocks_match_the_density_matrix_route(state, thetas1, thetas2, n_points):
+    assume(len(thetas1) != len(thetas2))
+    grid = default_grid(state, n_points)
+    psis = hermite_psi_matrix(state.n_cut, grid.x)
+    blocks = _pure_moment_blocks(state, thetas1, thetas2, psis, grid, 2)
+    rho, u = TwoModeDensityMatrix.from_pure(state), hermite_weights(grid, 2)
+    reference = np.array(
+        [
+            [sum(u[rows].T @ w @ u for rows, _, w, _ in _joint_blocks(rho, th1, th2, grid)) for th2 in thetas2]
+            for th1 in thetas1
+        ]
+    )
+    assert blocks.shape == (len(thetas1), len(thetas2), 3, 3)
+    # Relative to the largest entry, as in _check_blocked_reductions.
+    assert np.max(np.abs(blocks - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 @PROPERTY

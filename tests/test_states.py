@@ -43,6 +43,22 @@ def test_coherent_rejects_inadequate_cut():
         make_coherent(2.0, n_cut=4)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_cat(1.0, "odd", n_cut=0), "n_cut=0 keeps no amplitude"),
+        (lambda: make_pacs(1.0, 3, n_cut=2), "n_cut=2 below added photon number 3"),
+        (lambda: make_pacs(0.0, 3, n_cut=2), "n_cut=2 below added photon number 3"),
+        (lambda: make_isospectral(0.7, 3, n_cut=2), "n_cut=2 below the state's lowest level 3"),
+        (lambda: make_squeezed(0.3, "one", n_cut=0), "n_cut=0 below the state's lowest level 1"),
+    ],
+    ids=["ocs", "pacs", "pacs-vacuum", "isospectral", "yuen"],
+)
+def test_cut_below_every_amplitude_is_a_truncation_failure(build, message):
+    with pytest.raises(TruncationOverflow, match=message):
+        build()
+
+
 def test_ecs_small_alpha_collapses_to_vacuum():
     state = make_cat(1e-8, "even")
     assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)

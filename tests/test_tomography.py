@@ -180,12 +180,19 @@ def test_pi_shift_pairs_each_row_with_its_first_match():
     tomo = tomogram_pure(make_cat(0.9, "yurke-stoler"), thetas)
     pairs, worst = 0, 0.0
     for i, th in enumerate(thetas):
-        match = np.nonzero(np.isclose(thetas, th + np.pi, atol=1e-10))[0]
+        match = np.nonzero(np.isclose(thetas, th + np.pi, rtol=0.0, atol=1e-10))[0]
         if match.size:
             pairs += 1
             worst = max(worst, float(np.max(np.abs(tomo.values[match[0]] - tomo.values[i][::-1]))))
     report = check_pi_shift(tomo)
     assert (report.pairs_checked, report.max_deviation) == (pairs, worst) and pairs == 2
+
+
+def test_pi_shift_matches_phases_to_absolute_tolerance_only():
+    # np.isclose's default rtol=1e-5 would pair 0.3 with 0.3 + pi + 2e-5.
+    tomo = tomogram_pure(make_coherent(0.7), [0.3, 0.3 + np.pi + 2e-5])
+    with pytest.raises(ValueError, match="no \\(theta, theta \\+ pi\\) pairs"):
+        check_pi_shift(tomo)
 
 
 def test_grid_too_narrow_raises():
@@ -354,6 +361,11 @@ def test_tomogram_row_lookup_and_csv(tmp_path):
     assert row.shape == tomo.grid.x.shape
     with pytest.raises(KeyError):
         tomo.row(0.123)
+    # Phases 1e-5 apart are distinct rows: the lookup has no relative tolerance.
+    close = tomogram_pure(make_coherent(0.5), [1.0, 1.00001])
+    assert not np.array_equal(close.values[0], close.values[1])
+    assert np.array_equal(close.row(1.00001), close.values[1])
+    assert np.array_equal(close.row(1.0), close.values[0])
     path = tmp_path / "t.csv"
     tomogram_to_csv(tomo, path, comment="unit test")
     lines = path.read_text().splitlines()
