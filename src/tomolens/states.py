@@ -24,7 +24,7 @@ build_state and the config parser both read it.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,7 +271,7 @@ class Family:
     a scalar below `low` is out of range.  `extras` maps each extra integer
     to its (default, lower bound).  `build(params, n_cut)` makes the state.
     The product family has no scalar: its params are the two factors'
-    StateSpecs under "a" and "b".
+    StateSpecs under "a" and "b", and a given n_cut cuts both factors.
     """
 
     key: str | None
@@ -280,6 +280,11 @@ class Family:
     build: Callable
     extras: dict = field(default_factory=dict)
     two_mode: bool = False
+
+
+def _factor(spec: StateSpec, cut: int | None):
+    """One factor of a product state, cut at the product's `cut` when that is given."""
+    return build_state(spec if cut is None else replace(spec, n_cut=cut))
 
 
 # The catalog.  Each constructor is looked up by name when it is called, so a
@@ -303,7 +308,7 @@ FAMILIES = {
         "r", float, 0.0, lambda p, cut: make_two_mode("caves-schumaker", p["r"], cut), two_mode=True
     ),
     "product": Family(
-        None, None, None, lambda p, cut: make_product(build_state(p["a"]), build_state(p["b"])), two_mode=True
+        None, None, None, lambda p, cut: make_product(_factor(p["a"], cut), _factor(p["b"], cut)), two_mode=True
     ),
 }
 

@@ -8,26 +8,31 @@ Two-mode tomograms of pure states factor the same way, so a slice at fixed
 X2 needs only psi(X2), not the whole joint tomogram.
 
 Every other tomogram depends only on a density matrix and is a contraction
-of it.  The products psi_n(X) psi_n'(X) do not depend on the phase and are
-symmetric in (n, n'), so Q holds one row per pair n <= n': a d(d+1)/2 x N
-matrix.  Both modes of a joint tomogram share one grid, and the joint
-tomogram of rho[n, n', m, m'] is Q^T F Q, where rho~ is
-rho times e^{-i(n-n') theta1 - i(m-m') theta2} and F is Re(rho~) folded onto
-those pairs in both modes: entries (n, n') and (n', n) are summed into one
-for n != n'.  The imaginary part cancels because rho is Hermitian.  A
-reduced-mode row is the folded Re(rho~_a) times Q, with rho_a = Tr_b rho,
-formed as c c^dag for a pure state.  A physical rho gives non-negative
-values up to rounding; a contraction dipping below -1e-12 times its maximum
-raises NegativeTomogram, and the rounding-level rest is set to zero.
+of it.  The products psi_n(X) psi_n'(X) do not depend on the phase, and
+psi_n psi_n' is a polynomial of degree n + n' times e^{-X^2}, and so is
+P_k(X) = psi_k(sqrt(2) X) for k <= 2d - 2.  So the d^2 products span only
+2d - 1 functions: psi_n psi_n' = sum_k R_full[n d + n', k] P_k exactly, with
+R_full a d^2 x (2d - 1) matrix fixed by d alone (a Gauss-Hermite rule with
+2d - 1 nodes integrates every psi_n psi_n' P_k exactly) and symmetric in
+(n, n').  Both modes of a joint tomogram share one grid, and the joint
+tomogram of rho[n, n', m, m'] is P^T C P with C = Re(B1^T rho B2) of size
+(2d - 1)^2, rho taken as a d^2 x d^2 matrix and
+B_j[n d + n', k] = e^{-i(n - n') theta_j} R_full[n d + n', k]: one complex
+product of (2d - 1) d^4 multiply-adds, then N^2 (2d - 1) for W instead of
+N^2 d^2.  Only Re(rho~) reaches C, because R_full is real, and the
+imaginary part of rho~ cancels in W because rho is Hermitian.  A
+reduced-mode row is Re(rho~_a) R_full P, with rho_a = Tr_b rho formed as
+c c^dag for a pure state, each phase's row on its own, so a row does not
+depend on which other phases were asked for.  A physical rho gives
+non-negative values up to rounding; a contraction dipping below -1e-12
+times its maximum raises NegativeTomogram, and the rounding-level rest is
+set to zero.
 
-The d(d+1)/2 rows of Q span only 2d - 1 functions: psi_n psi_n' is a
-polynomial of degree n + n' times e^{-X^2}, and so is
-P_k(X) = psi_k(sqrt(2) X) for k <= 2d - 2.  So Q = R P exactly, with R a
-d(d+1)/2 x (2d - 1) matrix fixed by d alone (a Gauss-Hermite rule with
-2d - 1 nodes integrates every psi_n psi_n' P_k exactly), and a joint
-tomogram is P^T C P with C = R^T F^T R of size (2d - 1)^2: N^2 (2d - 1)
-multiply-adds instead of N^2 d(d+1)/2.  Every call checks max|Q - R P|
-against PROJECTION_GUARD and raises ProjectionDefect, naming d and N, above it.
+psi on the grid, P and R_full depend on (d, grid) alone and are cached for
+the few most recent pairs (_grid_psi, _product_basis); each (d, grid) is
+certified once, before first use: max|psi_n psi_n' - R P| above
+PROJECTION_GUARD raises ProjectionDefect, naming d and N, and nothing is
+cached.  The pure routes take psi from the same cache and build no basis.
 
 No caller keeps a joint tomogram W: each reads a mass, the entropy
 -sum w_i w_j W ln W or a block U^T W U off it.  So W is evaluated one block
@@ -109,6 +114,12 @@ EIGENMODE_FLOOR = 1e-14
 # max|Q - R P| may reach this by rounding only (|Q| <= 1/sqrt(pi)); measured
 # at most 1.1e-14 for d up to 120, and near 0.1 with one Gauss-Hermite node short.
 PROJECTION_GUARD = 1e-13
+# (d, grid) pairs kept by the psi cache and by the certified-basis cache.  A
+# basis entry holds P and R_full, about 0.6 MB at d = 23 on 1201 points.  Four
+# hold every pair a beamsplitter sweep, a decoherence run or the audit reuses;
+# the pure routes build no basis, so a state read only through them keeps psi
+# alone (0.5 MB at d = 53).
+_BASIS_CACHE_SIZE = 4
 
 _CSV_CHUNK_ROWS = 256
 # Rows per block of a joint tomogram, chosen to keep each block's temporaries
@@ -273,17 +284,6 @@ def _psi_products(psis: np.ndarray) -> np.ndarray:
     return psis[n] * psis[m]
 
 
-def _folded(re_rho: np.ndarray, d: int) -> np.ndarray:
-    """The last axis of `re_rho`, indexed n d + n', summed onto the pairs n <= n' of _psi_products.
-
-    Entry (n, n') + entry (n', n) for n < n', the diagonal once (halving the
-    doubled diagonal is exact).
-    """
-    n, m = np.triu_indices(d)
-    pairs = re_rho.take(n * d + m, axis=-1) + re_rho.take(m * d + n, axis=-1)
-    return pairs * np.where(n == m, 0.5, 1.0)
-
-
 @lru_cache(maxsize=64)
 def _product_projection(d: int, nodes: int) -> np.ndarray:
     """R with psi_n psi_n' = sum_k R[(n, n'), k] psi_k(sqrt(2) X) over k <= 2d - 2, by a `nodes`-point rule.
@@ -306,16 +306,43 @@ def _product_projection(d: int, nodes: int) -> np.ndarray:
     return projection
 
 
-def _product_basis(psis: np.ndarray, grid: QuadratureGrid):
-    """(R, P): the projection of _psi_products(psis) onto P_k = psi_k(sqrt(2) X) on `grid`, certified.
+def _grid_psi(d: int, grid: QuadratureGrid) -> np.ndarray:
+    """hermite_psi_matrix(d - 1, grid.x), read-only and cached per (d, grid), for the pure routes."""
+    return _cached_psi(d, grid.x.tobytes())
 
-    Raises ProjectionDefect, naming d and N, when max|Q - R P| exceeds
-    PROJECTION_GUARD.  The pairs (n, n' >= n) of each n are checked
-    together, so no d(d+1)/2 x N temporary is formed.
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _cached_psi(d: int, x_bytes: bytes) -> np.ndarray:
+    psis = hermite_psi_matrix(d - 1, np.frombuffer(x_bytes))
+    psis.setflags(write=False)
+    return psis
+
+
+def _product_basis(d: int, grid: QuadratureGrid):
+    """(psi, P, R_full) for d levels on `grid`, read-only, certified once per (d, grid) and cached.
+
+    psi is _grid_psi(d, grid), P_k = psi_k(sqrt(2) X) for k <= 2d - 2 on
+    the grid, and R_full[n d + n', k] = R[(min, max), k] the projection of
+    _product_projection spread over all d^2 pairs, so
+    psi_n psi_n' = R_full[n d + n'] P.  The key is d and the bytes of
+    grid.x (the weights do not enter).  Raises ProjectionDefect, naming d
+    and N, when max|psi_n psi_n' - R P| exceeds PROJECTION_GUARD; a failed
+    certificate is not cached.
     """
-    d = psis.shape[0]
+    return _certified_basis(d, grid.x.tobytes())
+
+
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _certified_basis(d: int, x_bytes: bytes):
+    """_product_basis on the grid points in `x_bytes`.
+
+    The pairs (n, n' >= n) of each n are checked together, so no
+    d(d+1)/2 x N temporary is formed.
+    """
+    x = np.frombuffer(x_bytes)
+    psis = _cached_psi(d, x_bytes)
     projection = _product_projection(d, 2 * d - 1)
-    basis = hermite_psi_matrix(2 * d - 2, np.sqrt(2.0) * grid.x)
+    basis = hermite_psi_matrix(2 * d - 2, np.sqrt(2.0) * x)
     defect, start = 0.0, 0
     for n in range(d):
         rows = slice(start, start + d - n)
@@ -325,9 +352,15 @@ def _product_basis(psis: np.ndarray, grid: QuadratureGrid):
     if defect > PROJECTION_GUARD:
         raise ProjectionDefect(
             f"product basis misses psi_n psi_n' by {defect:.3e} > {PROJECTION_GUARD:.0e} "
-            f"at d={d}, N={grid.x.size}"
+            f"at d={d}, N={x.size}"
         )
-    return projection, basis
+    n, m = np.triu_indices(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[n, m] = pair[m, n] = np.arange(n.size)
+    full = projection[pair.ravel()]
+    basis.setflags(write=False)
+    full.setflags(write=False)
+    return psis, basis, full
 
 
 def _phase_matrix(dim: int, theta) -> np.ndarray:
@@ -384,10 +417,10 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold:
 
     A pure state's block is |A[rows] psi|^2 with A = psi^T c~, through one
     real matrix product of [Re A[rows]; Im A[rows]]; a density matrix's is
-    P[:, rows]^T (C P) with C = R^T F^T R, the folded F projected onto the
-    certified product basis once (see the module docstring).  Each block is
-    clamped before it is yielded, with its rows' quadrature weights and its
-    share (row weights) W[rows] w of the mass.  After the last block the
+    P[:, rows]^T (C P) with C = Re(B1^T rho B2) in the certified product
+    basis (see the module docstring).  Each block is clamped before it is
+    yielded, with its rows' quadrature weights and its share
+    (row weights) W[rows] w of the mass.  After the last block the
     negativity guard (on the running minimum and maximum) and the mass guard
     (on the summed shares) raise, naming the phase pair, so a caller that
     reduces every block never returns a sum that failed them.
@@ -399,9 +432,9 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold:
     A caller that folds must weight rows by the yielded row weights, and
     every full-weight sum over the blocks is then the sum over all N rows.
     """
-    psis = hermite_psi_matrix(obj.n_cut, grid.x)
-    d = psis.shape[0]
+    d = obj.n_cut + 1
     if isinstance(obj, TwoModeState):
+        psis = _grid_psi(d, grid)
         n = np.arange(d)
         phased = obj.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
         amp = psis.T @ phased
@@ -412,11 +445,9 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold:
             return real_sq + imag_sq
 
     else:
-        projection, basis = _product_basis(psis, grid)
-        phased = obj.entries * _phase_matrix(d, theta1)[:, :, None, None] * _phase_matrix(d, theta2)
-        # Folding (m, m'), then (n, n') after a transpose, leaves F indexed [(m, m'), (n, n')].
-        folded = _folded(_folded(phased.real.reshape(d * d, d * d), d).T, d)
-        right = projection.T @ folded.T @ projection @ basis
+        _, basis, full = _product_basis(d, grid)
+        b1, b2 = (_phase_matrix(d, theta).reshape(d * d, 1) * full for theta in (theta1, theta2))
+        right = (b1.T @ obj.entries.reshape(d * d, d * d) @ b2).real @ basis
 
         def block(rows):
             return basis[:, rows].T @ right
@@ -479,7 +510,7 @@ def _moment_blocks(obj, phases, grid: QuadratureGrid | None, max_order: int) -> 
     if grid is None:
         grid = default_grid(obj)
     if isinstance(obj, TwoModeState):
-        return _pure_moment_blocks(obj, phases, phases, hermite_psi_matrix(obj.n_cut, grid.x), grid, max_order)
+        return _pure_moment_blocks(obj, phases, phases, _grid_psi(obj.n_cut + 1, grid), grid, max_order)
     u = hermite_weights(grid, max_order)
     return np.array(
         [
@@ -512,7 +543,7 @@ def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float,
     of each phase pair stays exact: the double integral of W is entry (0, 0)
     of its order-0 pure moment block (_pure_moment_blocks).
     """
-    psis = hermite_psi_matrix(state.n_cut, grid.x)
+    psis = _grid_psi(state.n_cut + 1, grid)
     thetas1 = np.atleast_1d(np.asarray(thetas1, dtype=float))
     _pure_moment_blocks(state, thetas1, [theta2], psis, grid, 0)
     n = np.arange(psis.shape[0])
@@ -545,8 +576,8 @@ def tomogram_mixed(
 ) -> TwoModeTomogram:
     """Joint tomogram of a two-mode density matrix at one phase pair, both modes on `grid`.
 
-    Q^T F Q with F the folded Re(rho~), evaluated as P^T C P in the
-    product basis (see the module docstring).
+    P^T C P with C = Re(B1^T rho B2) in the product basis (see the module
+    docstring).
     Raises NegativeTomogram, naming the phase pair, when rho is not positive
     enough for the values to stay above -1e-12 times their maximum.
     """
@@ -563,10 +594,11 @@ def tomogram_joint(obj, theta1, theta2, grid=None) -> TwoModeTomogram:
 def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None) -> Tomogram:
     """Tomogram of mode 'a' or 'b' of a two-mode state or density matrix.
 
-    Each row is the folded Re(rho~_a) times Q, with rho_a the reduced
-    density matrix of the kept mode (see the module docstring); it equals
-    the marginal of any joint tomogram at that mode's phase.  Raises NegativeTomogram naming the
-    offending phases, and GridTooNarrow as tomogram_pure does.
+    Each row is Re(rho~_a) R_full P, with rho_a the reduced density matrix
+    of the kept mode, formed for each phase on its own (see the module
+    docstring); it equals the marginal of any joint tomogram at that mode's
+    phase.  Raises NegativeTomogram naming the offending phases, and
+    GridTooNarrow as tomogram_pure does.
     """
     if mode not in ("a", "b"):
         raise ValueError("two-mode input needs mode='a' or mode='b'")
@@ -579,8 +611,10 @@ def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None)
     else:
         reduced = np.einsum("nNmm->nN" if mode == "a" else "nnmM->mM", obj.entries)
     d = reduced.shape[0]
-    folded = _folded((reduced * _phase_matrix(d, thetas)).real.reshape(thetas.size, d * d), d)
-    values = folded @ _psi_products(hermite_psi_matrix(obj.n_cut, grid.x))
+    _, basis, full = _product_basis(d, grid)
+    phased = (reduced * _phase_matrix(d, thetas)).real.reshape(thetas.size, d * d)
+    # One product per row: a batched (T, d^2) product rounds differently for T = 1 and T > 1.
+    values = np.stack([row @ full @ basis for row in phased])
     _check_nonnegative(values.min(axis=1), values.max(axis=1), [f"{th:.6g}" for th in thetas])
     tomo = Tomogram(thetas, _clamped(values), grid)
     _check_mass_defect(tomo.normalization_defect(), f"reduced-mode tomogram on half-width {grid.half_width:.2f}")

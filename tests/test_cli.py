@@ -189,6 +189,7 @@ def test_projection_defect_is_a_named_numerical_guard(tmp_path, capsys, monkeypa
     # mixed joint tomogram fails its certificate inside the guarded time point.
     exact = tomography._product_projection
     monkeypatch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
+    tomography._certified_basis.cache_clear()
     path = write_config(
         tmp_path,
         "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\nchannel = phase-damping\n"
@@ -363,6 +364,17 @@ def test_cut_that_keeps_no_amplitude_is_a_truncation_failure(tmp_path, capsys):
     assert err.startswith("numerical guard: TruncationOverflow: n_cut=0 keeps no amplitude") and "Traceback" not in err
     certificates = {r.subject: r for r in run_audit(n_cut=0) if r.check == "construction+tail-certificate"}
     assert certificates["ocs"].detail == "TruncationOverflow: n_cut=0 keeps no amplitude of the state"
+
+
+def test_audit_n_cut_reaches_the_product_states():
+    # The forced cut reaches both factors of a product, so the states the
+    # beamsplitter and decoherence checks hang off fail their certificate.
+    results = run_audit(n_cut=0)
+    certificates = {r.subject: r for r in results if r.check == "construction+tail-certificate"}
+    for subject in ("two-mode-vacuum", "ecs-x-vacuum"):
+        r = certificates[subject]
+        assert not r.passed and r.detail.startswith("TruncationOverflow: tail mass "), r.detail
+    assert not any(r.passed for r in results if r.subject == "ecs-x-vacuum")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -9,7 +9,7 @@ from tomolens.cli import main
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
 from tomolens.fock import TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
-from tomolens.metrics import _joint_mass_entropy, band_peaks, entropy_two_mode
+from tomolens.metrics import _joint_mass_entropy, band_peaks, entropy_two_mode, two_mode_report
 from tomolens.scenarios import parse_state_spec
 from tomolens.states import (
     build_state,
@@ -31,7 +31,6 @@ from tomolens.tomography import (
     _joint_blocks,
     _mirrored,
     _product_basis,
-    _psi_products,
     _two_mode_pure_slice,
     _write_rows,
     check_pi_shift,
@@ -524,10 +523,11 @@ def test_product_basis_reproduces_psi_products(d):
     # narrow mass-guard grid as on a default-sized one.
     default = QuadratureGrid.uniform(tomography.support_half_width(d - 1), 1201)
     for grid in (default, QuadratureGrid.uniform(1.0, 201)):
-        psis = hermite_psi_matrix(d - 1, grid.x)
-        projection, basis = _product_basis(psis, grid)
-        assert projection.shape == (d * (d + 1) // 2, 2 * d - 1) and basis.shape == (2 * d - 1, grid.x.size)
-        assert np.max(np.abs(_psi_products(psis) - projection @ basis)) <= PROJECTION_GUARD
+        psis, basis, full = _product_basis(d, grid)
+        assert np.array_equal(psis, hermite_psi_matrix(d - 1, grid.x))
+        assert full.shape == (d * d, 2 * d - 1) and basis.shape == (2 * d - 1, grid.x.size)
+        products = (psis[:, None] * psis[None]).reshape(d * d, -1)
+        assert np.max(np.abs(products - full @ basis)) <= PROJECTION_GUARD
 
 
 def test_product_basis_one_node_short_raises_naming_d_and_n(monkeypatch):
@@ -538,8 +538,77 @@ def test_product_basis_one_node_short_raises_naming_d_and_n(monkeypatch):
     grid = default_grid(rho)
     exact = tomography._product_projection
     monkeypatch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
+    tomography._certified_basis.cache_clear()
     with pytest.raises(ProjectionDefect, match=rf"misses psi_n psi_n' by .* at d={rho.dim}, N={grid.x.size}$"):
         tomogram_mixed(rho, 0.4, 1.1, grid)
+
+
+def test_product_basis_is_keyed_on_the_grid_points():
+    # Same d and N, different half-widths: each grid gets its own P, equal
+    # to a direct evaluation on sqrt(2) x, and nothing cached is writable.
+    d = 6
+    for half_width in (5.0, 6.0):
+        grid = QuadratureGrid.uniform(half_width, 201)
+        psis, basis, full = _product_basis(d, grid)
+        assert np.array_equal(psis, hermite_psi_matrix(d - 1, grid.x))
+        assert np.array_equal(basis, hermite_psi_matrix(2 * d - 2, np.sqrt(2.0) * grid.x))
+        assert not any(array.flags.writeable for array in (psis, basis, full))
+    narrow = _product_basis(d, QuadratureGrid.uniform(5.0, 201))[1]
+    assert not np.array_equal(narrow, basis)
+
+
+def test_product_basis_certifies_again_after_a_failed_certificate(monkeypatch):
+    # A failed certificate leaves nothing in the cache, so the exact
+    # projection is certified anew on the next call.
+    d, grid = 8, QuadratureGrid.uniform(6.0, 301)
+    exact = tomography._product_projection
+    tomography._certified_basis.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
+        with pytest.raises(ProjectionDefect, match=rf"at d={d}, N={grid.x.size}$"):
+            _product_basis(d, grid)
+    assert tomography._certified_basis.cache_info().currsize == 0
+    psis, basis, full = _product_basis(d, grid)
+    products = (psis[:, None] * psis[None]).reshape(d * d, -1)
+    assert np.max(np.abs(products - full @ basis)) <= PROJECTION_GUARD
+
+
+def test_pure_two_mode_report_evaluates_psi_once_per_grid(monkeypatch):
+    # Both joint entropies, the order-2 table with its reduced tables and
+    # both reduced entropies share one psi and one P on the grid.
+    state = apply(BeamsplitterConfig(0.3), make_product(make_cat(0.6, "odd"), make_coherent(0.0)))
+    grid = default_grid(state)
+    calls = []
+    real = tomography.hermite_psi_matrix
+
+    def counted(n_max, x):
+        calls.append((n_max, np.array_equal(x, grid.x), np.array_equal(x, np.sqrt(2.0) * grid.x)))
+        return real(n_max, x)
+
+    monkeypatch.setattr(tomography, "hermite_psi_matrix", counted)
+    tomography._certified_basis.cache_clear()
+    two_mode_report(state, 0.4, 1.1, grid)
+    d = state.n_cut + 1
+    assert [c for c in calls if c[1]] == [(d - 1, True, False)]
+    assert [c for c in calls if c[2]] == [(2 * d - 2, False, True)]
+
+
+@pytest.mark.parametrize("source", ["pure", "decohered"])
+def test_reduced_row_does_not_depend_on_the_phase_set(source):
+    # A reduced-mode row at theta is the same bits whether theta is asked for
+    # alone, with theta + pi/2 or inside a 5-phase set; reduced entropies
+    # read off either set then agree exactly.
+    if source == "pure":
+        obj = apply(BeamsplitterConfig(0.3), make_product(make_pacs(0.8, 1), make_coherent(0.0)))
+    else:
+        obj = decohered_output(PHASE_DAMPING)
+    grid = default_grid(obj)
+    theta = 0.4
+    for mode in ("a", "b"):
+        alone = tomogram_reduced(obj, mode, [theta], grid).values[0]
+        pair = tomogram_reduced(obj, mode, [theta, theta + np.pi / 2], grid).values[0]
+        five = tomogram_reduced(obj, mode, [0.1, 1.3, theta, 2.0, 2.9], grid).values[2]
+        assert alone.tobytes() == pair.tobytes() == five.tobytes()
 
 
 def test_janus_partner_slices_share_peak_structure():
