@@ -27,6 +27,7 @@ from .errors import (
     GridTooNarrow,
     MissingOrder,
     NegativeTomogram,
+    NumericalGuard,
     OrderTooHigh,
     ProjectionDefect,
     TomolensError,

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 configuration error (including a value the library
 rejects, such as a negative channel rate, a family parameter below its
 bound, a parameter at which a state family is undefined, or an audit
-override out of range), 2 numerical-guard failure (inadequate truncation or
-grid, a density matrix whose tomogram goes negative, or a product-basis
-projection off by more than rounding, with the offending point named),
+override out of range), 2 numerical-guard failure (an errors.NumericalGuard:
+inadequate truncation or grid, a density matrix whose tomogram goes
+negative, or a product-basis projection off by more than rounding, with
+the offending point named),
 3 audit failures (a failed `tomolens audit` check, or an
 oracle-audit scenario whose worst difference reaches its tolerance).
 """
@@ -15,15 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    AuditFailure,
-    ConfigError,
-    DegenerateParameter,
-    GridTooNarrow,
-    NegativeTomogram,
-    ProjectionDefect,
-    TruncationOverflow,
-)
+from .errors import AuditFailure, ConfigError, DegenerateParameter, NumericalGuard
 from .scenarios import audit_table, parse_config, run_audit, run_scenario
 
 
@@ -61,7 +54,7 @@ def main(argv=None) -> int:
         except (ConfigError, DegenerateParameter) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        except (TruncationOverflow, GridTooNarrow, NegativeTomogram, ProjectionDefect) as exc:
+        except NumericalGuard as exc:
             print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         except AuditFailure as exc:

@@ -5,11 +5,15 @@ class TomolensError(Exception):
     """Base class for all package errors."""
 
 
-class TruncationOverflow(TomolensError):
+class NumericalGuard(TomolensError):
+    """A numerical guard failed: truncation, grid, tomogram positivity or product-basis projection."""
+
+
+class TruncationOverflow(NumericalGuard):
     """Significant amplitude would leave the truncated Fock basis."""
 
 
-class GridTooNarrow(TomolensError):
+class GridTooNarrow(NumericalGuard):
     """A quadrature grid fails to capture the distribution it integrates."""
 
 
@@ -29,11 +33,11 @@ class ConfigError(TomolensError):
     """A scenario configuration file is missing or malformed."""
 
 
-class NegativeTomogram(TomolensError):
+class NegativeTomogram(NumericalGuard):
     """A density matrix yields tomogram values below zero beyond rounding."""
 
 
-class ProjectionDefect(TomolensError):
+class ProjectionDefect(NumericalGuard):
     """A product-basis projection misses the psi products it stands in for beyond rounding."""
 
 

@@ -27,16 +27,7 @@ import numpy as np
 
 from . import decoherence as dec
 from .beamsplitter import BeamsplitterConfig, apply
-from .errors import (
-    AuditFailure,
-    ConfigError,
-    DegenerateParameter,
-    GridTooNarrow,
-    NegativeTomogram,
-    ProjectionDefect,
-    TomolensError,
-    TruncationOverflow,
-)
+from .errors import AuditFailure, ConfigError, DegenerateParameter, NumericalGuard, TomolensError
 from .fock import SingleModeState, TwoModeDensityMatrix, TwoModeState
 from .metrics import (
     ENTROPY_THRESHOLD,
@@ -201,7 +192,7 @@ def _guarded(fn, point: str):
     def wrapped(*args):
         try:
             return fn(*args)
-        except (TruncationOverflow, GridTooNarrow, NegativeTomogram, ProjectionDefect, DegenerateParameter) as exc:
+        except (NumericalGuard, DegenerateParameter) as exc:
             raise type(exc)(f"{exc} [at {point.format(*args)}]") from exc
 
     return wrapped
@@ -394,7 +385,7 @@ def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
     def one(point):
         alpha, phi = point
         out = apply(BeamsplitterConfig(phi=phi), make_input(alpha))
-        r = two_mode_report(out, theta, theta, default_grid(out))
+        r = two_mode_report(out, theta, theta)
         return (
             alpha, phi, theta, r.entropy, int(r.entropy_squeezed), r.variance,
             int(r.variance_squeezed), r.eur_sum, r.reduced_entropy_a, r.reduced_entropy_b,

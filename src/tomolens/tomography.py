@@ -28,11 +28,12 @@ non-negative values up to rounding; a contraction dipping below -1e-12
 times its maximum raises NegativeTomogram, and the rounding-level rest is
 set to zero.
 
-psi on the grid, P and R_full depend on (d, grid) alone and are cached for
-the few most recent pairs (_grid_psi, _product_basis); each (d, grid) is
-certified once, before first use: max|psi_n psi_n' - R P| above
-PROJECTION_GUARD raises ProjectionDefect, naming d and N, and nothing is
-cached.  The pure routes take psi from the same cache and build no basis.
+psi on the grid, P and R_full depend on (d, grid) alone, and a grid is the
+value of its half-width and point count, so _grid_psi and _product_basis
+are lru caches keyed on (d, grid) for the few most recent pairs.  Each
+(d, grid) is certified once, before first use: max|psi_n psi_n' - R P|
+above PROJECTION_GUARD raises ProjectionDefect, naming d and N, and nothing
+is cached.  The pure routes take psi from the same cache and build no basis.
 
 No caller keeps a joint tomogram W: each reads a mass, the entropy
 -sum w_i w_j W ln W or a block U^T W U off it.  So W is evaluated one block
@@ -41,12 +42,13 @@ P[:, rows]^T (C P) for a density matrix, and every such number is summed
 over the blocks as they come; the running minimum and maximum and the
 summed mass feed the negativity and mass guards after the last block.
 Blocks of 105 rows keep the largest temporary near 2 MB on the default
-1201-point grid, where W itself is 11.5 MB.  The full-array builders stack
-the same blocks.
+1201-point grid, where W itself is 11.5 MB.  tomogram_joint stacks the
+same blocks into a whole W.
 
-A uniform grid is built as x_j = h (j - (N - 1)/2) with h = 2L/(N - 1),
-so x[::-1] == -x bit for bit, and psi_n(-x) = (-1)^n psi_n(x) holds bit for
-bit too (hermite_psi_matrix computes half the grid and mirrors the rest).
+A QuadratureGrid is its half-width L and odd point count N alone: x_j =
+h (j - (N - 1)/2) with h = 2L/(N - 1), so every grid has x[::-1] == -x bit
+for bit, and psi_n(-x) = (-1)^n psi_n(x) holds bit for bit too
+(hermite_psi_matrix computes half the grid and mirrors the rest).
 A state of definite parity (c_nm zero on one parity of n + m, or rho zero
 on every odd n + n' + m + m') then has W(-X1, -X2) = W(X1, X2) at every
 phase pair.  The even and odd coherent states through a beamsplitter, and
@@ -88,7 +90,7 @@ every value of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -135,18 +137,29 @@ DEFAULT_THETAS = np.linspace(0.0, np.pi, 181)
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform symmetric grid with composite Simpson weights for integrals over X."""
+    """Uniform grid of `n_points` (odd, >= 3) on [-half_width, half_width] with composite Simpson weights.
 
-    x: np.ndarray
-    weights: np.ndarray
+    The grid is the value of its two numbers: equal numbers give equal
+    grids that hash alike, which keys the (d, grid) caches.  x and the
+    weights are derived from them once, read-only, and take no part in
+    ==, hash or repr.
+    """
+
+    half_width: float
+    n_points: int
+    x: np.ndarray = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if x.ndim != 1 or x.size < 3 or x.size % 2 == 0:
+        n = self.n_points
+        if n < 3 or n % 2 == 0:
             raise ValueError("grid needs an odd number (>= 3) of points for Simpson weights")
-        x = x.copy()
-        w = w.copy()
+        h = 2.0 * self.half_width / (n - 1)
+        x = h * np.arange(-(n // 2), n // 2 + 1)
+        w = np.ones(n)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= h / 3.0
         x.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -158,26 +171,11 @@ class QuadratureGrid:
 
         An even n_points is raised to the next odd count.
         """
-        if n_points % 2 == 0:
-            n_points += 1
-        h = 2.0 * half_width / (n_points - 1)
-        x = h * np.arange(-(n_points // 2), n_points // 2 + 1)
-        w = np.ones(n_points)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return cls(x, w * (h / 3.0))
-
-    @property
-    def half_width(self) -> float:
-        return float(self.x[-1])
+        return cls(half_width, n_points | 1)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Integrate along the last axis."""
         return np.asarray(values) @ self.weights
-
-    def is_symmetric(self) -> bool:
-        """Whether x[::-1] == -x and weights[::-1] == weights, bit for bit."""
-        return bool(np.array_equal(self.x[::-1], -self.x) and np.array_equal(self.weights[::-1], self.weights))
 
 
 def hermite_weights(grid: QuadratureGrid, max_order: int) -> np.ndarray:
@@ -306,43 +304,29 @@ def _product_projection(d: int, nodes: int) -> np.ndarray:
     return projection
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _grid_psi(d: int, grid: QuadratureGrid) -> np.ndarray:
     """hermite_psi_matrix(d - 1, grid.x), read-only and cached per (d, grid), for the pure routes."""
-    return _cached_psi(d, grid.x.tobytes())
-
-
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _cached_psi(d: int, x_bytes: bytes) -> np.ndarray:
-    psis = hermite_psi_matrix(d - 1, np.frombuffer(x_bytes))
+    psis = hermite_psi_matrix(d - 1, grid.x)
     psis.setflags(write=False)
     return psis
 
 
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _product_basis(d: int, grid: QuadratureGrid):
     """(psi, P, R_full) for d levels on `grid`, read-only, certified once per (d, grid) and cached.
 
     psi is _grid_psi(d, grid), P_k = psi_k(sqrt(2) X) for k <= 2d - 2 on
     the grid, and R_full[n d + n', k] = R[(min, max), k] the projection of
     _product_projection spread over all d^2 pairs, so
-    psi_n psi_n' = R_full[n d + n'] P.  The key is d and the bytes of
-    grid.x (the weights do not enter).  Raises ProjectionDefect, naming d
+    psi_n psi_n' = R_full[n d + n'] P.  Raises ProjectionDefect, naming d
     and N, when max|psi_n psi_n' - R P| exceeds PROJECTION_GUARD; a failed
-    certificate is not cached.
+    certificate is not cached.  The pairs (n, n' >= n) of each n are
+    checked together, so no d(d+1)/2 x N temporary is formed.
     """
-    return _certified_basis(d, grid.x.tobytes())
-
-
-@lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _certified_basis(d: int, x_bytes: bytes):
-    """_product_basis on the grid points in `x_bytes`.
-
-    The pairs (n, n' >= n) of each n are checked together, so no
-    d(d+1)/2 x N temporary is formed.
-    """
-    x = np.frombuffer(x_bytes)
-    psis = _cached_psi(d, x_bytes)
+    psis = _grid_psi(d, grid)
     projection = _product_projection(d, 2 * d - 1)
-    basis = hermite_psi_matrix(2 * d - 2, np.sqrt(2.0) * x)
+    basis = hermite_psi_matrix(2 * d - 2, np.sqrt(2.0) * grid.x)
     defect, start = 0.0, 0
     for n in range(d):
         rows = slice(start, start + d - n)
@@ -352,7 +336,7 @@ def _certified_basis(d: int, x_bytes: bytes):
     if defect > PROJECTION_GUARD:
         raise ProjectionDefect(
             f"product basis misses psi_n psi_n' by {defect:.3e} > {PROJECTION_GUARD:.0e} "
-            f"at d={d}, N={x.size}"
+            f"at d={d}, N={grid.n_points}"
         )
     n, m = np.triu_indices(d)
     pair = np.empty((d, d), dtype=np.intp)
@@ -425,10 +409,10 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold:
     (on the summed shares) raise, naming the phase pair, so a caller that
     reduces every block never returns a sum that failed them.
 
-    With `fold`, a state of definite parity (_definite_parity) on a grid
-    with x[::-1] == -x and symmetric weights has W(-X1, -X2) = W(X1, X2),
-    so only rows 0 .. N//2 are evaluated: each row below the centre stands
-    for itself and its mirror with weight 2 w_i, the centre row keeps w_c.
+    With `fold`, a state of definite parity (_definite_parity) has
+    W(-X1, -X2) = W(X1, X2), and every grid mirrors bit for bit, so only
+    rows 0 .. N//2 are evaluated: each row below the centre stands for
+    itself and its mirror with weight 2 w_i, the centre row keeps w_c.
     A caller that folds must weight rows by the yielded row weights, and
     every full-weight sum over the blocks is then the sum over all N rows.
     """
@@ -454,7 +438,7 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, fold:
 
     w = grid.weights
     row_weights, stop = w, w.size
-    if fold and grid.is_symmetric() and _definite_parity(obj):
+    if fold and _definite_parity(obj):
         stop = w.size // 2 + 1
         row_weights = 2.0 * w[:stop]
         row_weights[-1] = w[stop - 1]
@@ -520,19 +504,34 @@ def _moment_blocks(obj, phases, grid: QuadratureGrid | None, max_order: int) -> 
     )
 
 
-def _stacked(obj, theta1: float, theta2: float, grid) -> TwoModeTomogram:
-    """The joint tomogram at one phase pair with its row blocks stacked, both modes on `grid`."""
+def tomogram_joint(obj, theta1: float, theta2: float, grid: QuadratureGrid | None = None) -> TwoModeTomogram:
+    """Joint tomogram of a pure two-mode state or a density matrix at one phase pair, both modes on `grid`.
+
+    The row blocks of _joint_blocks, stacked.  For a density matrix they
+    are P^T C P with C = Re(B1^T rho B2) in the product basis (see the
+    module docstring), and NegativeTomogram, naming the phase pair, is
+    raised when rho is not positive enough for the values to stay above
+    -1e-12 times their maximum.
+    """
     if grid is None:
         grid = default_grid(obj)
     values = np.concatenate([block for _, _, block, _ in _joint_blocks(obj, theta1, theta2, grid)])
     return TwoModeTomogram(theta1, theta2, values, grid, grid)
 
 
+# The two typed builders stay functions of their own: perfbench/tracer.py traces each as a layer.
 def tomogram_two_mode_pure(
     state: TwoModeState, theta1: float, theta2: float, grid: QuadratureGrid | None = None
 ) -> TwoModeTomogram:
-    """Joint tomogram of a pure two-mode state at one phase pair, both modes on `grid`."""
-    return _stacked(state, theta1, theta2, grid)
+    """Joint tomogram of a pure two-mode state at one phase pair, both modes on `grid` (tomogram_joint)."""
+    return tomogram_joint(state, theta1, theta2, grid)
+
+
+def tomogram_mixed(
+    rho: TwoModeDensityMatrix, theta1: float, theta2: float, grid: QuadratureGrid | None = None
+) -> TwoModeTomogram:
+    """Joint tomogram of a two-mode density matrix at one phase pair, both modes on `grid` (tomogram_joint)."""
+    return tomogram_joint(rho, theta1, theta2, grid)
 
 
 def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float, grid: QuadratureGrid):
@@ -569,26 +568,6 @@ def density_eigenmodes(rho: TwoModeDensityMatrix):
     d = rho.dim
     modes = [vecs[:, i].reshape(d, d) for i in np.nonzero(keep)[0]]
     return vals[keep], modes
-
-
-def tomogram_mixed(
-    rho: TwoModeDensityMatrix, theta1: float, theta2: float, grid: QuadratureGrid | None = None
-) -> TwoModeTomogram:
-    """Joint tomogram of a two-mode density matrix at one phase pair, both modes on `grid`.
-
-    P^T C P with C = Re(B1^T rho B2) in the product basis (see the module
-    docstring).
-    Raises NegativeTomogram, naming the phase pair, when rho is not positive
-    enough for the values to stay above -1e-12 times their maximum.
-    """
-    return _stacked(rho, theta1, theta2, grid)
-
-
-def tomogram_joint(obj, theta1, theta2, grid=None) -> TwoModeTomogram:
-    """Dispatch to the pure or mixed two-mode evaluation, both modes on `grid`."""
-    if isinstance(obj, TwoModeState):
-        return tomogram_two_mode_pure(obj, theta1, theta2, grid)
-    return tomogram_mixed(obj, theta1, theta2, grid)
 
 
 def tomogram_reduced(obj, mode: str, thetas, grid: QuadratureGrid | None = None) -> Tomogram:
@@ -644,9 +623,7 @@ class PiShiftReport:
 
 
 def check_pi_shift(tomo: Tomogram) -> PiShiftReport:
-    """Verify w(X, theta + pi) = w(-X, theta) on a grid with x[::-1] == -x."""
-    if not tomo.grid.is_symmetric():
-        raise ValueError("pi-shift check requires an X-symmetric grid")
+    """Verify w(X, theta + pi) = w(-X, theta), read off the grid's x[::-1] == -x."""
     # hits[i, j]: theta_j matches theta_i + pi; each row i is paired with its first match.
     hits = np.isclose(tomo.thetas, (tomo.thetas + np.pi)[:, None], rtol=0.0, atol=1e-10)
     rows = np.nonzero(hits.any(axis=1))[0]

@@ -78,6 +78,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", guard, "--out", str(tmp_path / "o3")]) == 2
     capsys.readouterr()
 
+    # The fewest points a config may ask for cannot hold a coherent state's mass.
+    narrow = write_config(
+        tmp_path,
+        "scenario = tomogram\nfamily = coherent\nalpha = 1.0\ngrid_points = 3\n",
+        "narrow.cfg",
+    )
+    assert main(["run", narrow, "--out", str(tmp_path / "o4")]) == 2
+    assert capsys.readouterr().err.startswith("numerical guard: GridTooNarrow:")
+
     # Values the library rejects are config errors too, never a traceback.
     rejected = {
         "negative-rate": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"
@@ -189,7 +198,7 @@ def test_projection_defect_is_a_named_numerical_guard(tmp_path, capsys, monkeypa
     # mixed joint tomogram fails its certificate inside the guarded time point.
     exact = tomography._product_projection
     monkeypatch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
-    tomography._certified_basis.cache_clear()
+    tomography._product_basis.cache_clear()
     path = write_config(
         tmp_path,
         "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\nchannel = phase-damping\n"

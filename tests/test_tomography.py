@@ -67,16 +67,42 @@ def test_uniform_grid_is_exactly_antisymmetric(half_width, n_points):
     x, size = grid.x, n_points | 1
     assert x.size == size and x[size // 2] == 0.0
     assert np.array_equal(x[::-1], -x) and np.array_equal(grid.weights[::-1], grid.weights)
-    assert grid.is_symmetric()
     assert np.max(np.abs(x - np.linspace(-half_width, half_width, size))) <= 1e-14 * half_width
-    nudged = x.copy()
-    nudged[1] = np.nextafter(nudged[1], 0.0)
-    assert not QuadratureGrid(nudged, grid.weights).is_symmetric()
 
 
 def test_grid_requires_odd_point_count():
     with pytest.raises(ValueError):
-        QuadratureGrid(np.linspace(-1, 1, 4), np.ones(4))
+        QuadratureGrid(1.0, 4)
+    with pytest.raises(ValueError):
+        QuadratureGrid(1.0, 1)
+
+
+def test_grid_is_the_value_of_its_two_numbers():
+    # Equal numbers give equal grids that hash alike; either number tells grids apart.
+    grid = QuadratureGrid(6.0, 201)
+    assert grid == QuadratureGrid.uniform(6.0, 200) and hash(grid) == hash(QuadratureGrid(6.0, 201))
+    assert grid != QuadratureGrid(6.5, 201) and grid != QuadratureGrid(6.0, 203)
+    assert repr(grid) == "QuadratureGrid(half_width=6.0, n_points=201)"
+
+
+def test_grid_arrays_are_read_only():
+    grid = QuadratureGrid(6.0, 201)
+    for array in (grid.x, grid.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_equal_grids_built_apart_share_one_cache_entry():
+    tomography._grid_psi.cache_clear()
+    tomography._product_basis.cache_clear()
+    first = _product_basis(5, QuadratureGrid(6.0, 201))
+    second = _product_basis(5, QuadratureGrid.uniform(6.0, 201))
+    assert all(a is b for a, b in zip(first, second))
+    for cache in (tomography._grid_psi, tomography._product_basis):
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+    assert tomography._product_basis.cache_info().hits == 1
 
 
 def test_vacuum_tomogram_is_phase_independent_gaussian():
@@ -538,7 +564,7 @@ def test_product_basis_one_node_short_raises_naming_d_and_n(monkeypatch):
     grid = default_grid(rho)
     exact = tomography._product_projection
     monkeypatch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
-    tomography._certified_basis.cache_clear()
+    tomography._product_basis.cache_clear()
     with pytest.raises(ProjectionDefect, match=rf"misses psi_n psi_n' by .* at d={rho.dim}, N={grid.x.size}$"):
         tomogram_mixed(rho, 0.4, 1.1, grid)
 
@@ -562,12 +588,12 @@ def test_product_basis_certifies_again_after_a_failed_certificate(monkeypatch):
     # projection is certified anew on the next call.
     d, grid = 8, QuadratureGrid.uniform(6.0, 301)
     exact = tomography._product_projection
-    tomography._certified_basis.cache_clear()
+    tomography._product_basis.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(tomography, "_product_projection", lambda d, nodes: exact(d, nodes - 1))
         with pytest.raises(ProjectionDefect, match=rf"at d={d}, N={grid.x.size}$"):
             _product_basis(d, grid)
-    assert tomography._certified_basis.cache_info().currsize == 0
+    assert tomography._product_basis.cache_info().currsize == 0
     psis, basis, full = _product_basis(d, grid)
     products = (psis[:, None] * psis[None]).reshape(d * d, -1)
     assert np.max(np.abs(products - full @ basis)) <= PROJECTION_GUARD
@@ -586,7 +612,8 @@ def test_pure_two_mode_report_evaluates_psi_once_per_grid(monkeypatch):
         return real(n_max, x)
 
     monkeypatch.setattr(tomography, "hermite_psi_matrix", counted)
-    tomography._certified_basis.cache_clear()
+    tomography._grid_psi.cache_clear()
+    tomography._product_basis.cache_clear()
     two_mode_report(state, 0.4, 1.1, grid)
     d = state.n_cut + 1
     assert [c for c in calls if c[1]] == [(d - 1, True, False)]
@@ -632,7 +659,7 @@ def test_janus_partner_slices_share_peak_structure():
 
 
 def test_tomogram_keeps_a_fresh_array_read_only():
-    grid = QuadratureGrid(np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    grid = QuadratureGrid.uniform(1.0, 5)
     values = np.full((2, 5), 0.5)
     tomo = Tomogram([0.0, 1.0], values, grid)
     assert np.shares_memory(tomo.values, values)
@@ -667,7 +694,7 @@ def test_single_mode_tomograms_hand_over_arrays_of_their_own(monkeypatch):
 
 
 def test_two_mode_tomogram_keeps_a_fresh_array_read_only():
-    grid = QuadratureGrid(np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    grid = QuadratureGrid.uniform(1.0, 5)
     values = np.full((5, 5), 0.25)
     tomo = TwoModeTomogram(0.0, 0.0, values, grid, grid)
     assert np.shares_memory(tomo.values, values)
@@ -675,7 +702,7 @@ def test_two_mode_tomogram_keeps_a_fresh_array_read_only():
 
 
 def test_two_mode_tomogram_copies_a_view():
-    grid = QuadratureGrid(np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    grid = QuadratureGrid.uniform(1.0, 5)
     source = np.arange(25.0).reshape(5, 5)
     before = source.copy()
     tomo = TwoModeTomogram(0.0, 0.0, source.T, grid, grid)
@@ -743,11 +770,3 @@ def test_an_amplitude_in_the_other_parity_sector_disables_the_fold(mixed):
     assert abs(mass - grid.weights @ dense.values @ grid.weights) <= 1e-13
     assert abs(entropy - entropy_two_mode(dense)) <= 1e-13
 
-
-def test_fold_needs_a_mirror_symmetric_grid():
-    # Shifting one weight off its mirror image turns the fold off even for a state of definite parity.
-    state = apply(BeamsplitterConfig(0.0), make_product(make_cat(0.56, "even"), make_coherent(0.0)))
-    grid = QuadratureGrid.uniform(tomography.support_half_width(state.n_cut), 211)
-    weights = grid.weights.copy()
-    weights[0] *= 1.0 + 1e-15
-    assert _rows_reduced(state, QuadratureGrid(grid.x, weights)) == 211
