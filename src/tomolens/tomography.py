@@ -33,7 +33,9 @@ value of its half-width and point count, so _grid_psi and _product_basis
 are lru caches keyed on (d, grid) for the few most recent pairs.  Each
 (d, grid) is certified once, before first use: max|psi_n psi_n' - R P|
 above PROJECTION_GUARD raises ProjectionDefect, naming d and N, and nothing
-is cached.  The pure routes take psi from the same cache and build no basis.
+is cached.  A miss builds under a lock picked by its key, so threads that
+ask for one new (d, grid) at once build it once.  The pure routes take psi
+from the same cache and build no basis.
 
 No caller keeps a joint tomogram W: each reads a mass, the entropy
 -sum w_i w_j W ln W or a block U^T W U off it.  So W is evaluated one block
@@ -86,12 +88,24 @@ stays independent of the Fock oracle in moments.  A density matrix's block
 is the sum of U[rows]^T W[rows] U over the row blocks of its joint
 tomogram, so W is never held whole and the negativity guard still sees
 every value of W.
+
+CSV cells are "%.17g" % v byte for byte, formatted by one numpy kernel
+(_format_cells) a chunk at a time.  |v| is scaled to |v| 10^(16 - e) in
+[10^16, 10^17) as a double-double: Dekker's exact product of its binary
+mantissa with a table of 10^k = (H + L) 2^S taken from exact integer
+ratios, within about 1e-15 of the true value.  One rounding to nearest gives
+the 17 digits, which are written through a table of four-digit strings and
+laid out as %g lays them out.  Python's % formats only a non-finite value
+and one whose scaled fraction lies within 1e-9 of 1/2 (a possible tie,
+which % rounds half-even).
+The tables are built on first use, not at import.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.hermite import hermvander
@@ -122,8 +136,29 @@ PROJECTION_GUARD = 1e-13
 # the pure routes build no basis, so a state read only through them keeps psi
 # alone (0.5 MB at d = 53).
 _BASIS_CACHE_SIZE = 4
+# Locks a (d, grid) cache miss builds under, picked by the key's hash: two
+# callers of one key share a lock, so the second waits for the first build and
+# hits.  Re-entrant, because _product_basis reads _grid_psi of its own key.
+_BUILD_LOCKS = tuple(threading.RLock() for _ in range(8))
 
-_CSV_CHUNK_ROWS = 256
+# A CSV cell is laid out in _CELL byte slots, NUL where a slot is unused:
+# 0-5 the sign and the "0.000" of a fixed-point value below 1, 6 the first
+# digit, 7 a decimal point after it, 8-23 the other 16 digits, 24-28 "e", the
+# exponent's sign and two or three exponent digits, 31 the separator.  So
+# slots 0-7 and 24-31 are one 8-byte word each, and 8-23 four 4-digit groups.
+_CELL = 32
+# Cells per formatted CSV chunk, which keeps the chunk's temporaries near 1 MB
+# (8192 cells raised the peak RSS of a 61-phase two-mode slice run by 1.3 MB).
+_CSV_CHUNK_CELLS = 4096
+# 10^(16 - e) for every decimal exponent e of a finite nonzero double
+# (-324 .. 308), with room for the exponent's one-step correction.
+_TENS = range(-300, 351)
+# Every decimal exponent a finite double's 17 digits can carry.
+_EXPONENTS = range(-324, 309)
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two halves of at most 26 bits (Veltkamp)
+# The double-double scaled value is within about 1e-15 of |v| 10^(16 - e) <
+# 10^17; a fraction this close to 1/2 may be a tie, and Python formats it.
+_TIE_MARGIN = 1e-9
 # Rows per block of a joint tomogram, chosen to keep each block's temporaries
 # near 2 MB: the pure route's [Re; Im] product over 2 x 105 rows of the
 # default 1201-point grid is 2.0 MB, and the mixed route's block
@@ -154,6 +189,8 @@ class QuadratureGrid:
         n = self.n_points
         if n < 3 or n % 2 == 0:
             raise ValueError("grid needs an odd number (>= 3) of points for Simpson weights")
+        if not 0.0 < self.half_width < np.inf:
+            raise ValueError(f"grid half-width must be finite and > 0, got {self.half_width}")
         h = 2.0 * self.half_width / (n - 1)
         x = h * np.arange(-(n // 2), n // 2 + 1)
         w = np.ones(n)
@@ -304,6 +341,24 @@ def _product_projection(d: int, nodes: int) -> np.ndarray:
     return projection
 
 
+def _built_once(cached):
+    """`cached`, an lru_cache over (d, grid), called under its key's lock of _BUILD_LOCKS.
+
+    A miss builds while holding the lock, so a concurrent caller of the same
+    key waits and then hits instead of building again; a build that raises
+    caches nothing, and the next caller builds anew.
+    """
+
+    @wraps(cached)
+    def call(d: int, grid: QuadratureGrid):
+        with _BUILD_LOCKS[hash((d, grid)) % len(_BUILD_LOCKS)]:
+            return cached(d, grid)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
+
+
+@_built_once
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _grid_psi(d: int, grid: QuadratureGrid) -> np.ndarray:
     """hermite_psi_matrix(d - 1, grid.x), read-only and cached per (d, grid), for the pure routes."""
@@ -312,6 +367,7 @@ def _grid_psi(d: int, grid: QuadratureGrid) -> np.ndarray:
     return psis
 
 
+@_built_once
 @lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _product_basis(d: int, grid: QuadratureGrid):
     """(psi, P, R_full) for d levels on `grid`, read-only, certified once per (d, grid) and cached.
@@ -640,26 +696,204 @@ def _mirrored(table: np.ndarray) -> bool:
     return bool(np.array_equal(bits[::-1], bits))
 
 
+@lru_cache(maxsize=1)
+def _ten_powers():
+    """(H, H_hi, H_lo, L, S) over k in _TENS, with 10^k = (H + L) 2^S to about 2^-107 relative.
+
+    H in [1/2, 1] is 10^k / 2^S rounded to a double and L the rounded rest,
+    both from exact integer ratios (Python's int division rounds correctly);
+    H_hi + H_lo = H is H's Veltkamp split.  Built on first use, so importing
+    the module builds nothing.
+    """
+    rows = []
+    for k in _TENS:
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        shift = num.bit_length() - den.bit_length() + 1
+        num, den = (num, den << shift) if shift >= 0 else (num << -shift, den)
+        if 2 * num < den:
+            num, shift = 2 * num, shift - 1
+        high = num / den
+        low = ((num << 53) - int(high * 2.0**53) * den) / (den << 53)
+        split = _SPLIT * high
+        high_hi = split - (split - high)
+        rows.append((high, high_hi, high - high_hi, low, shift))
+    table = np.array(rows)
+    parts = tuple(np.ascontiguousarray(col) for col in table.T[:4]) + (table[:, 4].astype(np.int64),)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
+@lru_cache(maxsize=1)
+def _text_tables():
+    """(digits, prefixes, exponents): the byte strings the cell layout is assembled from.
+
+    digits[g] (uint32) is the four ASCII digits of g in 0 .. 9999, and
+    digits[10000 + g] the same with trailing zeros as NULs.  prefixes[i]
+    (uint64) is slots 0-7 for sign i // 5 and i % 5 = -e for a fixed-point
+    value below 1 (else 0): "", "0.", "0.0", "0.00", "0.000", then with "-".
+    exponents[e - _EXPONENTS.start] is slots 24-31, "e" with e as %+03d, and
+    the last row is all NUL.  Built on first use, so importing the module
+    builds nothing.
+    """
+    quads = [f"{g:04d}" for g in range(10000)]
+    digits = np.frombuffer(
+        ("".join(quads) + "".join(q.rstrip("0").ljust(4, "\0") for q in quads)).encode("ascii"), dtype=np.uint32
+    )
+    leads = ["", "0.", "0.0", "0.00", "0.000"]
+    prefixes = np.frombuffer(
+        "".join((sign + lead).ljust(8, "\0") for sign in ("", "-") for lead in leads).encode("ascii"), dtype=np.uint64
+    )
+    marks = [f"e{e:+03d}" for e in _EXPONENTS] + [""]
+    exponents = np.frombuffer("".join(m.ljust(8, "\0") for m in marks).encode("ascii"), dtype=np.uint64)
+    return digits, prefixes, exponents
+
+
+def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray):
+    """(hi, lo), the double-double m 2^e2 10^k with |lo| <= ulp(hi)/2, for mantissas m in [1/2, 1).
+
+    m H is formed exactly by Dekker's product (m and H split in halves), m L
+    and the renormalization add the rest, and the power of two is applied
+    last, exactly, once the value is near 10^16.
+    """
+    high, high_hi, high_lo, low, shift = _ten_powers()
+    i = k - _TENS.start
+    h = high[i]
+    p = m * h
+    split = _SPLIT * m
+    m_hi = split - (split - m)
+    m_lo = m - m_hi
+    lo = (((m_hi * high_hi[i] - p) + m_hi * high_lo[i] + m_lo * high_hi[i]) + m_lo * high_lo[i]) + m * low[i]
+    hi = p + lo
+    lo -= hi - p
+    scale = e2 + shift[i]
+    return np.ldexp(hi, scale), np.ldexp(lo, scale)
+
+
+def _out_of_range(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Where hi + lo is below 10^16 by more than 1e-3, or at least 10^17."""
+    return ((hi - 1e16) + lo < -1e-3) | ((hi - 1e17) + lo >= 0.0)
+
+
+def _decimal_digits(v: np.ndarray):
+    """(D, e, unsure): the 17 significant digits D and the decimal exponents e of a float64 vector v.
+
+    A finite nonzero |v| = m 2^e2 is scaled to |v| 10^(16 - e) as a
+    double-double (_scaled) with e read off log10, and e moves until the
+    scaled value lies in [10^16, 10^17); one within 1e-3 of 10^16 counts as
+    10^16, so rounding never pushes an exact power of ten a decade down.  One
+    rounding to nearest gives D, and a carry to 10^17 becomes 10^16 with
+    e + 1, so |v| rounds to D 10^(e - 16).  Zero is D = 0 with e = 0.
+    `unsure` marks the values D and e do not settle: a non-finite value, one
+    whose scaled fraction lies within _TIE_MARGIN of 1/2 (no tie is rounded
+    here), and one whose scaled value never came into range.
+    """
+    finite = np.isfinite(v)
+    nonzero = finite & (v != 0.0)
+    a = np.where(nonzero, np.abs(v), 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    m, e2 = np.frexp(a)
+    hi, lo = _scaled(m, e2, 16 - e)
+    for _ in range(2):
+        moved = np.nonzero(_out_of_range(hi, lo))[0]
+        if moved.size == 0:
+            break
+        e[moved] += np.where(hi[moved] >= 1e17, 1, -1)
+        hi[moved], lo[moved] = _scaled(m[moved], e2[moved], 16 - e[moved])
+    floor = np.floor(lo)
+    frac = lo - floor
+    d = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    unsure = ~finite | (np.abs(frac - 0.5) < _TIE_MARGIN) | _out_of_range(hi, lo)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e[carry] += 1
+    d[~nonzero] = 0
+    e[~nonzero] = 0
+    return d, e, unsure
+
+
+def _format_cells(values) -> np.ndarray:
+    """Each value's "%.17g" % v in _CELL byte slots, unused slots NUL; shape (values.size, _CELL).
+
+    D and e come from _decimal_digits, and Python formats the values it
+    marks unsure.  The layout is that of %g: scientific "d.ddde-XX" unless
+    -4 <= e < 17, else fixed point, "0.000ddd" below 1 and "ddd.ddd" above;
+    trailing zeros of the fraction are dropped, and the point with them when
+    none is left.  The separator slot stays NUL.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    d, e, unsure = _decimal_digits(v)
+    n = v.size
+    digits, prefixes, exponents = _text_tables()
+    top, rest = np.divmod(d, 10**16)
+    groups = np.divmod(rest // 10**8, 10**4) + np.divmod(rest % 10**8, 10**4)
+    sci = (e < -4) | (e >= 17)
+    below_one = (e < 0) & ~sci
+    fixed = (e >= 0) & ~sci
+
+    out = np.empty((n, _CELL), dtype=np.uint8)
+    words = out.view(np.uint64)
+    words[:, 0] = prefixes[5 * np.signbit(v) - np.where(below_one, e, 0)]
+    out[:, 6] = top + ord("0")
+    # The point follows the first digit when another nonzero digit follows.
+    out[:, 7] = ((sci | fixed) & (rest != 0)) * np.uint8(ord("."))
+    quads = out.view(np.uint32)
+    zeros_after = np.ones(n, dtype=bool)
+    for i in (3, 2, 1, 0):
+        quads[:, 2 + i] = digits[groups[i] + 10000 * zeros_after]
+        zeros_after &= groups[i] == 0
+    words[:, 3] = exponents[np.where(sci, e - _EXPONENTS.start, len(_EXPONENTS))]
+    # From 10 up, a fixed-point value keeps its e + 1 integer digits, trailing
+    # zeros too, and its point, if any, follows them: one shift per e.
+    wide = np.nonzero(fixed & (e >= 1))[0]
+    for k in np.unique(e[wide]).tolist():
+        rows = wide[e[wide] == k]
+        chars = np.concatenate((out[rows, 6:7], out[rows, 8:24]), axis=1)
+        integer = chars[:, : k + 1]
+        integer[integer == 0] = ord("0")
+        out[rows, 6 : 7 + k] = integer
+        out[rows, 7 + k] = (d[rows] % 10 ** (16 - k) != 0) * np.uint8(ord("."))
+        out[rows, 8 + k : 24] = chars[:, k + 1 :]
+    for i in np.nonzero(unsure)[0].tolist():
+        text = ("%.17g" % v[i]).encode("ascii")
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+def _csv_lines(block: np.ndarray) -> str:
+    """CSV lines of a 2-D block: each value as "%.17g" % v, joined by ',', each line ended by '\\n'."""
+    rows, cols = block.shape
+    cells = _format_cells(block).reshape(rows, cols, _CELL)
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_rows(fh, x, table) -> None:
     """Write CSV rows x[j], table[j, 0], table[j, 1], ..., every value formatted as f"{v:.17g}".
 
-    Rows go out _CSV_CHUNK_ROWS at a time, so the Python floats of a large
-    map (10 MB for 181 x 2001) never all exist at once.  A table that
-    mirrors bit for bit (_mirrored), as the map of a definite-parity state
-    does on a grid with x[::-1] == -x, has its first n - n//2 rows formatted
-    and kept: each later row j is x[j]'s text plus that of row n - 1 - j.
+    Rows go out in chunks of about _CSV_CHUNK_CELLS cells, each formatted
+    by _format_cells and written as one string.  A table that mirrors bit
+    for bit (_mirrored), as the map of a definite-parity state does on a
+    grid with x[::-1] == -x, has its first n - n//2 rows formatted and
+    kept: each later row j is x[j]'s text plus the text after x of row
+    n - 1 - j.
     """
-    x_text = ["%.17g" % v for v in np.asarray(x, dtype=float).tolist()]
+    x = np.asarray(x, dtype=float)
     table = np.asarray(table, dtype=float)
-    fmt = ",%.17g" * table.shape[1] + "\n"
-    n = len(x_text)
+    n = x.size
     half = n - n // 2 if _mirrored(table) else n
+    x_text = _csv_lines(x[:, None]).splitlines() if half < n else None
+    step = max(1, _CSV_CHUNK_CELLS // (table.shape[1] + 1))
     kept = []
-    for start in range(0, half, _CSV_CHUNK_ROWS):
-        text = [fmt % tuple(row) for row in table[start : min(start + _CSV_CHUNK_ROWS, half)].tolist()]
-        fh.writelines(map(str.__add__, x_text[start : start + len(text)], text))
+    for start in range(0, half, step):
+        stop = min(start + step, half)
+        text = _csv_lines(np.column_stack((x[start:stop], table[start:stop])))
+        fh.write(text)
         if half < n:
-            kept.extend(text)
+            lines = text.splitlines(keepends=True)
+            kept.extend(line[len(x_text[j]) :] for j, line in enumerate(lines, start))
     fh.writelines(x_text[j] + kept[n - 1 - j] for j in range(half, n))
 
 

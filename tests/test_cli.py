@@ -480,6 +480,15 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_scenarios_import_builds_no_csv_table():
+    # The CSV formatter's power-of-ten and digit tables are built on first use, so set-up never pays for them.
+    code = ("import tomolens.scenarios; from tomolens import tomography; "
+            "print(tomography._ten_powers.cache_info().currsize, tomography._text_tables.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "0"]
+
+
 def test_a_caller_set_blas_thread_variable_wins():
     assert blas_env_after_import(OMP_NUM_THREADS="3") == {
         "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}

@@ -23,6 +23,8 @@ phase pair, on the blocked and the stacked route alike.  The mixed-tomogram
 checks draw a density matrix (d <= 5) and compare its joint tomogram with
 the eigenmode sum of density_eigenmodes and with the unfolded full-pair form
 Q^T Re(rho~) Q, and each reduced-mode row with the joint tomogram's marginal.
+The CSV cell formatter must give "%.17g" % v byte for byte on finite
+doubles drawn as floats and as raw 64-bit patterns.
 Draws are derandomized and nothing is stored between runs.
 """
 
@@ -42,6 +44,7 @@ from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_var
 from tomolens.moments import SOURCE_FOCK_ORACLE, moment_table, two_mode_moment_table
 from tomolens.tomography import (
     _BLOCK_ROWS,
+    _csv_lines,
     _definite_parity,
     _joint_blocks,
     _pure_moment_blocks,
@@ -65,6 +68,9 @@ PROPERTY = settings(max_examples=8, derandomize=True, database=None, deadline=No
 UNIT = st.floats(-1.0, 1.0)
 PHASES = st.floats(0.0, np.pi)
 RATES = st.floats(0.1, 3.0)
+FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(np.isfinite)
 TIMES = st.floats(0.0, 2.0)
 CHANNELS = pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
 # Grid point counts (odd, as every grid's are) one below two row blocks,
@@ -294,3 +300,9 @@ def test_reduced_rows_match_joint_marginals(rho, theta1, theta2, n_points):
     for mode, theta in (("a", theta1), ("b", theta2)):
         row = tomogram_reduced(rho, mode, [theta], grid).values[0]
         assert np.max(np.abs(row - marginal(joint, mode).values[0])) <= 1e-12
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(FINITE_DOUBLES, min_size=1, max_size=40))
+def test_csv_cells_match_percent_formatting(values):
+    assert _csv_lines(np.array(values).reshape(-1, 1)).splitlines() == ["%.17g" % v for v in values]

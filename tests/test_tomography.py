@@ -1,4 +1,6 @@
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,11 +24,13 @@ from tomolens.states import (
 )
 from tomolens.tomography import (
     PROJECTION_GUARD,
-    _CSV_CHUNK_ROWS,
+    _CSV_CHUNK_CELLS,
     DEFAULT_THETAS,
     QuadratureGrid,
     Tomogram,
     TwoModeTomogram,
+    _csv_lines,
+    _decimal_digits,
     _definite_parity,
     _joint_blocks,
     _mirrored,
@@ -77,6 +81,13 @@ def test_grid_requires_odd_point_count():
         QuadratureGrid(1.0, 1)
 
 
+@pytest.mark.parametrize("half_width", [-6.0, 0.0, np.nan, np.inf])
+def test_grid_requires_a_finite_positive_half_width(half_width):
+    # A negative width would give a descending x and weights summing to -2 L.
+    with pytest.raises(ValueError, match="half-width must be finite and > 0"):
+        QuadratureGrid(half_width, 201)
+
+
 def test_grid_is_the_value_of_its_two_numbers():
     # Equal numbers give equal grids that hash alike; either number tells grids apart.
     grid = QuadratureGrid(6.0, 201)
@@ -103,6 +114,38 @@ def test_equal_grids_built_apart_share_one_cache_entry():
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
     assert tomography._product_basis.cache_info().hits == 1
+
+
+def test_concurrent_misses_of_one_key_build_once(monkeypatch):
+    # Two threads ask for one new (d, grid) at once: the second waits for the
+    # first build and hits, so psi and P are each evaluated once.
+    grid, d = QuadratureGrid.uniform(6.5, 301), 7
+    calls, real = [], tomography.hermite_psi_matrix
+    both_ready = threading.Barrier(2, timeout=30)
+
+    def slow(n_max, x):
+        if np.array_equal(x, grid.x) or np.array_equal(x, np.sqrt(2.0) * grid.x):
+            calls.append(n_max)
+            time.sleep(0.05)
+        return real(n_max, x)
+
+    def ask():
+        both_ready.wait()
+        results.append(_product_basis(d, grid))
+
+    monkeypatch.setattr(tomography, "hermite_psi_matrix", slow)
+    tomography._grid_psi.cache_clear()
+    tomography._product_basis.cache_clear()
+    results = []
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 2
+    assert results[0] is results[1]
+    assert sorted(calls) == [d - 1, 2 * d - 2]
+    assert tomography._product_basis.cache_info().misses == 1
 
 
 def test_vacuum_tomogram_is_phase_independent_gaussian():
@@ -441,6 +484,10 @@ def test_csv_row_writer_matches_per_cell_formatting(tmp_path):
     assert body == _per_cell_rows(joint.grid1.x, joint.values.T)
 
 
+# Rows per write chunk of a 3-column table, whose rows hold four cells with x.
+_CSV_CHUNK_ROWS = _CSV_CHUNK_CELLS // 4
+
+
 def _mirrored_table(n, columns=3, seed=0):
     # Rows n - n//2 .. n - 1 copy rows n//2 - 1 .. 0; the columns hold the
     # special values the writer must format alike on both sides.
@@ -477,6 +524,40 @@ def test_csv_row_writer_keeps_signed_zeros_and_ulp_nudges_apart():
     x = np.arange(len(nudged), dtype=float)
     assert not _mirrored(nudged)
     assert _written(x, nudged) == _per_cell_rows(x, nudged.T)
+
+
+def _cell_texts(values) -> list:
+    return _csv_lines(np.asarray(values, dtype=float).reshape(-1, 1)).splitlines()
+
+
+def _ulp_neighbours(value, steps=2):
+    down, up = [value], [value]
+    for _ in range(steps):
+        down.append(np.nextafter(down[-1], -np.inf))
+        up.append(np.nextafter(up[-1], np.inf))
+    return down[1:] + up[1:]
+
+
+def test_csv_cells_match_percent_formatting_at_the_edges():
+    tie = 1234567890123456.25  # 18 significant digits ending in 5: an exact tie at 17
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17, 1e20, 1e23, tie]
+    edges += _ulp_neighbours(1e-4) + _ulp_neighbours(1e-5) + [9.99999999999999995e-5, 9.99995e-5, 0.000099999]
+    for p in range(-307, 309):
+        edges += [float(f"1e{p}")] + _ulp_neighbours(float(f"1e{p}"))
+    values = np.array(edges)
+    values = np.concatenate([values, -values, [np.nan, np.inf, -np.inf]])
+    assert _cell_texts(values) == ["%.17g" % v for v in values.tolist()]
+    assert _cell_texts([-0.0, 0.0]) == ["-0", "0"]
+    # An exact tie rounds half-even under %; it is one of the values Python formats.
+    _, _, unsure = _decimal_digits(np.array([tie, -tie, np.nan, np.inf, 1e20, 1e23, 0.5]))
+    assert unsure.tolist() == [True, True, True, True, False, False, False]
+
+
+def test_csv_cells_match_percent_formatting_on_a_million_bit_patterns():
+    bits = np.random.default_rng(2022).integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    for chunk in np.split(bits.view(np.float64).reshape(-1, 10), 10):
+        expected = ("%.17g," * 9 + "%.17g\n") * len(chunk) % tuple(chunk.ravel().tolist())
+        assert _csv_lines(chunk) == expected
 
 
 def test_tomogram_scenario_map_matches_per_cell_formatting(tmp_path):
