@@ -503,9 +503,10 @@ def _written(x, table) -> str:
     return fh.getvalue()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 2 * _CSV_CHUNK_ROWS + 3, 2 * _CSV_CHUNK_ROWS + 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 515, 516, 2 * _CSV_CHUNK_ROWS + 3, 2 * _CSV_CHUNK_ROWS + 4])
 def test_csv_row_writer_reuses_mirrored_rows_byte_for_byte(n):
-    # Odd and even n; above 2 * _CSV_CHUNK_ROWS the kept half spans two chunks.
+    # Odd and even n; 515 and 516 keep their half in one chunk, and above
+    # 2 * _CSV_CHUNK_ROWS the kept half spans two chunks.
     # x need not mirror: each row's x is formatted on its own.
     table = _mirrored_table(n)
     x = np.linspace(-1.0, 2.0, n) ** 3
