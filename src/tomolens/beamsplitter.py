@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationOverflow
-from .fock import TwoModeState, ln_factorial, unitary_exp
-from .states import _adaptive_cut, make_cat, make_coherent, make_product
+from .fock import TwoModeState, _padded, unitary_exp
+from .states import _adaptive_cut, _coherent_amplitudes, make_cat, make_coherent, make_product
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ def apply(cfg: BeamsplitterConfig, state: TwoModeState) -> TwoModeState:
     """
     cut = _adaptive_cut(state.total_photon_distribution())
     # Blocks T <= cut read the input only at n, m <= cut.
-    c_in = np.zeros((cut + 1, cut + 1), dtype=complex)
-    size = min(cut, state.n_cut) + 1
-    c_in[:size, :size] = state.amplitudes[:size, :size]
+    c_in = _padded(state.amplitudes[: cut + 1, : cut + 1], cut + 1)
     out = np.zeros_like(c_in)
     for total, u in enumerate(block_unitaries(cut, cfg.phi)):
         j = np.arange(total + 1)
@@ -81,17 +79,6 @@ def apply(cfg: BeamsplitterConfig, state: TwoModeState) -> TwoModeState:
     if abs(nrm - 1.0) > 1e-9:
         raise TruncationOverflow(f"output norm {nrm!r} lost probability past the truncation")
     return result.normalized()
-
-
-def _log_poisson_row(z: complex, count: int) -> np.ndarray:
-    """z^n / sqrt(n!) for n = 0..count-1, via logs (no overall constant)."""
-    n = np.arange(count)
-    if z == 0:
-        row = np.zeros(count, dtype=complex)
-        row[0] = 1.0
-        return row
-    mag = np.exp(n * np.log(abs(z)) - 0.5 * ln_factorial(n))
-    return mag * np.exp(1j * n * np.angle(z))
 
 
 def output_closed_form(
@@ -114,25 +101,24 @@ def output_closed_form(
     else:
         raise ValueError(f"unknown closed-form kind {kind!r}")
     cut = _adaptive_cut(reference.total_photon_distribution()) if n_cut is None else n_cut
-    count = cut + 1
-    n = np.arange(count)
+    n = np.arange(cut + 1)
     parity = 1.0 + (-1.0) ** (n[:, None] + n[None, :])
     if kind == "ecs-ecs":
         gamma_p = (alpha + np.exp(1j * phi) * beta) / np.sqrt(2.0)
         gamma_m = (alpha - np.exp(1j * phi) * beta) / np.sqrt(2.0)
         delta_p = (np.exp(-1j * phi) * alpha + beta) / np.sqrt(2.0)
         delta_m = (np.exp(-1j * phi) * alpha - beta) / np.sqrt(2.0)
-        c_p = np.exp(-(abs(gamma_p) ** 2 + abs(delta_m) ** 2) / 2.0)
-        c_m = np.exp(-(abs(gamma_m) ** 2 + abs(delta_p) ** 2) / 2.0)
+        # The two terms are |gamma_+> x |delta_-> and |gamma_-> x |delta_+>, each
+        # with its coherent normalization, which sets their relative weight.
         amps = parity * (
-            c_p * np.outer(_log_poisson_row(gamma_p, count), _log_poisson_row(delta_m, count))
-            + c_m * np.outer(_log_poisson_row(gamma_m, count), _log_poisson_row(delta_p, count))
+            np.outer(_coherent_amplitudes(gamma_p, cut), _coherent_amplitudes(delta_m, cut))
+            + np.outer(_coherent_amplitudes(gamma_m, cut), _coherent_amplitudes(delta_p, cut))
         )
     else:
         if kind == "ocs-vacuum":
             parity = 2.0 - parity  # (1 - (-1)^{n+m}) keeps odd totals
         gamma = alpha / np.sqrt(2.0)
         delta = np.exp(-1j * phi) * alpha / np.sqrt(2.0)
-        amps = parity * np.outer(_log_poisson_row(gamma, count), _log_poisson_row(delta, count))
+        amps = parity * np.outer(_coherent_amplitudes(gamma, cut), _coherent_amplitudes(delta, cut))
     return TwoModeState(amps).normalized()
 

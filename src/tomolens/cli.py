@@ -43,32 +43,21 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        try:
-            cfg = parse_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            artifacts = run_scenario(cfg, args.out)
-        except (ConfigError, DegenerateParameter) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except NumericalGuard as exc:
-            print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        except AuditFailure as exc:
-            print(f"audit failure: {exc}", file=sys.stderr)
-            return 3
-        for art in artifacts:
-            print(f"wrote {art['file']}: {art['description']}")
-        return 0
-
     try:
+        if args.command == "run":
+            for art in run_scenario(parse_config(args.config), args.out):
+                print(f"wrote {art['file']}: {art['description']}")
+            return 0
         results = run_audit(grid_half_width=args.grid_half_width, n_cut=args.n_cut)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except NumericalGuard as exc:
+        print(f"numerical guard: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except AuditFailure as exc:
+        print(f"audit failure: {exc}", file=sys.stderr)
+        return 3
     print(audit_table(results))
     return 0 if all(r.passed for r in results) else 3
 

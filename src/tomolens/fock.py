@@ -242,9 +242,7 @@ class SingleModeState:
     def padded(self, n_cut: int) -> "SingleModeState":
         if n_cut < self.n_cut:
             raise ValueError("padding cannot shrink the basis")
-        amps = np.zeros(n_cut + 1, dtype=complex)
-        amps[: self.amplitudes.size] = self.amplitudes
-        return SingleModeState(amps)
+        return SingleModeState(_padded(self.amplitudes, n_cut + 1))
 
 
 @dataclass(frozen=True)
@@ -368,12 +366,30 @@ class TwoModeDensityMatrix:
         return _top_above_floor(np.maximum(self.mode_occupations("a"), self.mode_occupations("b")))
 
 
+def _padded(array: np.ndarray, dim: int) -> np.ndarray:
+    """`array` zero-padded at the top of every axis to length `dim`."""
+    return np.pad(array, [(0, dim - size) for size in array.shape])
+
+
+def lowered(c: np.ndarray, counts) -> np.ndarray:
+    """a^k applied along each axis of the amplitude array `c`, k = counts[axis], unnormalized.
+
+    Each application sets entry n to sqrt(n+1) c_{n+1} and the top entry to
+    0, so a count of at least the axis length gives zeros.  Axis 0 is
+    lowered first, then axis 1, and so on.
+    """
+    out = np.array(c)
+    for axis, times in enumerate(counts):
+        view = out.swapaxes(axis, -1)
+        for _ in range(times):
+            view[..., :-1] = np.sqrt(np.arange(1.0, view.shape[-1])) * view[..., 1:]
+            view[..., -1] = 0.0
+    return out
+
+
 def apply_annihilation(state: SingleModeState) -> SingleModeState:
     """a|psi>, unnormalized: out_n = sqrt(n+1) c_{n+1}."""
-    c = state.amplitudes
-    out = np.zeros_like(c)
-    out[:-1] = np.sqrt(np.arange(1.0, c.size)) * c[1:]
-    return SingleModeState(out)
+    return SingleModeState(lowered(state.amplitudes, (1,)))
 
 
 def apply_creation(state: SingleModeState) -> SingleModeState:
@@ -398,28 +414,18 @@ def apply_creation(state: SingleModeState) -> SingleModeState:
 def inner(s1: SingleModeState, s2: SingleModeState) -> complex:
     """Sesquilinear inner product <s1|s2>; the shorter vector is zero-padded."""
     n = max(s1.amplitudes.size, s2.amplitudes.size)
-    a = s1.padded(n - 1).amplitudes if s1.amplitudes.size < n else s1.amplitudes
-    b = s2.padded(n - 1).amplitudes if s2.amplitudes.size < n else s2.amplitudes
-    return complex(np.vdot(a, b))
+    return complex(np.vdot(_padded(s1.amplitudes, n), _padded(s2.amplitudes, n)))
 
 
 def fidelity_pure(s1: TwoModeState, s2: TwoModeState) -> float:
     """|<s1|s2>|^2 for two-mode pure states (smaller basis zero-padded)."""
     n = max(s1.amplitudes.shape[0], s2.amplitudes.shape[0])
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    a[: s1.amplitudes.shape[0], : s1.amplitudes.shape[1]] = s1.amplitudes
-    b[: s2.amplitudes.shape[0], : s2.amplitudes.shape[1]] = s2.amplitudes
-    return float(abs(np.vdot(a, b)) ** 2)
+    return float(abs(np.vdot(_padded(s1.amplitudes, n), _padded(s2.amplitudes, n))) ** 2)
 
 
 def fidelity_with_pure(rho: TwoModeDensityMatrix, state: TwoModeState) -> float:
     """<psi| rho |psi> against a pure reference."""
     d = max(rho.dim, state.amplitudes.shape[0])
-    c = np.zeros((d, d), dtype=complex)
-    c[: state.amplitudes.shape[0], : state.amplitudes.shape[1]] = state.amplitudes
-    t = np.zeros((d, d, d, d), dtype=complex)
-    s = rho.dim
-    t[:s, :s, :s, :s] = rho.entries
-    val = np.einsum("nm,nNmM,NM->", c.conj(), t, c)
+    c = _padded(state.amplitudes, d)
+    val = np.einsum("nm,nNmM,NM->", c.conj(), _padded(rho.entries, d), c)
     return float(np.real(val))

@@ -54,6 +54,9 @@ TWO_MODE_ENTROPY_THRESHOLD = LN_PI_E
 # noise floor, so boundary states (coherent, two-mode squeezed vacuum at its
 # saturating phase) read as unsqueezed instead of flickering.
 FLAG_MARGIN = 1e-9
+# Numerical slack below the EUR bound (ln(pi e) per mode) within which an EUR
+# sum still counts as satisfied.
+EUR_SLACK = 1e-6
 _SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
 
 
@@ -258,7 +261,7 @@ def squeezing_report(
         central_moment_4=m4,
         hm4_squeezed=below_threshold(m4, FOURTH_MOMENT_THRESHOLD),
         eur_sum=eur,
-        eur_satisfied=bool(eur >= LN_PI_E - 1e-6),
+        eur_satisfied=bool(eur >= LN_PI_E - EUR_SLACK),
     )
 
 
@@ -289,7 +292,7 @@ def two_mode_report(
         entropy=s_ab,
         entropy_squeezed=below_threshold(s_ab, TWO_MODE_ENTROPY_THRESHOLD),
         eur_sum=eur,
-        eur_satisfied=bool(eur >= 2.0 * LN_PI_E - 1e-6),
+        eur_satisfied=bool(eur >= 2.0 * LN_PI_E - EUR_SLACK),
         variance=var,
         variance_squeezed=below_threshold(var, VARIANCE_THRESHOLD),
         reduced_entropy_a=reduced_entropy(theta1, "a"),

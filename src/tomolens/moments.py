@@ -13,10 +13,13 @@ sum over the same phase set for both modes; it reduces to the single-mode
 formula when one mode's indices vanish and is validated against the oracle
 for every catalog state before any other module relies on it.
 
-The oracle route applies ladder operators directly in the truncated basis:
-<a^dag^k a^l> = <a^k psi | a^l psi> for pure states and Tr(a^dag^k a^l rho)
-for density matrices, touching only annihilation so nothing spills the
-truncation buffer.
+The oracle route applies ladder operators directly in the truncated basis,
+touching only annihilation so nothing spills the truncation buffer.  For a
+pure state <a^dag^k a^l b^dag^p b^q> = <a^k b^p psi | a^l b^q psi> is the
+np.vdot of two fock.lowered arrays.  For a density matrix it is
+Tr((a^dag^k a^l x b^dag^p b^q) rho) with the operators formed from
+fock.annihilation_matrix: a second, independent route that the tests hold
+against the pure one on rho = |psi><psi|.
 
 H_s inside the integrals is the plain Hermite polynomial, and the
 quadrature is tomography's (see its module docstring): every order's
@@ -39,10 +42,9 @@ from .fock import (
     SingleModeState,
     TwoModeState,
     annihilation_matrix,
-    apply_annihilation,
     hermite_psi_matrix,  # not called here; perfbench/tests/test_tracer.py rebinds this name
-    inner,
     ln_factorial,
+    lowered,
 )
 from .tomography import (
     QuadratureGrid,
@@ -144,13 +146,7 @@ def oracle_moment(obj, k: int, l: int, mode: str | None = None) -> complex:
     """<a^dag^k a^l> by direct ladder action in the Fock basis."""
     _check_order(k, l)
     if isinstance(obj, SingleModeState):
-        bra = obj
-        for _ in range(k):
-            bra = apply_annihilation(bra)
-        ket = obj
-        for _ in range(l):
-            ket = apply_annihilation(ket)
-        return inner(bra, ket)
+        return complex(np.vdot(lowered(obj.amplitudes, (k,)), lowered(obj.amplitudes, (l,))))
     if mode == "a":
         return oracle_moment_two_mode(obj, k, l, 0, 0)
     if mode == "b":
@@ -158,27 +154,12 @@ def oracle_moment(obj, k: int, l: int, mode: str | None = None) -> complex:
     raise ValueError("two-mode input needs mode='a' or mode='b'")
 
 
-def _annihilate_two_mode(c: np.ndarray, times_a: int, times_b: int) -> np.ndarray:
-    out = c
-    for _ in range(times_a):
-        nxt = np.zeros_like(out)
-        nxt[:-1, :] = np.sqrt(np.arange(1.0, out.shape[0]))[:, None] * out[1:, :]
-        out = nxt
-    for _ in range(times_b):
-        nxt = np.zeros_like(out)
-        nxt[:, :-1] = np.sqrt(np.arange(1.0, out.shape[1]))[None, :] * out[:, 1:]
-        out = nxt
-    return out
-
-
 def oracle_moment_two_mode(obj, k: int, l: int, p: int, q: int) -> complex:
     """<a^dag^k a^l b^dag^p b^q> by ladder action (pure) or trace (mixed)."""
     _check_order(k, l)
     _check_order(p, q)
     if isinstance(obj, TwoModeState):
-        bra = _annihilate_two_mode(obj.amplitudes, k, p)
-        ket = _annihilate_two_mode(obj.amplitudes, l, q)
-        return complex(np.vdot(bra, ket))
+        return complex(np.vdot(lowered(obj.amplitudes, (k, p)), lowered(obj.amplitudes, (l, q))))
     dim = obj.dim
     a = annihilation_matrix(dim)
     op_a = np.linalg.matrix_power(a.T, k) @ np.linalg.matrix_power(a, l)

@@ -31,6 +31,7 @@ from .errors import AuditFailure, ConfigError, DegenerateParameter, NumericalGua
 from .fock import SingleModeState, TwoModeDensityMatrix, TwoModeState
 from .metrics import (
     ENTROPY_THRESHOLD,
+    EUR_SLACK,
     FOURTH_MOMENT_THRESHOLD,
     LN_PI_E,
     TWO_MODE_ENTROPY_THRESHOLD,
@@ -63,6 +64,10 @@ from .tomography import (
     tomogram_pure,
     tomogram_to_csv,
 )
+
+# Bound on |tomogram moment - Fock oracle|: the manifest's oracle_equivalence,
+# the oracle-audit scenario's default tolerance and the audit's single-mode check.
+ORACLE_TOLERANCE = 1e-7
 
 _CSV_CONVENTIONS = (
     "entropies in nats; entropic squeezing below ln(pi e)/2 = "
@@ -173,7 +178,10 @@ def sweep_spec(family: str, value: float, cfg: dict) -> StateSpec:
 def _thread_count() -> int:
     env = os.environ.get("TOMOLENS_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"TOMOLENS_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -235,7 +243,7 @@ class _Collector:
                 "two_mode_entropy_threshold_nats": TWO_MODE_ENTROPY_THRESHOLD,
                 "variance_threshold": VARIANCE_THRESHOLD,
                 "fourth_moment_threshold": FOURTH_MOMENT_THRESHOLD,
-                "oracle_equivalence": 1e-7,
+                "oracle_equivalence": ORACLE_TOLERANCE,
             },
         }
         with open(self.path("manifest.json"), "w", encoding="utf-8") as fh:
@@ -489,7 +497,7 @@ def _oracle_differences(state, table) -> dict:
 
 
 def _run_oracle_audit(cfg: dict, col: _Collector) -> None:
-    tolerance = _get(cfg, "tolerance", float, default=1e-7)
+    tolerance = _get(cfg, "tolerance", float, default=ORACLE_TOLERANCE)
     max_order = _get(cfg, "max_order", int, default=4, low=0, high=K_MAX_DEFAULT)
     rows = []
     for name, spec in default_battery():
@@ -596,7 +604,7 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
         # The 24 rows are the phases k pi/12, so row i + 6 is row i's theta + pi/2.
         ent = [entropy_from_density(row, grid) for row in tomo.values]
         eur_min = min(ent[i] + ent[i + 6] for i in range(12))
-        record("entropic-uncertainty", name, eur_min >= LN_PI_E - 1e-6,
+        record("entropic-uncertainty", name, eur_min >= LN_PI_E - EUR_SLACK,
                f"min EUR sum={eur_min:.9f} vs {LN_PI_E:.9f}")
         ttab = moment_table(state, 4, grid=grid)
         heis_min = min(
@@ -604,7 +612,7 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
         )
         record("heisenberg", name, heis_min >= 0.25 - 1e-8, f"min product={heis_min:.9f}")
         worst = max(_oracle_differences(state, ttab).values())
-        record("oracle-equivalence", name, worst < 1e-7, f"worst={worst:.2e}")
+        record("oracle-equivalence", name, worst < ORACLE_TOLERANCE, f"worst={worst:.2e}")
 
     for name, state in states.items():
         if not isinstance(state, TwoModeState):
@@ -615,7 +623,7 @@ def run_audit(grid_half_width: float | None = None, n_cut: int | None = None) ->
             defect = abs(mass - 1.0)
             record("two-mode-normalization", name, defect < 1e-7, f"defect={defect:.2e}")
             eur = s_ab + _joint_mass_entropy(state, 0.4 + np.pi / 2, 1.1 + np.pi / 2, grid)[1]
-            record("two-mode-eur", name, eur >= 2.0 * LN_PI_E - 1e-6, f"EUR sum={eur:.9f}")
+            record("two-mode-eur", name, eur >= 2.0 * LN_PI_E - EUR_SLACK, f"EUR sum={eur:.9f}")
             ttab = two_mode_moment_table(state, 2, grid)
             worst = max(_oracle_differences(state, ttab).values())
             record("oracle-equivalence", name, worst < 1e-6, f"worst={worst:.2e}")

@@ -34,6 +34,7 @@ from .fock import (
     TAIL_TOLERANCE,
     SingleModeState,
     TwoModeState,
+    _padded,
     ln_factorial,
     unitary_exp,
 )
@@ -257,10 +258,8 @@ def pair_coherent_normalization(r: float) -> float:
 
 def make_product(state_a: SingleModeState, state_b: SingleModeState) -> TwoModeState:
     """Direct product c_{nm} = a_n b_m, padded to a common square basis."""
-    cut = max(state_a.n_cut, state_b.n_cut)
-    a = state_a.padded(cut).amplitudes
-    b = state_b.padded(cut).amplitudes
-    return TwoModeState(np.outer(a, b))
+    dim = max(state_a.amplitudes.size, state_b.amplitudes.size)
+    return TwoModeState(np.outer(_padded(state_a.amplitudes, dim), _padded(state_b.amplitudes, dim)))
 
 
 @dataclass(frozen=True)

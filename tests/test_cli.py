@@ -161,6 +161,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_non_integer_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TOMOLENS_THREADS", "abc")
+    path = write_config(
+        tmp_path,
+        "scenario = variance-sweep\nfamily = ecs\nparam_start = 0.5\nparam_stop = 1.0\nparam_count = 3\n",
+    )
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: TOMOLENS_THREADS") and "'abc'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("family", ["pair-coherent", "caves-schumaker"])
 @pytest.mark.parametrize("scenario", ["entropy-sweep", "variance-sweep", "higher-order-sweep"])
 def test_single_mode_sweeps_reject_two_mode_families(tmp_path, capsys, scenario, family):

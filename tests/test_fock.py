@@ -17,6 +17,7 @@ from tomolens.fock import (
     hermite_psi_matrix,
     inner,
     ln_factorial,
+    lowered,
     psi,
     unitary_exp,
 )
@@ -98,6 +99,33 @@ def test_annihilation_lowers_fock_states():
     np.testing.assert_allclose(lowered.amplitudes, [1, 0, 0, 0], atol=1e-15)
     vac = SingleModeState(np.array([1, 0, 0], dtype=complex))
     np.testing.assert_allclose(apply_annihilation(vac).amplitudes, 0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "shape,counts",
+    [
+        ((7,), (3,)),
+        ((7,), (7,)),
+        ((7,), (9,)),
+        ((5, 6), (2, 1)),
+        ((3, 4, 5, 2), (1, 4, 0, 1)),
+        ((3, 4, 5, 2), (2, 1, 3, 2)),
+    ],
+)
+def test_lowered_matches_annihilation_matrix_powers(shape, counts):
+    rng = np.random.default_rng(11)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = c.copy()
+    expected = c
+    for axis, k in enumerate(counts):
+        op = np.linalg.matrix_power(annihilation_matrix(shape[axis]), k)
+        expected = np.moveaxis(np.tensordot(op, expected, axes=(1, axis)), 0, axis)
+    out = lowered(c, counts)
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14)
+    np.testing.assert_array_equal(c, before)
+    # A count of at least the axis length lowers everything out of the basis.
+    if any(k >= d for k, d in zip(counts, shape)):
+        assert not out.any()
 
 
 def test_annihilation_coherent_eigenvalue():

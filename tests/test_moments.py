@@ -154,6 +154,20 @@ def test_two_mode_oracle_equivalence(name, builder):
     assert worst < 1e-6
 
 
+def test_mixed_oracle_matches_pure_oracle_on_a_beamsplitter_output():
+    # The trace route (annihilation_matrix powers on rho) and the lowering
+    # route (vdot of fock.lowered amplitudes) check each other.
+    out = apply(BeamsplitterConfig(0.3), make_product(make_cat(1.0, "even"), make_coherent(0.5)))
+    rho = TwoModeDensityMatrix.from_pure(out)
+    pairs = [(k, order - k) for order in range(3) for k in range(order + 1)]
+    worst = max(
+        abs(oracle_moment_two_mode(rho, *a, *b) - oracle_moment_two_mode(out, *a, *b))
+        for a in pairs
+        for b in pairs
+    )
+    assert worst < 1e-12
+
+
 def test_mixed_decohered_state_table_invariants():
     pair = make_product(make_cat(1.0, "even"), make_coherent(0.0))
     rho = TwoModeDensityMatrix.from_pure(pair)

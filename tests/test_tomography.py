@@ -461,11 +461,11 @@ def _per_cell_rows(x, columns) -> str:
 
 
 def test_csv_row_writer_matches_per_cell_formatting(tmp_path):
-    # 600 rows span several write chunks.
-    x = np.tile([-3.5, -1e-300, -0.0, 0.0, 1.0 / 3.0, 2.0**60], 100)
+    # A chunk holds 4096 // 3 = 1365 rows of x and two columns, so 1500 rows span two.
+    x = np.tile([-3.5, -1e-300, -0.0, 0.0, 1.0 / 3.0, 2.0**60], 250)
     columns = np.array([
-        np.tile([0.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0, 7.0], 100),
-        np.tile([-0.0, 1.25e-17, 123456789.123456789, np.pi, 0.0, 2.5e305], 100),
+        np.tile([0.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0, 7.0], 250),
+        np.tile([-0.0, 1.25e-17, 123456789.123456789, np.pi, 0.0, 2.5e305], 250),
     ])
     fh = io.StringIO()
     _write_rows(fh, x, columns.T)
