@@ -44,8 +44,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in (AMPLITUDE_DECAY, PHASE_DAMPING):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.rate_c <= 0 or self.rate_d <= 0:
-            raise ValueError("channel rates must be positive")
+        if not (0 < self.rate_c < np.inf and 0 < self.rate_d < np.inf):
+            raise ValueError(f"channel rates must be positive and finite, got {self.rate_c}, {self.rate_d}")
 
 
 def default_time_grid(n_points: int = 201, t_min: float = 1e-3, t_max: float = 20.0) -> np.ndarray:

@@ -27,9 +27,15 @@ BUFFER_LEVELS = 10
 # Tail mass at which a truncation is declared inadequate.
 TAIL_TOLERANCE = 1e-10
 
-_RESCALE_HI = 1e100
-_RESCALE_LO = 1e-100
-_LOG_RESCALE = np.log(1e200)
+# psi_0 = pi^(-1/4) exp(-x^2/2) is split as a mantissa times 2^floor(t),
+# t = -x^2/(2 ln 2).  t is floored at _T_FLOOR, so far below the smallest
+# double that no order a table can hold lifts 2^t back, and floor(t) stays
+# an int64.  ln 2 = _LN2_HI + _LN2_LO with the low 21 bits of _LN2_HI zero,
+# so floor(t) _LN2_HI is exact for |t| < 2^21 and the mantissa
+# exp(-x^2/2 - floor(t) ln 2) is as accurate as exp(-x^2/2) itself.
+_T_FLOOR = -(2.0**62)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
@@ -38,11 +44,11 @@ def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
     psi_n(x) = H_n(x) exp(-x^2/2) / (pi^(1/4) sqrt(2^n n!)) evaluated with the
     eigenfunction recurrence
 
-        psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1},
+        psi_{n+1} = x sqrt(2/(n+1)) psi_n - sqrt(n/(n+1)) psi_{n-1},  psi_{-1} = 0,
 
     never through raw H_n, which overflows double precision near n = 150.
-    The iteration carries a per-point exponent so that starting values like
-    exp(-x^2/2) at x = 50 (far below the smallest normal double) do not
+    The iteration carries a per-point binary exponent so that starting values
+    like exp(-x^2/2) at x = 50 (far below the smallest normal double) do not
     flush the whole column to zero; psi_n(50) for n ~ 2500 is O(0.1) and is
     recovered correctly.
 
@@ -51,7 +57,8 @@ def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
     len(x) - len(x)//2 points only, straight into the output, and the first
     len(x)//2 columns are mirrored from them as psi_n(-x) = (-1)^n psi_n(x).
     That is bit-identical to running on every point: the recurrence only
-    multiplies by x and by constants, and its rescale tests read |p| and x^2.
+    multiplies by x and by constants, its exponent reads x^2, and frexp and
+    ldexp treat p and -p alike.
 
     Returns an array of shape (n_max + 1, len(x)).
     """
@@ -69,61 +76,32 @@ def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
 def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
     """Write psi_n(x) for n = 0 .. len(out) - 1 into `out` (rows n, one column per point).
 
-    Scaled recurrence: true psi_n = p_n * exp(log_scale), per point.  The
-    factor exp(log_scale) changes only at a rescale, so it is formed once
-    per rescale, not once per row.
+    Each point holds psi_n = p_n 2^e, e an int64 array.  It starts from
+    p_0 = pi^(-1/4) 2^(t - floor t) and e = floor t, t = -x^2/(2 ln 2).  Every
+    `span` steps the pair (p_{n-1}, p_n) is divided by the power of two of
+    its larger entry and e takes that power up.  A step multiplies |p| by at
+    most sqrt(2)|x| + 1, so `span`, set from the largest finite |x|, keeps
+    p below 2^900 between renormalizations.  Powers of two scale exactly,
+    so the rows do not depend on where the renormalizations fall.  Each row
+    is ldexp(p_n, e), rounded once.
     """
-    n_max = out.shape[0] - 1
-    log_scale = -0.5 * x * x
-    p_prev = np.full(x.size, np.pi ** -0.25)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        scale = _Scale(log_scale)
-        scale.descale(p_prev, out[0])
-        if n_max == 0:
-            return
-        p_cur = np.sqrt(2.0) * x * p_prev
-        scale.descale(p_cur, out[1])
-        for n in range(1, n_max):
+        h = 0.5 * x * x
+        e = np.floor(np.maximum(-h / _LN2_HI, _T_FLOOR))
+        p_prev, p_cur = np.zeros_like(x), np.pi**-0.25 * np.exp((-h - e * _LN2_HI) - e * _LN2_LO)
+        e = e.astype(np.int64)
+        np.ldexp(p_cur, e, out=out[0])
+        # A bound on the step growth of at least 2, so it has a positive log2.
+        growth = np.sqrt(2.0) * np.max(np.abs(x), initial=0.0, where=np.isfinite(x)) + 2.0
+        span = max(1, int(900 // np.log2(growth)))
+        for n in range(out.shape[0] - 1):
+            if n % span == 0:
+                _, power = np.frexp(np.maximum(np.abs(p_prev), np.abs(p_cur)))
+                p_prev, p_cur = np.ldexp(p_prev, -power), np.ldexp(p_cur, -power)
+                e += power
             p_next = np.sqrt(2.0 / (n + 1)) * x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
             p_prev, p_cur = p_cur, p_next
-            size = np.abs(p_cur)
-            big = size > _RESCALE_HI
-            if big.any():
-                p_cur[big] *= 1e-200
-                p_prev[big] *= 1e-200
-                log_scale[big] += _LOG_RESCALE
-                scale = _Scale(log_scale)
-                size = np.abs(p_cur)
-            small = size < _RESCALE_LO
-            if small.any():
-                small &= (size > 0.0) & (np.abs(p_prev) < _RESCALE_LO)
-                if small.any():
-                    p_cur[small] *= 1e200
-                    p_prev[small] *= 1e200
-                    log_scale[small] -= _LOG_RESCALE
-                    scale = _Scale(log_scale)
-            scale.descale(p_cur, out[n + 1])
-
-
-class _Scale:
-    """exp(log_scale) for the per-point exponents of one stretch between rescales.
-
-    Floating-point warnings are the caller's to silence.
-    """
-
-    def __init__(self, log_scale: np.ndarray):
-        self.log_scale = log_scale.copy()
-        self.factor = np.exp(log_scale)
-        # exp(log_scale) alone can overflow while the product is tame.
-        self.risky = log_scale > 700.0
-        self.any_risky = bool(self.risky.any())
-
-    def descale(self, p: np.ndarray, out: np.ndarray) -> None:
-        """out = p * exp(log_scale) without intermediate overflow or spurious zeros."""
-        np.multiply(p, self.factor, out=out)
-        if self.any_risky:
-            mag = np.where(p == 0.0, -np.inf, np.log(np.abs(np.where(p == 0.0, 1.0, p))))
-            out[...] = np.where(self.risky, np.sign(p) * np.exp(mag + self.log_scale), out)
+            np.ldexp(p_cur, e, out=out[n + 1])
 
 
 def psi(n: int, x: float) -> float:

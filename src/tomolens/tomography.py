@@ -34,8 +34,9 @@ are lru caches keyed on (d, grid) for the few most recent pairs.  Each
 (d, grid) is certified once, before first use: max|psi_n psi_n' - R P|
 above PROJECTION_GUARD raises ProjectionDefect, naming d and N, and nothing
 is cached.  A miss builds under a lock picked by its key, so threads that
-ask for one new (d, grid) at once build it once.  The pure routes take psi
-from the same cache and build no basis.
+ask for one new (d, grid) at once build it once.  The pure two-mode routes
+take psi from the same cache and build no basis; the single-mode
+tomogram_pure calls hermite_psi_matrix itself, outside the cache.
 
 No caller keeps a joint tomogram W: each reads a mass, the entropy
 -sum w_i w_j W ln W or a block U^T W U off it.  So W is evaluated one block
@@ -300,8 +301,11 @@ def _clamped(values: np.ndarray) -> np.ndarray:
 
 
 def _check_mass_defect(defect: float, what: str) -> None:
-    """The normalization guard on |mass - 1|; `what` names the tomogram in the error."""
-    if defect > NORMALIZATION_GUARD:
+    """The normalization guard on |mass - 1|; `what` names the tomogram in the error.
+
+    A NaN mass fails it too, so a state or grid holding NaN cannot pass as normalized.
+    """
+    if not defect <= NORMALIZATION_GUARD:
         raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; enlarge the grid")
 
 

@@ -92,6 +92,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         "negative-rate": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"
                           "rate_c = -1\ntime_count = 3\ntime_min = 0.01\ntime_max = 1\n",
                           "rates must be positive"),
+        "nan-rate": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"
+                     "rate_c = nan\ntime_count = 3\ntime_min = 0.01\ntime_max = 1\n",
+                     "field 'rate_c': 'nan' is not finite"),
+        "inf-rate": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"
+                     "rate_d = inf\ntime_count = 3\ntime_min = 0.01\ntime_max = 1\n",
+                     "field 'rate_d': 'inf' is not finite"),
         "bad-phi": ("scenario = beamsplitter-sweep\ninput = ecs-vacuum\nparam_start = 0.5\n"
                     "param_stop = 0.5\nparam_count = 1\nphi_values = 0.0,abc\n",
                     "phi_values"),

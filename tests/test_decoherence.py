@@ -49,6 +49,13 @@ def test_channel_config_validation():
         ChannelConfig("thermal")
     with pytest.raises(ValueError):
         ChannelConfig(AMPLITUDE_DECAY, rate_c=0.0)
+    # A NaN rate would give a NaN purity, and an infinite one NaN through -gamma * 0 * t.
+    for rate in (np.nan, np.inf):
+        for kind in (AMPLITUDE_DECAY, PHASE_DAMPING):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ChannelConfig(kind, rate_c=rate)
+            with pytest.raises(ValueError, match="positive and finite"):
+                ChannelConfig(kind, rate_d=rate)
 
 
 def test_vacuum_is_fixed_point_of_both_channels():

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -50,12 +52,36 @@ def test_psi_against_high_precision_oracle():
     assert abs(psi(30, 2.5) - psi_reference(30, 2.5)) < 1e-10
 
 
-@pytest.mark.parametrize("n,x", [(10_000, 50.0), (10_000, -50.0), (2_500, 50.0), (150, 10.0), (10_000, 0.3)])
+@pytest.mark.parametrize(
+    "n,x",
+    [
+        (10_000, 50.0), (10_000, -50.0), (2_500, 50.0), (150, 10.0), (10_000, 0.3),
+        # The widest catalog grid reaches |x| = 146.5 beside the turning point sqrt(2n + 1).
+        (10_000, 146.5), (10_000, -146.5), (10_000, 141.4),
+        # Subnormal x, and x = 0, where every odd order vanishes.
+        (10_000, 5e-324), (10_001, 1e-310), (10_000, 0.0), (10_001, 0.0),
+        # Far out, where 2^(-x^2 / (2 ln 2)) drops below any exponent the table can hold.
+        (10_000, 1e3), (10_000, -1e6), (10_000, 1e20),
+    ],
+)
 def test_psi_no_overflow_large_orders(n, x):
     value = psi(n, x)
     assert np.isfinite(value)
     assert abs(value) < 1.0
     assert abs(value - psi_reference(n, x)) < 1e-12
+
+
+def test_psi_rows_stay_finite_far_from_the_origin():
+    table = hermite_psi_matrix(10_000, [1e3, -1e6, 1e20, 1e100])
+    assert np.all(np.isfinite(table))
+
+
+def test_psi_of_non_finite_x_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = hermite_psi_matrix(40, [np.inf, -np.inf, np.nan, 1.0])
+    assert np.all(table[0, :2] == 0.0) and np.all(np.isnan(table[:, 2]))
+    assert np.array_equal(table[:, 3], hermite_psi_matrix(40, [1.0])[:, 0])
 
 
 def test_recurrence_matches_direct_formula():

@@ -10,7 +10,7 @@ from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.cli import main
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
-from tomolens.fock import TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
+from tomolens.fock import SingleModeState, TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
 from tomolens.metrics import _joint_mass_entropy, band_peaks, entropy_two_mode, two_mode_report
 from tomolens.scenarios import parse_state_spec
 from tomolens.states import (
@@ -266,6 +266,11 @@ def test_pi_shift_matches_phases_to_absolute_tolerance_only():
 def test_grid_too_narrow_raises():
     with pytest.raises(GridTooNarrow):
         tomogram_pure(make_coherent(2.0), [0.0], QuadratureGrid.uniform(2.0, 201))
+
+
+def test_nan_mass_fails_the_single_mode_guard():
+    with pytest.raises(GridTooNarrow, match="mass misses 1 by nan"):
+        tomogram_pure(SingleModeState([np.nan] + [0.0] * 11), [0.0])
 
 
 def test_two_mode_vacuum_tomogram():
@@ -623,6 +628,16 @@ def test_joint_tomogram_mass_guard_names_the_phase_pair(mixed):
     obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
     with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1"):
         tomogram_joint(obj, 0.4, 1.1, QuadratureGrid.uniform(1.0, 201))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_nan_mass_fails_the_joint_tomogram_guard(mixed):
+    amplitudes = np.zeros((12, 12), dtype=complex)
+    amplitudes[0, 0] = np.nan
+    state = TwoModeState(amplitudes)
+    obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
+    with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1 by nan"):
+        tomogram_joint(obj, 0.4, 1.1, QuadratureGrid.uniform(8.0, 201))
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 24, 40])
