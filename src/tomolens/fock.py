@@ -138,7 +138,8 @@ def unitary_exp(gen: np.ndarray) -> np.ndarray:
     V diag(e^{-i lam}) V^dag.  eigh reads one triangle of i gen only, so a gen
     that is not anti-Hermitian to 1e-12 of its largest entry raises
     ValueError; a result whose unitarity defect exceeds 1e-9 raises
-    TruncationOverflow.
+    TruncationOverflow.  The beamsplitter's total-photon blocks are its one
+    user: the squeezed and isospectral constructors use closed forms.
     """
     if np.max(np.abs(gen + gen.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(gen))):
         raise ValueError("generator is not anti-Hermitian")
@@ -198,16 +199,20 @@ class SingleModeState:
         return float(np.sum(np.abs(self.amplitudes[start:]) ** 2))
 
     def certify(self) -> "SingleModeState":
+        """This state, if every amplitude is finite and the tail mass is below TAIL_TOLERANCE."""
         tail = self.tail_mass()
-        if tail >= TAIL_TOLERANCE:
+        bad = np.flatnonzero(~np.isfinite(self.amplitudes))
+        if tail < TAIL_TOLERANCE and bad.size == 0:
+            return self
+        if bad.size:
+            problem = f"amplitude {self.amplitudes[bad[0]]} at level {bad[0]} is not finite"
+        else:
             # Below the reserve the whole basis is tail, and there is no level to quote.
             above, verdict = f" above level {self.n_cut - BUFFER_LEVELS}", "is inadequate"
             if self.n_cut < BUFFER_LEVELS:
                 above, verdict = "", f"is below the BUFFER_LEVELS reserve of {BUFFER_LEVELS}"
-            raise TruncationOverflow(
-                f"tail mass {tail:.3e}{above} exceeds {TAIL_TOLERANCE:.0e}; n_cut={self.n_cut} {verdict}"
-            )
-        return self
+            problem = f"tail mass {tail:.3e}{above} exceeds {TAIL_TOLERANCE:.0e}; n_cut={self.n_cut} {verdict}"
+        raise TruncationOverflow(problem)
 
     def mean_photon(self) -> float:
         p = np.abs(self.amplitudes) ** 2

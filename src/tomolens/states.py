@@ -6,14 +6,15 @@ states built on a restricted Fock space, and number states.  Two-mode
 families: pair coherent, Caves-Schumaker (two-mode squeezed vacuum) and
 products of single-mode states.
 
-Every constructor returns a normalized state whose truncation is certified:
-the top BUFFER_LEVELS of the basis carry less than TAIL_TOLERANCE of
-probability.  When no explicit cutoff is given, the smallest adequate one is
-chosen and the buffer is added on top.  Exponential-of-generator states
-(squeezed, Yuen, isospectral) are built by one uniform path, the matrix
-exponential (fock.unitary_exp) of the truncated anti-Hermitian generator's
-invariant block that holds the base state, and validated against closed
-forms in the test suite.
+Every family is built one way: a closed-form amplitude vector, evaluated in
+log space on a basis of any size, that _certified cuts, normalizes and
+certifies: the top BUFFER_LEVELS of the basis carry less than TAIL_TOLERANCE
+of probability.  A given n_cut keeps n_cut + 1 levels.  Otherwise the basis
+doubles from 64 levels until its top BUFFER_LEVELS levels hold less than
+1e-14 of the mass, and is cut at the smallest adequate level plus the
+buffer.  It grows no further than the levels up to MAX_LEVEL that default
+grids are sized for; a state that occupies levels above MAX_LEVEL raises
+TruncationOverflow.
 
 FAMILIES is the catalog's one table.  Each entry names a family's scalar
 parameter with its type and lower bound, its extra integers with their
@@ -36,8 +37,11 @@ from .fock import (
     TwoModeState,
     _padded,
     ln_factorial,
-    unitary_exp,
 )
+
+# The highest level a state built with the default cut may occupy: default
+# quadrature grids are sized for levels up to it (tomography.hermite_weights).
+MAX_LEVEL = 10_000
 
 
 def _adaptive_cut(probabilities: np.ndarray) -> int:
@@ -50,48 +54,55 @@ def _adaptive_cut(probabilities: np.ndarray) -> int:
     return int(ok[0]) + BUFFER_LEVELS
 
 
-def _certified(amps: np.ndarray, n_cut: int | None) -> SingleModeState:
-    """`amps` cut at _adaptive_cut unless `n_cut` was given, normalized, through the tail certificate."""
-    if n_cut is None:
-        amps = amps[: _adaptive_cut(np.abs(amps) ** 2) + 1]
-    elif not np.any(amps):
-        raise TruncationOverflow(f"n_cut={n_cut} keeps no amplitude of the state")
-    return SingleModeState(amps).normalized().certify()
+def _certified(amplitudes: Callable[[int], np.ndarray], n_cut: int | None) -> SingleModeState:
+    """The state whose first `dim` amplitudes are `amplitudes(dim)`, cut, normalized and certified.
+
+    A given `n_cut` keeps n_cut + 1 levels.  Otherwise the basis doubles from
+    64 levels, up to MAX_LEVEL + BUFFER_LEVELS + 1, until its top
+    BUFFER_LEVELS levels hold less than 1e-14 of the mass, and is cut at
+    _adaptive_cut.
+    """
+    if n_cut is not None:
+        amps = amplitudes(n_cut + 1)
+        if not np.any(amps):
+            raise TruncationOverflow(f"n_cut={n_cut} keeps no amplitude of the state")
+        return SingleModeState(amps).normalized().certify()
+    dim, largest = 64, MAX_LEVEL + BUFFER_LEVELS + 1
+    while True:
+        amps = amplitudes(dim)
+        probs = np.abs(amps) ** 2
+        if probs[-BUFFER_LEVELS:].sum() < 1e-14 * probs.sum():
+            return SingleModeState(amps[: _adaptive_cut(probs) + 1]).normalized().certify()
+        if dim == largest:
+            raise TruncationOverflow(
+                f"state occupies levels above MAX_LEVEL={MAX_LEVEL}, the highest a default grid "
+                f"is sized for: {dim} levels do not certify it"
+            )
+        dim = min(2 * dim, largest)
 
 
 def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
-    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) evaluated in log space."""
+    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) evaluated in log space (empty for n_cut < 0)."""
     n = np.arange(n_cut + 1)
     if alpha == 0:
-        amps = np.zeros(n_cut + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
+        return (n == 0).astype(complex)
     mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * ln_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
     return mag * phase
 
 
-def _coherent_probe_cut(alpha: complex) -> int:
-    nbar = abs(alpha) ** 2
-    return int(np.ceil(nbar + 14.0 * np.sqrt(nbar + 1.0) + 30.0))
-
-
 def make_coherent(alpha: complex, n_cut: int | None = None) -> SingleModeState:
     """Coherent state |alpha>."""
-    probe = n_cut if n_cut is not None else _coherent_probe_cut(alpha)
-    return _certified(_coherent_amplitudes(alpha, probe), n_cut)
+    return _certified(lambda dim: _coherent_amplitudes(alpha, dim - 1), n_cut)
 
 
 def make_fock(n: int, n_cut: int | None = None) -> SingleModeState:
     """Number state |n>."""
     if n < 0:
         raise ValueError("photon number must be non-negative")
-    cut = n_cut if n_cut is not None else n + BUFFER_LEVELS
-    if cut < n:
-        raise TruncationOverflow(f"n_cut={cut} below photon number {n}")
-    amps = np.zeros(cut + 1, dtype=complex)
-    amps[n] = 1.0
-    return _certified(amps, cut)
+    if n_cut is not None and n_cut < n:
+        raise TruncationOverflow(f"n_cut={n_cut} below photon number {n}")
+    return _certified(lambda dim: (np.arange(dim) == n).astype(complex), n_cut)
 
 
 def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> SingleModeState:
@@ -106,65 +117,53 @@ def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> Si
         raise ValueError(f"unknown cat kind {kind!r}")
     if kind == "odd" and alpha == 0:
         raise DegenerateParameter("odd cat state is undefined at alpha = 0")
-    probe = n_cut if n_cut is not None else _coherent_probe_cut(alpha)
-    plus = _coherent_amplitudes(alpha, probe)
-    minus = _coherent_amplitudes(-alpha, probe)
-    if kind == "even":
-        amps = plus + minus
-    elif kind == "odd":
-        amps = plus - minus
-    else:
-        amps = plus + 1j * minus
-    if kind in ("even", "odd"):
+
+    def amplitudes(dim):
+        plus = _coherent_amplitudes(alpha, dim - 1)
+        minus = _coherent_amplitudes(-alpha, dim - 1)
+        if kind == "yurke-stoler":
+            return plus + 1j * minus
+        amps = plus + minus if kind == "even" else plus - minus
         # Parity support is exact by construction; stamp out rounding dust.
         amps[(1 if kind == "even" else 0) :: 2] = 0.0
-    return _certified(amps, n_cut)
+        return amps
 
-
-def _exponentiated_generator_state(
-    build_generator, first: int, step: int, n_cut, probe_start: int
-) -> SingleModeState:
-    """exp(G)|first> with G anti-Hermitian, on a basis grown until certified.
-
-    G must leave the levels first, first + step, first + 2 step, ... invariant
-    and |first> must be the lowest of them: only that block of G is
-    exponentiated, and the state has no support off it.
-    """
-    if n_cut is not None and n_cut < first:
-        raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {first}")
-    dim = probe_start if n_cut is None else n_cut + 1
-    while True:
-        u = unitary_exp(build_generator(dim)[first::step, first::step])
-        vec = np.zeros(dim, dtype=complex)
-        vec[first::step] = u[:, 0]
-        probs = np.abs(vec) ** 2
-        # A probe basis whose top tenth is empty and that holds the adaptive cut is large enough.
-        if n_cut is not None or (probs[-max(3, dim // 10) :].sum() < 1e-14 and _adaptive_cut(probs) < dim):
-            return _certified(vec, n_cut)
-        dim = int(dim * 1.6) + 8
+    return _certified(amplitudes, n_cut)
 
 
 def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -> SingleModeState:
     """S(xi)|0> (squeezed vacuum) or S(xi)|1> (Yuen state).
 
-    S(xi) = exp[(conj(xi) a^2 - xi a^dag^2)/2].  The generator couples levels
-    two apart, so only its even (vacuum base) or odd (one-photon base) block
-    is exponentiated, and the support is exactly that parity.
+    S(xi) = exp[(conj(xi) a^2 - xi a^dag^2)/2].  With xi = r e^{i phi} and
+    f = 0 (vacuum base) or 1 (one-photon base),
+
+        c_{2n+f} = (-e^{i phi} tanh r)^n sqrt((2n+f)!) / (2^n n! cosh^{f+1/2} r),
+
+    so the support is exactly the parity of f.
     """
     base = base.lower()
     if base not in ("vacuum", "one"):
         raise ValueError(f"unknown squeezed base {base!r}")
-    base_n = 0 if base == "vacuum" else 1
-
-    def gen(dim):
-        # a^2 has <n|a^2|n+2> = sqrt((n+1)(n+2)).
-        a2 = np.diag(np.sqrt(np.arange(1.0, dim - 1) * np.arange(2.0, dim)), k=2)
-        return 0.5 * (np.conj(xi) * a2 - xi * a2.T)
-
+    f = 0 if base == "vacuum" else 1
+    if n_cut is not None and n_cut < f:
+        raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {f}")
     r = abs(xi)
-    # Fock occupation decays like tanh(r)^(2n); size the first probe for it.
-    est = 30 if r < 0.1 else int(np.ceil(-26.0 / np.log(np.tanh(r) + 1e-300))) + 30
-    return _exponentiated_generator_state(gen, base_n, 2, n_cut, min(max(est, 30), 4000))
+
+    def amplitudes(dim):
+        amps = np.zeros(dim, dtype=complex)
+        n = np.arange(amps[f::2].size)
+        if r == 0:
+            amps[f] = 1.0
+            return amps
+        # ln cosh r = logaddexp(r, -r) - ln 2 stays finite where cosh r overflows.
+        logmag = (
+            n * np.log(np.tanh(r)) + 0.5 * ln_factorial(2 * n + f) - n * np.log(2.0) - ln_factorial(n)
+            - (f + 0.5) * (np.logaddexp(r, -r) - np.log(2.0))
+        )
+        amps[f::2] = np.exp(logmag) * (-1.0) ** n * np.exp(1j * n * np.angle(xi))
+        return amps
+
+    return _certified(amplitudes, n_cut)
 
 
 def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeState:
@@ -173,48 +172,42 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
         raise ValueError("m must be non-negative")
     if n_cut is not None and n_cut < m:
         raise TruncationOverflow(f"n_cut={n_cut} below added photon number {m}")
-    probe = n_cut if n_cut is not None else _coherent_probe_cut(alpha) + m
-    n = np.arange(probe + 1 - m)
-    if alpha == 0:
-        amps = np.zeros(probe + 1, dtype=complex)
-        amps[m] = 1.0
-    else:
-        # c_{n+m} ~ alpha^n sqrt((n+m)!)/n!  (overall constant fixed by normalization)
-        logmag = n * np.log(abs(alpha)) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
-        logmag -= logmag.max()
-        amps = np.zeros(probe + 1, dtype=complex)
-        amps[m:] = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
-    return _certified(amps, n_cut)
 
+    def amplitudes(dim):
+        amps = np.zeros(dim, dtype=complex)
+        n = np.arange(dim - m)
+        if alpha == 0:
+            amps[m:] = n == 0
+        else:
+            # c_{n+m} ~ alpha^n sqrt((n+m)!)/n!  (overall constant fixed by normalization);
+            # logmag[0] = ln(m!)/2 >= 0, so the initial 0 only serves a basis below level m.
+            logmag = n * np.log(abs(alpha)) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
+            amps[m:] = np.exp(logmag - logmag.max(initial=0.0)) * np.exp(1j * n * np.angle(alpha))
+        return amps
 
-def deformed_annihilation_matrix(dim: int, base: int = 1) -> np.ndarray:
-    """Annihilation operator of the restricted Fock space {|base>, |base+1>, ...}.
-
-    Acts as sqrt(n - base)|n-1><n|; it annihilates every |n> with n <= base.
-    For base = 1 this is the operator a^dag (1+N)^(-1/2) a (1+N)^(-1/2) a.
-    """
-    mat = np.zeros((dim, dim))
-    for n in range(base + 1, dim):
-        mat[n - 1, n] = np.sqrt(n - base)
-    return mat
+    return _certified(amplitudes, n_cut)
 
 
 def make_isospectral(zeta: complex, base: int = 1, n_cut: int | None = None) -> SingleModeState:
     """Displacement-type coherent state of the restricted space built on |base>.
 
     exp(zeta a_i^dag - conj(zeta) a_i)|base> with a_i the deformed
-    annihilation operator; an eigenstate of a_i with eigenvalue zeta, with
-    no support below |base>.
+    annihilation operator sqrt(n - base)|n-1><n|; an eigenstate of a_i with
+    eigenvalue zeta, with no support below |base>.  In the restricted space
+    the displacement is exact, so c_{base+n} are the coherent amplitudes
+    exp(-|zeta|^2/2) zeta^n / sqrt(n!).
     """
     if base < 1:
         raise ValueError("base must be at least 1")
+    if n_cut is not None and n_cut < base:
+        raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {base}")
 
-    def gen(dim):
-        ai = deformed_annihilation_matrix(dim, base)
-        return zeta * ai.T - np.conj(zeta) * ai
+    def amplitudes(dim):
+        amps = np.zeros(dim, dtype=complex)
+        amps[base:] = _coherent_amplitudes(zeta, dim - base - 1)
+        return amps
 
-    probe = base + _coherent_probe_cut(zeta)
-    return _exponentiated_generator_state(gen, base, 1, n_cut, probe)
+    return _certified(amplitudes, n_cut)
 
 
 def make_two_mode(kind: str, r: float, n_cut: int | None = None) -> TwoModeState:
@@ -228,27 +221,20 @@ def make_two_mode(kind: str, r: float, n_cut: int | None = None) -> TwoModeState
         raise ValueError(f"unknown two-mode kind {kind!r}")
     if r < 0:
         raise ValueError("r must be non-negative")
-    if n_cut is None:
+
+    def diagonal(dim):
+        n = np.arange(dim)
+        if r == 0:
+            return (n == 0).astype(float)
         if kind == "caves-schumaker":
-            t = np.tanh(r)
-            probe = 20 if t < 1e-3 else int(np.ceil(-13.0 / np.log(max(t, 1e-300)))) + 20
-        else:
-            probe = _coherent_probe_cut(np.sqrt(r) + 1.0) + 20
-    else:
-        probe = n_cut
-    n = np.arange(probe + 1)
-    if kind == "caves-schumaker":
-        with np.errstate(divide="ignore"):
-            logmag = n * np.log(np.tanh(r)) if r > 0 else np.where(n == 0, 0.0, -np.inf)
-        diag = np.exp(logmag) * (-1.0) ** n
-    else:
-        with np.errstate(divide="ignore"):
-            logmag = n * np.log(r) - ln_factorial(n) if r > 0 else np.where(n == 0, 0.0, -np.inf)
-        diag = np.exp(logmag - logmag.max())
+            return np.exp(n * np.log(np.tanh(r))) * (-1.0) ** n
+        logmag = n * np.log(r) - ln_factorial(n)
+        return np.exp(logmag - logmag.max())
+
     # Each mode's distribution is |diag|^2, so certifying the diagonal certifies
     # both modes; the 2-d state is normalized as a whole.
-    cut = _certified(diag, n_cut).n_cut
-    return TwoModeState(np.diag(diag[: cut + 1])).normalized()
+    cut = _certified(diagonal, n_cut).n_cut
+    return TwoModeState(np.diag(diagonal(cut + 1))).normalized()
 
 
 def pair_coherent_normalization(r: float) -> float:

@@ -71,8 +71,8 @@ Moment integrals weight the grid by U = hermite_weights, the N x (K+1)
 matrix whose column s is the Simpson weights times the plain Hermite
 polynomial H_s(X).  Orders are capped at K = 6 (moments.K_MAX_DEFAULT), and
 the widest grid the catalog needs (half-width 146.5, the support of level
-1e4) keeps |H_6| below 6.4e14, so no power of X can overflow and the
-tomogram itself supplies the exp(-X^2) damping.  Every order pair's double
+1e4, states.MAX_LEVEL) keeps |H_6| below 6.4e14, so no power of X can
+overflow and the tomogram itself supplies the exp(-X^2) damping.  Every order pair's double
 integral at one phase pair is an entry of the (K+1) x (K+1) block U^T W U
 of the joint tomogram W, both modes on one grid, and _moment_blocks forms
 those blocks for a whole phase set.
@@ -306,7 +306,8 @@ def _check_mass_defect(defect: float, what: str) -> None:
     A NaN mass fails it too, so a state or grid holding NaN cannot pass as normalized.
     """
     if not defect <= NORMALIZATION_GUARD:
-        raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; enlarge the grid")
+        advice = "the tomogram holds NaN" if np.isnan(defect) else "enlarge the grid"
+        raise GridTooNarrow(f"{what}: mass misses 1 by {defect:.3e}; {advice}")
 
 
 def _check_nonnegative(low, high, labels: list) -> None:

@@ -26,6 +26,18 @@ def composite_lindblad_rhs(rho, cfg):
     return out
 
 
+def deformed_annihilation_matrix(dim: int, base: int = 1) -> np.ndarray:
+    """Annihilation operator of the restricted Fock space {|base>, |base+1>, ...}.
+
+    Acts as sqrt(n - base)|n-1><n|; it annihilates every |n> with n <= base.
+    For base = 1 this is the operator a^dag (1+N)^(-1/2) a (1+N)^(-1/2) a.
+    """
+    mat = np.zeros((dim, dim))
+    for n in range(base + 1, dim):
+        mat[n - 1, n] = np.sqrt(n - base)
+    return mat
+
+
 def full_pair_products(obj, grid):
     """Q[(n, n'), j] = psi_n(x_j) psi_n'(x_j) over all d^2 pairs (the unfolded form)."""
     psis = hermite_psi_matrix(obj.n_cut, grid.x)

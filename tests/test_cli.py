@@ -87,6 +87,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", narrow, "--out", str(tmp_path / "o4")]) == 2
     assert capsys.readouterr().err.startswith("numerical guard: GridTooNarrow:")
 
+    # Squeezing this large occupies levels above states.MAX_LEVEL.
+    too_large = {
+        "squeezed-xi-20": "scenario = entropy-sweep\nfamily = squeezed-vacuum\n"
+                          "param_start = 20\nparam_stop = 20\nparam_count = 1\n",
+        "caves-schumaker-r-20": "scenario = tomogram\nfamily = caves-schumaker\nr = 20\n",
+    }
+    for name, text in too_large.items():
+        path = write_config(tmp_path, text, f"{name}.cfg")
+        assert main(["run", path, "--out", str(tmp_path / name)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard: TruncationOverflow:") and "Traceback" not in err, (name, err)
+
     # Values the library rejects are config errors too, never a traceback.
     rejected = {
         "negative-rate": ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.5\n"

@@ -3,14 +3,15 @@
 docs/state-families.md has one row per entry of states.FAMILIES, with the
 same scalar key and type, extras with their defaults, and lower bounds; every
 scenario of the runner table scenarios.SCENARIOS has its docs/<scenario>.md;
-and the README's scenario list is the runner table.
+the README's scenario list is the runner table; and the level cap of the
+default cut quoted in the README and the family doc is states.MAX_LEVEL.
 """
 
 import pathlib
 import re
 
 from tomolens.scenarios import SCENARIOS
-from tomolens.states import FAMILIES
+from tomolens.states import FAMILIES, MAX_LEVEL
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KIND_NAMES = {complex: "complex", float: "real", int: "int"}
@@ -49,3 +50,10 @@ def test_readme_scenario_list_is_the_runner_table():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"Scenarios: (.*?)\. Each", readme, re.S).group(1)
     assert re.findall(r"`([^`]+)`", listed) == list(SCENARIOS)
+
+
+def test_docs_quote_the_level_cap():
+    for path in (ROOT / "README.md", ROOT / "docs" / "state-families.md"):
+        text = " ".join(path.read_text(encoding="utf-8").split())
+        quoted = re.findall(r"levels above (\d+)", text) + re.findall(r"`MAX_LEVEL = (\d+)`", text)
+        assert quoted and set(quoted) == {str(MAX_LEVEL)}, (path.name, quoted)

@@ -23,8 +23,10 @@ from tomolens.fock import (
     psi,
     unitary_exp,
 )
-from tomolens.states import deformed_annihilation_matrix, make_coherent, make_product
+from tomolens.states import make_coherent, make_product
 from tomolens.tomography import QuadratureGrid
+
+from references import deformed_annihilation_matrix
 
 
 def psi_reference(n, x):
@@ -228,6 +230,17 @@ def test_tail_mass_certificate():
     assert state.tail_mass() < 1e-10
     with pytest.raises(TruncationOverflow):
         SingleModeState(np.full(5, np.sqrt(0.2), dtype=complex)).certify()
+
+
+@pytest.mark.parametrize("level", [0, 11])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certificate_fails_a_non_finite_amplitude(bad, level):
+    # A NaN below the tail, or anywhere, once read as a zero tail mass.
+    amps = np.zeros(12, dtype=complex)
+    amps[0 if level else 1] = 1.0
+    amps[level] = bad
+    with pytest.raises(TruncationOverflow, match=f"at level {level} is not finite"):
+        SingleModeState(amps).certify()
 
 
 def test_tail_certificate_names_the_buffer_reserve_below_it():

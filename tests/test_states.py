@@ -5,10 +5,11 @@ from scipy.special import gammaln, ive
 
 from tomolens.errors import DegenerateParameter, TruncationOverflow
 from tomolens.fock import annihilation_matrix, apply_annihilation, inner
+from tomolens.scenarios import default_battery
 from tomolens.states import (
+    MAX_LEVEL,
     StateSpec,
     build_state,
-    deformed_annihilation_matrix,
     make_cat,
     make_coherent,
     make_fock,
@@ -19,6 +20,8 @@ from tomolens.states import (
     make_two_mode,
     pair_coherent_normalization,
 )
+
+from references import deformed_annihilation_matrix
 
 
 def test_coherent_vacuum_limit():
@@ -180,19 +183,58 @@ def test_isospectral_is_shifted_coherent():
     np.testing.assert_allclose(state.amplitudes[base:], reference.amplitudes, atol=1e-10)
 
 
+def test_large_squeezing_builds_or_fails_at_once():
+    # tanh(3)^2 = 0.99: the state reaches level ~4200, inside the levels default grids are sized for.
+    state = make_squeezed(3.0)
+    assert state.n_cut == 4228 and state.norm() == pytest.approx(1.0, abs=1e-12)
+    # tanh(5)^2 = 0.9998: the state occupies levels far above MAX_LEVEL.
+    with pytest.raises(TruncationOverflow, match=f"levels above MAX_LEVEL={MAX_LEVEL}.*: {MAX_LEVEL + 11} levels"):
+        make_squeezed(5.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_squeezed(20.0), lambda: make_two_mode("caves-schumaker", 20.0), lambda: make_fock(MAX_LEVEL + 1)],
+    ids=["squeezed", "caves-schumaker", "fock"],
+)
+def test_default_cut_stops_at_max_level(build):
+    with pytest.raises(TruncationOverflow, match=f"levels above MAX_LEVEL={MAX_LEVEL}"):
+        build()
+
+
+def test_highest_number_state_builds():
+    assert make_fock(MAX_LEVEL).n_cut == MAX_LEVEL + 10
+
+
+AUDIT_CUTS = {
+    "vacuum": 10, "coherent-1": 22, "coherent-complex": 20, "coherent-2": 32, "ecs": 20, "ocs": 23,
+    "yurke-stoler": 20, "ecs-large": 46, "squeezed-vacuum": 36, "yuen": 41, "pacs-1": 24, "pacs-3": 24,
+    "isospectral-1": 23, "isospectral-3": 23, "fock-3": 13, "two-mode-vacuum": 10, "caves-schumaker": 52,
+    "pair-coherent": 18, "ecs-x-vacuum": 22,
+}
+
+
+@pytest.mark.parametrize("name, spec", default_battery(), ids=[name for name, _ in default_battery()])
+def test_audit_battery_cuts_are_pinned(name, spec):
+    assert build_state(spec).n_cut == AUDIT_CUTS[name]
+
+
 def test_two_mode_zero_parameter_is_vacuum():
     for kind in ("caves-schumaker", "pair-coherent"):
         state = make_two_mode(kind, 0.0)
         assert abs(state.amplitudes[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("xi, base", [(0.5, "vacuum"), (0.8 - 0.6j, "vacuum"), (0.7j, "one")])
-def test_squeezed_parity_block_matches_full_expm(xi, base):
-    # Only the base state's parity block is exponentiated; the full-space
-    # matrix exponential gives the same truncated state.
-    state = make_squeezed(xi, base, n_cut=149)
-    a2 = np.linalg.matrix_power(annihilation_matrix(150), 2)
-    full = expm(0.5 * (np.conj(xi) * a2 - xi * a2.T))[:, 0 if base == "vacuum" else 1]
+@pytest.mark.parametrize(
+    "xi, base",
+    [(0.5, "vacuum"), (0.8 - 0.6j, "vacuum"), (1.5, "vacuum"), (0.7j, "one"), (0.8 - 0.6j, "one"), (1.5, "one")],
+)
+def test_squeezed_closed_form_matches_full_expm(xi, base):
+    # The full-space matrix exponential, on a basis twice the cut so that its
+    # own truncation stays below the tolerance, gives the closed-form state.
+    state = make_squeezed(xi, base)
+    a2 = np.linalg.matrix_power(annihilation_matrix(2 * (state.n_cut + 1)), 2)
+    full = expm(0.5 * (np.conj(xi) * a2 - xi * a2.T))[: state.n_cut + 1, 0 if base == "vacuum" else 1]
     np.testing.assert_allclose(state.amplitudes, full / np.linalg.norm(full), rtol=0.0, atol=1e-13)
 
 

@@ -273,6 +273,13 @@ def test_nan_mass_fails_the_single_mode_guard():
         tomogram_pure(SingleModeState([np.nan] + [0.0] * 11), [0.0])
 
 
+def test_mass_guard_advice_fits_the_defect():
+    with pytest.raises(GridTooNarrow, match="mass misses 1 by nan; the tomogram holds NaN$"):
+        tomogram_pure(SingleModeState([np.nan] + [0.0] * 11), [0.0])
+    with pytest.raises(GridTooNarrow, match="; enlarge the grid$"):
+        tomogram_pure(make_coherent(2.0), [0.0], QuadratureGrid.uniform(2.0, 201))
+
+
 def test_two_mode_vacuum_tomogram():
     pair = make_product(make_coherent(0.0), make_coherent(0.0))
     joint = tomogram_two_mode_pure(pair, 0.0, 0.0)
