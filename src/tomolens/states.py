@@ -151,10 +151,10 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
 
     def amplitudes(dim):
         amps = np.zeros(dim, dtype=complex)
-        n = np.arange(amps[f::2].size)
         if r == 0:
             amps[f] = 1.0
             return amps
+        n = np.arange(amps[f::2].size)
         # ln cosh r = logaddexp(r, -r) - ln 2 stays finite where cosh r overflows.
         logmag = (
             n * np.log(np.tanh(r)) + 0.5 * ln_factorial(2 * n + f) - n * np.log(2.0) - ln_factorial(n)
