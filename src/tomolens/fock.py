@@ -50,7 +50,8 @@ def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
     The iteration carries a per-point binary exponent so that starting values
     like exp(-x^2/2) at x = 50 (far below the smallest normal double) do not
     flush the whole column to zero; psi_n(50) for n ~ 2500 is O(0.1) and is
-    recovered correctly.
+    recovered correctly.  psi_n(+-inf) is 0 for every n, and a NaN point
+    gives a NaN column.
 
     On an exactly antisymmetric x (x[::-1] == -x bit for bit, as every
     QuadratureGrid.uniform grid is) the recurrence runs on the last
@@ -94,12 +95,15 @@ def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
         # A bound on the step growth of at least 2, so it has a positive log2.
         growth = np.sqrt(2.0) * np.max(np.abs(x), initial=0.0, where=np.isfinite(x)) + 2.0
         span = max(1, int(900 // np.log2(growth)))
+        # At x = +-inf p_0 is 0; stepping with 0 there keeps every psi_n(+-inf)
+        # at 0 instead of inf * 0 = NaN, and leaves every other point as it was.
+        step_x = np.where(np.isinf(x), 0.0, x)
         for n in range(out.shape[0] - 1):
             if n % span == 0:
                 _, power = np.frexp(np.maximum(np.abs(p_prev), np.abs(p_cur)))
                 p_prev, p_cur = np.ldexp(p_prev, -power), np.ldexp(p_cur, -power)
                 e += power
-            p_next = np.sqrt(2.0 / (n + 1)) * x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
+            p_next = np.sqrt(2.0 / (n + 1)) * step_x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
             p_prev, p_cur = p_cur, p_next
             np.ldexp(p_cur, e, out=out[n + 1])
 

@@ -64,16 +64,22 @@ def below_threshold(value: float, threshold: float) -> bool:
     return bool(value < threshold - FLAG_MARGIN)
 
 
-def _entropy_integrand(values: np.ndarray) -> np.ndarray:
-    """-w ln w element-wise, with 0 ln 0 := 0 and 0 wherever w < 0, in one fresh buffer.
+def _w_ln_w(values: np.ndarray) -> np.ndarray:
+    """w ln w element-wise for w >= 0, with 0 ln 0 := 0, in one fresh buffer.
 
     The logarithm reads max(w, 5e-324), which is w for every w > 0 and keeps
     ln finite at w = 0, where the product with w is then 0.
     """
-    v = np.asarray(values, dtype=float)
-    out = np.maximum(v, _SMALLEST_DOUBLE)
+    out = np.maximum(values, _SMALLEST_DOUBLE)
     np.log(out, out=out)
-    out *= v
+    out *= values
+    return out
+
+
+def _entropy_integrand(values: np.ndarray) -> np.ndarray:
+    """-w ln w element-wise, with 0 ln 0 := 0 and 0 wherever w < 0, in one fresh buffer."""
+    v = np.asarray(values, dtype=float)
+    out = _w_ln_w(v)
     np.negative(out, out=out)
     if v.min(initial=0.0) < 0.0:
         out[v < 0.0] = 0.0
@@ -98,15 +104,19 @@ def entropy_two_mode(tomo: TwoModeTomogram) -> float:
 def _joint_mass_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid | None = None) -> tuple:
     """(mass, entropy_two_mode) of the joint tomogram at (theta1, theta2), reduced one row block at a time.
 
-    Over half the rows when the state's parity allows (see tomography._joint_blocks).
+    Every yielded value is non-negative, so each block's -W ln W is summed
+    as W ln W and the sign taken off the sum, which is the same number bit
+    for bit.  Over half the rows when the state's parity allows, and for a
+    pure state only over the rectangle where W can reach 1e-30 (see
+    tomography._joint_blocks).
     """
     if grid is None:
         grid = default_grid(obj)
     w = grid.weights
     mass = entropy = 0.0
-    for _, row_weights, block, share in _joint_blocks(obj, theta1, theta2, grid, fold=True):
+    for _, cols, row_weights, block, share in _joint_blocks(obj, theta1, theta2, grid, reduction=True):
         mass += share
-        entropy += row_weights @ _entropy_integrand(block) @ w
+        entropy -= row_weights @ _w_ln_w(block) @ w[cols]
     return float(mass), float(entropy)
 
 

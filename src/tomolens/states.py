@@ -86,7 +86,12 @@ def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
     n = np.arange(n_cut + 1)
     if alpha == 0:
         return (n == 0).astype(complex)
-    mag = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * ln_factorial(n))
+    try:
+        norm_sq = abs(alpha) ** 2
+    except OverflowError:
+        # |alpha| above ~1.3e154: every amplitude is 0, so the state fails to certify.
+        norm_sq = np.inf
+    mag = np.exp(-0.5 * norm_sq + n * np.log(abs(alpha)) - 0.5 * ln_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
     return mag * phase
 

@@ -87,11 +87,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", narrow, "--out", str(tmp_path / "o4")]) == 2
     assert capsys.readouterr().err.startswith("numerical guard: GridTooNarrow:")
 
-    # Squeezing this large occupies levels above states.MAX_LEVEL.
+    # Squeezing this large occupies levels above states.MAX_LEVEL, and so does
+    # a coherent amplitude of 1e200, whose |alpha|^2 overflows a double.
     too_large = {
         "squeezed-xi-20": "scenario = entropy-sweep\nfamily = squeezed-vacuum\n"
                           "param_start = 20\nparam_stop = 20\nparam_count = 1\n",
         "caves-schumaker-r-20": "scenario = tomogram\nfamily = caves-schumaker\nr = 20\n",
+        "coherent-1e200": "scenario = tomogram\nfamily = coherent\nalpha = 1e200\n",
+        "ecs-1e200": "scenario = tomogram\nfamily = ecs\nalpha = 1e200\n",
+        "isospectral-1e200": "scenario = tomogram\nfamily = isospectral\nzeta = 1e200\n",
     }
     for name, text in too_large.items():
         path = write_config(tmp_path, text, f"{name}.cfg")

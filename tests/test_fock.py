@@ -82,7 +82,8 @@ def test_psi_of_non_finite_x_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = hermite_psi_matrix(40, [np.inf, -np.inf, np.nan, 1.0])
-    assert np.all(table[0, :2] == 0.0) and np.all(np.isnan(table[:, 2]))
+    # psi_n(+-inf) = 0 for every n, not only n = 0.
+    assert np.all(table[:, :2] == 0.0) and np.all(np.isnan(table[:, 2]))
     assert np.array_equal(table[:, 3], hermite_psi_matrix(40, [1.0])[:, 0])
 
 

@@ -44,6 +44,7 @@ from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_var
 from tomolens.moments import SOURCE_FOCK_ORACLE, moment_table, two_mode_moment_table
 from tomolens.tomography import (
     _BLOCK_ROWS,
+    _PURE_BLOCK_ROWS,
     _csv_lines,
     _definite_parity,
     _joint_blocks,
@@ -74,7 +75,10 @@ FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.integers(
 TIMES = st.floats(0.0, 2.0)
 CHANNELS = pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
 # Grid point counts (odd, as every grid's are) one below two row blocks,
-# exactly three (the block height is odd) and one above two.
+# exactly three (the block height is odd) and one above two.  The pure
+# route's height divides the density-matrix route's, so these counts sit on
+# block edges of both.
+assert _BLOCK_ROWS % _PURE_BLOCK_ROWS == 0
 BLOCK_GRIDS = st.sampled_from([2 * _BLOCK_ROWS - 1, 3 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
 
 
@@ -195,7 +199,7 @@ def test_channel_semigroup_at_random_rates_and_times(kind, rho, rate_c, rate_d, 
 def _check_blocked_reductions(obj, theta1, theta2, n_points):
     grid = default_grid(obj, n_points)
     w, u = grid.weights, hermite_weights(grid, 2)
-    moments = sum(u[rows].T @ block @ u for rows, _, block, _ in _joint_blocks(obj, theta1, theta2, grid))
+    moments = sum(u[rows].T @ block @ u for rows, _, _, block, _ in _joint_blocks(obj, theta1, theta2, grid))
     mass, entropy = _joint_mass_entropy(obj, theta1, theta2, grid)
     dense = tomogram_joint(obj, theta1, theta2, grid)
     assert abs(mass - w @ dense.values @ w) <= 1e-13
@@ -242,7 +246,7 @@ def test_pure_moment_blocks_match_the_density_matrix_route(state, thetas1, theta
     rho, u = TwoModeDensityMatrix.from_pure(state), hermite_weights(grid, 2)
     reference = np.array(
         [
-            [sum(u[rows].T @ w @ u for rows, _, w, _ in _joint_blocks(rho, th1, th2, grid)) for th2 in thetas2]
+            [sum(u[rows].T @ w @ u for rows, _, _, w, _ in _joint_blocks(rho, th1, th2, grid)) for th2 in thetas2]
             for th1 in thetas1
         ]
     )

@@ -11,8 +11,8 @@ from tomolens.cli import main
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
 from tomolens.errors import GridTooNarrow, NegativeTomogram, ProjectionDefect
 from tomolens.fock import SingleModeState, TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
-from tomolens.metrics import _joint_mass_entropy, band_peaks, entropy_two_mode, two_mode_report
-from tomolens.scenarios import parse_state_spec
+from tomolens.metrics import EUR_SLACK, _joint_mass_entropy, _w_ln_w, band_peaks, entropy_two_mode, two_mode_report
+from tomolens.scenarios import default_battery, parse_state_spec
 from tomolens.states import (
     build_state,
     make_cat,
@@ -25,6 +25,7 @@ from tomolens.states import (
 from tomolens.tomography import (
     PROJECTION_GUARD,
     _CSV_CHUNK_CELLS,
+    _SUPPORT_FLOOR,
     DEFAULT_THETAS,
     QuadratureGrid,
     Tomogram,
@@ -643,8 +644,9 @@ def test_nan_mass_fails_the_joint_tomogram_guard(mixed):
     amplitudes[0, 0] = np.nan
     state = TwoModeState(amplitudes)
     obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
-    with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1 by nan"):
-        tomogram_joint(obj, 0.4, 1.1, QuadratureGrid.uniform(8.0, 201))
+    for reduce in (tomogram_joint, _joint_mass_entropy):
+        with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1 by nan"):
+            reduce(obj, 0.4, 1.1, QuadratureGrid.uniform(8.0, 201))
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 24, 40])
@@ -837,25 +839,35 @@ def test_evolution_and_joint_tomograms_hand_over_arrays_of_their_own(monkeypatch
 
 
 def _rows_reduced(obj, grid):
-    """Rows of the joint tomogram that the folding reduction evaluates."""
-    return sum(block.shape[0] for _, _, block, _ in _joint_blocks(obj, 0.4, 1.1, grid, fold=True))
+    """Rows of the joint tomogram that the reduction evaluates, in order."""
+    return [j for rows, *_ in _joint_blocks(obj, 0.4, 1.1, grid, reduction=True) for j in range(rows.start, rows.stop)]
 
 
 @pytest.mark.parametrize("kind,alpha,parity", [("even", 0.56, True), ("odd", 0.62, True), ("pacs", 0.85, False)])
-def test_fold_is_taken_for_cat_vacuum_outputs_and_their_evolution(kind, alpha, parity):
+def test_fold_is_taken_for_cat_vacuum_outputs_and_their_evolution(monkeypatch, kind, alpha, parity):
     # A beamsplitter keeps total photon number and both channels keep the
     # parity sectors, so an ecs/ocs x vacuum output and every rho(t) have
     # definite parity; a photon-added coherent input has none.
     source = make_pacs(alpha, 1) if kind == "pacs" else make_cat(alpha, kind)
     out = apply(BeamsplitterConfig(0.0), make_product(source, make_coherent(0.0)))
     rho = TwoModeDensityMatrix.from_pure(out)
-    objs = [out, rho] + [
+    objs = [rho] + [
         evolve(rho, ChannelConfig(channel), t) for channel in (AMPLITUDE_DECAY, PHASE_DAMPING) for t in (1.5e-3, 0.2, 20.0)
     ]
     grid = QuadratureGrid.uniform(tomography.support_half_width(out.n_cut), 211)
     for obj in objs:
         assert _definite_parity(obj) is parity
-        assert _rows_reduced(obj, grid) == (106 if parity else 211)
+        assert _rows_reduced(obj, grid) == list(range(106 if parity else 211))
+    # The pure output's rows are those of its certified rectangle, which
+    # straddles the centre; folded, they run from the first row that is kept
+    # or whose mirror is kept up to the centre row 105.
+    assert _definite_parity(out) is parity
+    folded = _rows_reduced(out, grid)
+    monkeypatch.setattr(tomography, "_definite_parity", lambda obj: False)
+    whole = _rows_reduced(out, grid)
+    assert whole == list(range(whole[0], whole[-1] + 1))
+    assert 0 < whole[0] < 105 < whole[-1] < 210
+    assert folded == (list(range(min(whole[0], 210 - whole[-1]), 106)) if parity else whole)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
@@ -868,9 +880,78 @@ def test_an_amplitude_in_the_other_parity_sector_disables_the_fold(mixed):
     obj = TwoModeDensityMatrix.from_pure(state) if mixed else state
     grid = QuadratureGrid.uniform(tomography.support_half_width(state.n_cut), 211)
     assert not _definite_parity(obj)
-    assert _rows_reduced(obj, grid) == 211
+    rows = _rows_reduced(obj, grid)
+    if mixed:
+        assert rows == list(range(211))
+    else:
+        # The certified rectangle of a near-mirror-symmetric W, both halves of it.
+        assert rows == list(range(rows[0], 211 - rows[0]))
+        assert 0 < rows[0] < 105
     mass, entropy = _joint_mass_entropy(obj, 0.4, 1.1, grid)
     dense = tomogram_joint(obj, 0.4, 1.1, grid)
     assert abs(mass - grid.weights @ dense.values @ grid.weights) <= 1e-13
     assert abs(entropy - entropy_two_mode(dense)) <= 1e-13
 
+
+
+def _battery_pure_two_mode_states():
+    battery = [(name, build_state(spec)) for name, spec in default_battery()]
+    outputs = [
+        (f"{name}-vacuum-phi{phi:.3g}", apply(BeamsplitterConfig(phi), make_product(source, make_coherent(0.0))))
+        for name, source in (("ecs", make_cat(0.56, "even")), ("ocs", make_cat(0.62, "odd")), ("pacs", make_pacs(0.855, 1)))
+        for phi in (0.0, np.pi / 2)
+    ]
+    return [(name, state) for name, state in battery if isinstance(state, TwoModeState)] + outputs
+
+
+@pytest.mark.parametrize("name,state", _battery_pure_two_mode_states(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("theta1,theta2", [(0.4, 1.1), (1.1 + np.pi / 2, 1.1 + np.pi / 2)])
+def test_pure_reductions_leave_out_only_values_below_the_support_floor(name, state, theta1, theta2):
+    # Every value outside the evaluated rectangle, and outside its mirror
+    # when the rows fold, is below the floor; the mass and the entropy agree
+    # with the dense full-grid sums.
+    grid = default_grid(state)
+    dense = tomogram_joint(state, theta1, theta2, grid).values
+    outside = np.ones(dense.shape, dtype=bool)
+    for rows, cols, *_ in _joint_blocks(state, theta1, theta2, grid, reduction=True):
+        outside[rows, cols] = False
+    if _definite_parity(state):
+        outside &= outside[::-1, ::-1]
+    assert outside.mean() > 0.2
+    assert dense[outside].max() < _SUPPORT_FLOOR
+    mass, entropy = _joint_mass_entropy(state, theta1, theta2, grid)
+    assert abs(mass - grid.weights @ dense @ grid.weights) <= 1e-13
+    assert abs(entropy - entropy_two_mode(TwoModeTomogram(theta1, theta2, dense, grid, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("name,state", [(n, s) for n, s in _battery_pure_two_mode_states() if n.startswith("pacs")])
+def test_a_narrow_grid_trims_nothing_and_fails_the_mass_guard(name, state):
+    # Negative control: on the audit's half-width-2 grid every value is far
+    # above the floor, so every row and column is evaluated, and the mass
+    # guard raises as before.
+    grid = QuadratureGrid.uniform(2.0)
+    seen = np.zeros((grid.n_points, grid.n_points), dtype=bool)
+    with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1"):
+        for rows, cols, *_ in _joint_blocks(state, 0.4, 1.1, grid, reduction=True):
+            seen[rows, cols] = True
+    assert seen.all()
+    with pytest.raises(GridTooNarrow):
+        _joint_mass_entropy(state, 0.4, 1.1, grid)
+
+
+def test_default_grid_two_mode_entropy_meets_the_decision_tolerance():
+    # The fringed ocs x vacuum output's joint entropy on its default
+    # 1201-point grid, against a 4801-point trapezoid reference on the same
+    # support (4801 and 9601 points agree within 1e-8): the error, -7.9e-7,
+    # must stay inside the 1e-6 slack every EUR verdict is read with.
+    state = apply(BeamsplitterConfig(0.0), make_product(make_cat(0.62, "odd"), make_coherent(0.0)))
+    theta = np.pi / 2
+    fine = QuadratureGrid(default_grid(state).half_width, 4801)
+    trapezoid = np.full(fine.n_points, 2.0 * fine.half_width / (fine.n_points - 1))
+    trapezoid[[0, -1]] /= 2.0
+    reference = 0.0
+    for rows, cols, row_weights, block, _ in _joint_blocks(state, theta, theta, fine, reduction=True):
+        # row_weights / Simpson weights is the fold's factor of 1 or 2.
+        reference -= (row_weights / fine.weights[rows] * trapezoid[rows]) @ _w_ln_w(block) @ trapezoid[cols]
+    entropy = _joint_mass_entropy(state, theta, theta)[1]
+    assert abs(entropy - reference) <= EUR_SLACK
