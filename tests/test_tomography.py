@@ -868,6 +868,18 @@ def test_fold_is_taken_for_cat_vacuum_outputs_and_their_evolution(monkeypatch, k
     assert whole == list(range(whole[0], whole[-1] + 1))
     assert 0 < whole[0] < 105 < whole[-1] < 210
     assert folded == (list(range(min(whole[0], 210 - whole[-1]), 106)) if parity else whole)
+    if parity:
+        # A rectangle cut short at its first rows still folds from the mirror
+        # of its last row, so every kept row's mirror is covered.
+        monkeypatch.undo()
+        support = tomography._support
+
+        def cut_short(amp, bound):
+            kept = support(amp, bound)
+            return slice(kept.start + 5, kept.stop)
+
+        monkeypatch.setattr(tomography, "_support", cut_short)
+        assert _rows_reduced(out, grid) == list(range(210 - whole[-1], 106))
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
@@ -893,42 +905,48 @@ def test_an_amplitude_in_the_other_parity_sector_disables_the_fold(mixed):
     assert abs(entropy - entropy_two_mode(dense)) <= 1e-13
 
 
+def _pure_two_mode_states() -> dict:
+    """The audit battery's pure two-mode states and the ecs/ocs/pacs x vacuum outputs at phi = 0 and pi/2, by name."""
+    states = {name: build_state(spec) for name, spec in default_battery()}
+    states = {name: state for name, state in states.items() if isinstance(state, TwoModeState)}
+    sources = {"ecs": make_cat(0.56, "even"), "ocs": make_cat(0.62, "odd"), "pacs": make_pacs(0.855, 1)}
+    for name, source in sources.items():
+        for phi in (0.0, np.pi / 2):
+            out = apply(BeamsplitterConfig(phi), make_product(source, make_coherent(0.0)))
+            states[f"{name}-vacuum-phi{phi:.3g}"] = out
+    return states
 
-def _battery_pure_two_mode_states():
-    battery = [(name, build_state(spec)) for name, spec in default_battery()]
-    outputs = [
-        (f"{name}-vacuum-phi{phi:.3g}", apply(BeamsplitterConfig(phi), make_product(source, make_coherent(0.0))))
-        for name, source in (("ecs", make_cat(0.56, "even")), ("ocs", make_cat(0.62, "odd")), ("pacs", make_pacs(0.855, 1)))
-        for phi in (0.0, np.pi / 2)
-    ]
-    return [(name, state) for name, state in battery if isinstance(state, TwoModeState)] + outputs
+
+PURE_TWO_MODE_STATES = _pure_two_mode_states()
 
 
-@pytest.mark.parametrize("name,state", _battery_pure_two_mode_states(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("name", list(PURE_TWO_MODE_STATES))
 @pytest.mark.parametrize("theta1,theta2", [(0.4, 1.1), (1.1 + np.pi / 2, 1.1 + np.pi / 2)])
-def test_pure_reductions_leave_out_only_values_below_the_support_floor(name, state, theta1, theta2):
+def test_pure_reductions_leave_out_only_values_below_the_support_floor(name, theta1, theta2):
     # Every value outside the evaluated rectangle, and outside its mirror
     # when the rows fold, is below the floor; the mass and the entropy agree
     # with the dense full-grid sums.
+    state = PURE_TWO_MODE_STATES[name]
     grid = default_grid(state)
-    dense = tomogram_joint(state, theta1, theta2, grid).values
-    outside = np.ones(dense.shape, dtype=bool)
+    dense = tomogram_joint(state, theta1, theta2, grid)
+    outside = np.ones(dense.values.shape, dtype=bool)
     for rows, cols, *_ in _joint_blocks(state, theta1, theta2, grid, reduction=True):
         outside[rows, cols] = False
     if _definite_parity(state):
         outside &= outside[::-1, ::-1]
     assert outside.mean() > 0.2
-    assert dense[outside].max() < _SUPPORT_FLOOR
+    assert dense.values[outside].max() < _SUPPORT_FLOOR
     mass, entropy = _joint_mass_entropy(state, theta1, theta2, grid)
-    assert abs(mass - grid.weights @ dense @ grid.weights) <= 1e-13
-    assert abs(entropy - entropy_two_mode(TwoModeTomogram(theta1, theta2, dense, grid, grid))) <= 1e-13
+    assert abs(mass - grid.weights @ dense.values @ grid.weights) <= 1e-13
+    assert abs(entropy - entropy_two_mode(dense)) <= 1e-13
 
 
-@pytest.mark.parametrize("name,state", [(n, s) for n, s in _battery_pure_two_mode_states() if n.startswith("pacs")])
-def test_a_narrow_grid_trims_nothing_and_fails_the_mass_guard(name, state):
+@pytest.mark.parametrize("name", ["pacs-vacuum-phi0", "pacs-vacuum-phi1.57"])
+def test_a_narrow_grid_trims_nothing_and_fails_the_mass_guard(name):
     # Negative control: on the audit's half-width-2 grid every value is far
     # above the floor, so every row and column is evaluated, and the mass
     # guard raises as before.
+    state = PURE_TWO_MODE_STATES[name]
     grid = QuadratureGrid.uniform(2.0)
     seen = np.zeros((grid.n_points, grid.n_points), dtype=bool)
     with pytest.raises(GridTooNarrow, match=r"two-mode tomogram at \(0\.4, 1\.1\): mass misses 1"):
