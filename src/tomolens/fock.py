@@ -1,7 +1,5 @@
 """Truncated Fock-basis state carriers, ladder actions, stable Hermite functions
-and the two special functions the rest of the package needs: ln n! and the
-exponential of an anti-Hermitian generator, both from numpy and the standard
-library alone.
+and ln n!, from numpy and the standard library alone.
 
 Everything downstream (tomograms, moment extraction, the beamsplitter and the
 decoherence channels) is built on the representations defined here.  All
@@ -135,33 +133,13 @@ def ln_factorial(n) -> np.ndarray:
     return _ln_factorial_table(max(64, 1 << top.bit_length()))[n]
 
 
-def unitary_exp(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for an anti-Hermitian matrix gen, verified unitary to 1e-9.
-
-    i gen is Hermitian, so with i gen = V diag(lam) V^dag the exponential is
-    V diag(e^{-i lam}) V^dag.  eigh reads one triangle of i gen only, so a gen
-    that is not anti-Hermitian to 1e-12 of its largest entry raises
-    ValueError; a result whose unitarity defect exceeds 1e-9 raises
-    TruncationOverflow.  The beamsplitter's total-photon blocks are its one
-    user: the squeezed and isospectral constructors use closed forms.
-    """
-    if np.max(np.abs(gen + gen.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(gen))):
-        raise ValueError("generator is not anti-Hermitian")
-    lam, vecs = np.linalg.eigh(1j * gen)
-    u = (vecs * np.exp(-1j * lam)) @ vecs.conj().T
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > 1e-9:
-        raise TruncationOverflow(f"truncated exponential not unitary: defect {defect:.2e}")
-    return u
-
-
 def _top_above_floor(p: np.ndarray) -> int:
-    """Highest level whose probability in `p` exceeds the occupancy floor 1e-13 (0 if none).
+    """Highest level whose probability in `p` exceeds the occupancy floor 1e-13 or is NaN (0 if none).
 
     Every carrier's top_occupied reads it, and default quadrature grids are
     sized from that level.
     """
-    idx = np.nonzero(p > 1e-13)[0]
+    idx = np.nonzero(~(p <= 1e-13))[0]
     return int(idx[-1]) if idx.size else 0
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingOrder, OrderTooHigh
+from .errors import MissingOrder, OrderTooHigh, TruncationOverflow
 from .fock import (
     SingleModeState,
     TwoModeState,
@@ -142,11 +142,22 @@ def _two_mode_entries(obj, phases: np.ndarray, max_order: int, grid) -> dict:
     }
 
 
+def _oracle_input(obj) -> np.ndarray:
+    """The amplitudes (pure) or entries (density matrix) the oracle reads, if every one is finite."""
+    values = obj.amplitudes if isinstance(obj, (SingleModeState, TwoModeState)) else obj.entries
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        where = tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
+        raise TruncationOverflow(f"Fock oracle input {values.flat[bad[0]]} at index {where} is not finite")
+    return values
+
+
 def oracle_moment(obj, k: int, l: int, mode: str | None = None) -> complex:
     """<a^dag^k a^l> by direct ladder action in the Fock basis."""
     _check_order(k, l)
     if isinstance(obj, SingleModeState):
-        return complex(np.vdot(lowered(obj.amplitudes, (k,)), lowered(obj.amplitudes, (l,))))
+        c = _oracle_input(obj)
+        return complex(np.vdot(lowered(c, (k,)), lowered(c, (l,))))
     if mode == "a":
         return oracle_moment_two_mode(obj, k, l, 0, 0)
     if mode == "b":
@@ -158,14 +169,15 @@ def oracle_moment_two_mode(obj, k: int, l: int, p: int, q: int) -> complex:
     """<a^dag^k a^l b^dag^p b^q> by ladder action (pure) or trace (mixed)."""
     _check_order(k, l)
     _check_order(p, q)
+    values = _oracle_input(obj)
     if isinstance(obj, TwoModeState):
-        return complex(np.vdot(lowered(obj.amplitudes, (k, p)), lowered(obj.amplitudes, (l, q))))
+        return complex(np.vdot(lowered(values, (k, p)), lowered(values, (l, q))))
     dim = obj.dim
     a = annihilation_matrix(dim)
     op_a = np.linalg.matrix_power(a.T, k) @ np.linalg.matrix_power(a, l)
     op_b = np.linalg.matrix_power(a.T, p) @ np.linalg.matrix_power(a, q)
     # Tr((O_a x O_b) rho) against the (n, n', m, m') index layout.
-    return complex(np.einsum("ab,cd,badc->", op_a, op_b, obj.entries))
+    return complex(np.einsum("ab,cd,badc->", op_a, op_b, values))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,11 @@ def _adaptive_cut(probabilities: np.ndarray) -> int:
     tail = total - np.cumsum(probabilities)
     ok = np.nonzero(tail < TAIL_TOLERANCE * total)[0]
     if ok.size == 0:
-        raise TruncationOverflow("probe basis too small for the requested parameters")
+        if not np.isfinite(total):
+            raise TruncationOverflow(f"the distribution over {probabilities.size} levels holds {total}")
+        raise TruncationOverflow(
+            f"no level of {probabilities.size} leaves less than {TAIL_TOLERANCE:.0e} of the mass above it"
+        )
     return int(ok[0]) + BUFFER_LEVELS
 
 

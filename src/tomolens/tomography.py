@@ -531,8 +531,10 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, reduc
 
         def block(rows):
             parts = np.concatenate([amp.real[rows], amp.imag[rows]]) @ right
-            real_sq, imag_sq = np.split(np.square(parts, out=parts), 2)
-            real_sq += imag_sq
+            np.square(parts, out=parts)
+            size = rows.stop - rows.start
+            real_sq = parts[:size]
+            real_sq += parts[size:]
             return real_sq
 
     else:

@@ -1,16 +1,21 @@
 import math
+import threading
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from tomolens import beamsplitter
 from tomolens.beamsplitter import (
     BeamsplitterConfig,
     apply,
-    block_generator,
     block_unitaries,
     output_closed_form,
 )
-from tomolens.fock import SingleModeState, fidelity_pure
+from tomolens.errors import TruncationOverflow
+from tomolens.fock import SingleModeState, TwoModeState, fidelity_pure
 from tomolens.metrics import (
     ENTROPY_THRESHOLD,
     TWO_MODE_ENTROPY_THRESHOLD,
@@ -21,6 +26,8 @@ from tomolens.metrics import (
 )
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, marginal, tomogram_joint, tomogram_pure
+
+from references import block_generator, expm_fixed_point
 
 
 def test_vacuum_passes_through():
@@ -39,6 +46,93 @@ def test_blocks_are_unitary():
 def test_generator_is_anti_hermitian():
     gen = block_generator(6, 0.8)
     assert np.max(np.abs(gen + gen.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("total", [0, 1, 7, 40])
+@pytest.mark.parametrize("phi", [0.0, 0.9, np.pi / 2])
+def test_blocks_match_expm_of_the_generator(total, phi):
+    gen = block_generator(total, phi)
+    tol = 1e-14 * max(1.0, np.abs(gen).sum(axis=0).max())
+    np.testing.assert_allclose(block_unitaries(total, phi)[total], expm(-gen), rtol=0.0, atol=tol)
+
+
+def test_fixed_point_expm_matches_mpmath():
+    gen = block_generator(12, 0.7)
+    with mp.workdps(40):
+        reference = np.array(mp.expm(-mp.matrix(gen.tolist())).tolist(), dtype=complex)
+    # Both are exact far below a double's rounding: they differ only where an entry is ~0.
+    np.testing.assert_allclose(expm_fixed_point(-gen), reference, rtol=1e-15, atol=1e-40)
+
+
+def test_blocks_match_extended_precision():
+    reference = expm_fixed_point(-block_generator(60, 0.7))
+    assert np.max(np.abs(block_unitaries(60, 0.7)[60] - reference)) < 2e-14
+
+
+@pytest.mark.parametrize("phi", [0.7, -2.0, np.pi / 2])
+def test_phase_enters_as_a_diagonal_rotation(phi):
+    for total, (u, u0) in enumerate(zip(block_unitaries(30, phi), block_unitaries(30, 0.0))):
+        j = np.arange(total + 1)
+        assert not np.any(u0.imag)
+        np.testing.assert_array_equal(u, np.exp(1j * phi * j)[:, None] * u0 * np.exp(-1j * phi * j))
+
+
+def test_two_threads_build_a_new_cut_once(monkeypatch):
+    built = []
+    step = beamsplitter._next_block
+
+    def slow_step(o):
+        built.append(o.shape[0])
+        time.sleep(0.002)
+        return step(o)
+
+    monkeypatch.setattr(beamsplitter, "_BLOCKS", beamsplitter._BLOCKS[:1])
+    monkeypatch.setattr(beamsplitter, "_next_block", slow_step)
+    start = threading.Barrier(2)
+    results = []
+
+    def ask():
+        start.wait()
+        results.append(block_unitaries(12, 0.4))
+
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert built == list(range(1, 13))
+    for u, v in zip(*results):
+        np.testing.assert_array_equal(u, v)
+
+
+def test_blocks_are_read_only():
+    with pytest.raises(ValueError):
+        beamsplitter._blocks(3)[3][0, 0] = 1.0
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_non_finite_phase_is_a_config_error(phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        BeamsplitterConfig(phi)
+
+
+def test_norm_guard_fails_a_nan_norm(monkeypatch):
+    # A NaN norm compares false with every bound; the guard must still fail it.
+    monkeypatch.setattr(TwoModeState, "norm", lambda self: float("nan"))
+    with pytest.raises(TruncationOverflow, match="output norm nan"):
+        apply(BeamsplitterConfig(0.3), make_product(make_coherent(0.5), make_coherent(0.0)))
+
+
+def test_nan_input_names_the_distribution():
+    amps = np.zeros((12, 12), dtype=complex)
+    amps[0, 0], amps[1, 2] = 1.0, np.nan
+    with pytest.raises(TruncationOverflow, match=r"^the distribution over 23 levels holds nan$"):
+        apply(BeamsplitterConfig(0.3), TwoModeState(amps))
+
+
+def test_massless_input_has_no_cut():
+    with pytest.raises(TruncationOverflow, match=r"^no level of 9 leaves less than 1e-10 of the mass above it$"):
+        apply(BeamsplitterConfig(0.3), TwoModeState(np.zeros((5, 5))))
 
 
 def test_coherent_pair_maps_to_coherent_pair():

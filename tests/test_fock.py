@@ -3,10 +3,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.special import gammaln
 
-from tomolens.beamsplitter import block_generator
 from tomolens.errors import TruncationOverflow
 from tomolens.fock import (
     BUFFER_LEVELS,
@@ -21,12 +19,9 @@ from tomolens.fock import (
     ln_factorial,
     lowered,
     psi,
-    unitary_exp,
 )
 from tomolens.states import make_coherent, make_product
 from tomolens.tomography import QuadratureGrid
-
-from references import deformed_annihilation_matrix
 
 
 def psi_reference(n, x):
@@ -244,6 +239,14 @@ def test_certificate_fails_a_non_finite_amplitude(bad, level):
         SingleModeState(amps).certify()
 
 
+def test_a_nan_probability_counts_as_occupied():
+    # A NaN at level 2 once read as absent, so default grids were sized for level 1.
+    amps = np.zeros(12, dtype=complex)
+    amps[[1, 2]] = 1.0, np.nan
+    assert SingleModeState(amps).top_occupied() == 2
+    assert TwoModeState(np.diag(amps)).top_occupied() == 2
+
+
 def test_tail_certificate_names_the_buffer_reserve_below_it():
     # n_cut = 4 leaves no level below the BUFFER_LEVELS reserve: the whole
     # basis is tail, and the message says so instead of quoting level -6.
@@ -312,41 +315,3 @@ def test_ln_factorial_matches_gammaln():
     assert ln_factorial(0) == 0.0 and ln_factorial(1) == 0.0
     with pytest.raises(ValueError):
         ln_factorial([3, -1])
-
-
-def _squeezing_generator(dim, xi):
-    a = annihilation_matrix(dim)
-    return 0.5 * (np.conj(xi) * (a @ a) - xi * (a @ a).conj().T)
-
-
-def _isospectral_generator(dim, zeta, base):
-    ai = deformed_annihilation_matrix(dim, base)
-    return zeta * ai.T - np.conj(zeta) * ai
-
-
-@pytest.mark.parametrize(
-    "gen",
-    [block_generator(total, phi) for total in (0, 1, 7, 40) for phi in (0.0, 0.9, np.pi / 2)]
-    + [_squeezing_generator(dim, xi) for dim in (40, 120) for xi in (0.5, 0.8 - 0.6j, 1.2)]
-    + [_squeezing_generator(120, 0.8 - 0.6j)[1::2, 1::2]]
-    + [_isospectral_generator(dim, zeta, base) for dim in (40, 120) for zeta, base in ((0.6, 1), (0.7j, 3))],
-)
-def test_unitary_exp_matches_expm(gen):
-    # Both routes err by a few ulps times the generator's norm; at d = 40 and
-    # xi = 0.5 it is expm that misses by 1e-13 (see the mpmath test below).
-    tol = 1e-14 * max(1.0, np.abs(gen).sum(axis=0).max())
-    np.testing.assert_allclose(unitary_exp(gen), expm(gen), rtol=0.0, atol=tol)
-    np.testing.assert_allclose(unitary_exp(-gen), expm(-gen), rtol=0.0, atol=tol)
-
-
-def test_unitary_exp_rejects_a_generator_that_is_not_anti_hermitian():
-    gen = _squeezing_generator(12, 0.5)
-    with pytest.raises(ValueError, match="not anti-Hermitian"):
-        unitary_exp(gen + 1e-9 * np.eye(12))
-
-
-def test_unitary_exp_matches_extended_precision():
-    gen = _squeezing_generator(40, 0.5)
-    with mp.workdps(40):
-        reference = np.array(mp.expm(mp.matrix(gen.tolist())).tolist(), dtype=complex)
-    assert np.max(np.abs(unitary_exp(gen) - reference)) < 2e-14

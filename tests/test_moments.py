@@ -4,8 +4,8 @@ import pytest
 from tomolens import moments, tomography
 from tomolens.beamsplitter import BeamsplitterConfig, apply
 from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, evolve
-from tomolens.errors import GridTooNarrow, MissingOrder, NegativeTomogram, OrderTooHigh
-from tomolens.fock import TwoModeDensityMatrix
+from tomolens.errors import GridTooNarrow, MissingOrder, NegativeTomogram, OrderTooHigh, TruncationOverflow
+from tomolens.fock import SingleModeState, TwoModeDensityMatrix, TwoModeState
 from tomolens.moments import (
     K_MAX_DEFAULT,
     SOURCE_FOCK_ORACLE,
@@ -343,3 +343,19 @@ def test_two_mode_table_rejects_non_physical_density_matrix():
     entries[1, 1, 0, 0] = -0.5
     with pytest.raises(NegativeTomogram, match=r"phase \(0, 0\)"):
         two_mode_moment_table(TwoModeDensityMatrix(entries), 2)
+
+
+def test_oracle_fails_a_non_finite_amplitude():
+    # Once it returned NaN entries without an error.
+    single = np.zeros(12, dtype=complex)
+    single[0] = np.nan
+    with pytest.raises(TruncationOverflow, match=r"^Fock oracle input \(nan\+0j\) at index \(0,\) is not finite$"):
+        moment_table(SingleModeState(single), 2, source=SOURCE_FOCK_ORACLE)
+    pair = np.zeros((6, 6), dtype=complex)
+    pair[0, 0], pair[2, 3] = 1.0, np.inf
+    with pytest.raises(TruncationOverflow, match=r"at index \(2, 3\) is not finite"):
+        two_mode_moment_table(TwoModeState(pair), 1, source=SOURCE_FOCK_ORACLE)
+    rho = np.zeros((3, 3, 3, 3), dtype=complex)
+    rho[0, 0, 0, 0], rho[1, 0, 2, 2] = 1.0, np.nan
+    with pytest.raises(TruncationOverflow, match=r"at index \(1, 0, 2, 2\) is not finite"):
+        oracle_moment_two_mode(TwoModeDensityMatrix(rho), 1, 0, 0, 0)
