@@ -31,6 +31,14 @@ from .fock import TwoModeDensityMatrix, annihilation_matrix, ln_factorial
 
 AMPLITUDE_DECAY = "amplitude-decay"
 PHASE_DAMPING = "phase-damping"
+# Entries of the decay maps below 2^-511 are set to zero.  Each entry of rho(t)
+# sums one map entry per mode times an entry of rho(0), and the product of two
+# kept map entries is at least 2^-1022, a normal double.  Without the floor,
+# large t leaves subnormal entries in rho(t) that stall every later product
+# with it: the amplitude-decayed ecs(0.55) x vacuum output at t = 20 held 2326
+# subnormal float parts, against 302 with it, and its joint entropy took
+# 8.2 ms against 4.1 ms (one BLAS thread).
+_WEIGHT_FLOOR = 2.0**-511
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,9 @@ def _decay_matrices(dim: int, gamma: float, t: float) -> np.ndarray:
     """M[k, i, j] = w_{j-i}[i] w_{j-i}[i+k] for j >= i, else 0.
 
     w_r[n] = e^{-gamma n t} sqrt(C(n+r, r)) x^{r/2}, x = 1 - e^{-2 gamma t}, is
-    zero where n + r >= dim.  Only the leading (dim - k)^2 block of M[k] is
-    the map of Fock diagonal k; the rest is never read.
+    zero where n + r >= dim.  Entries of M below _WEIGHT_FLOOR are set to
+    zero.  Only the leading (dim - k)^2 block of M[k] is the map of Fock
+    diagonal k; the rest is never read.
     """
     n = np.arange(dim)
     r = n[:, None]
@@ -67,7 +76,9 @@ def _decay_matrices(dim: int, gamma: float, t: float) -> np.ndarray:
     w = np.where(n + r < dim, np.exp(-gamma * n * t) * binom * x ** (r / 2.0), 0.0)
     k, i, j = np.ogrid[:dim, :dim, :dim]
     r = np.maximum(j - i, 0)
-    return np.where(j >= i, w[r, i] * w[r, np.minimum(i + k, dim - 1)], 0.0)
+    mats = np.where(j >= i, w[r, i] * w[r, np.minimum(i + k, dim - 1)], 0.0)
+    mats[mats < _WEIGHT_FLOOR] = 0.0
+    return mats
 
 
 def _decay_rows(src: np.ndarray, dst: np.ndarray, gamma: float, t: float) -> None:

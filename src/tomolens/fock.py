@@ -34,6 +34,8 @@ TAIL_TOLERANCE = 1e-10
 _T_FLOOR = -(2.0**62)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+# The exponents e whose 2^e is a double, subnormal 2^-1074 up to 2^1023.
+_EXACT_POWERS = (-1074, 1023)
 
 
 def hermite_psi_matrix(n_max: int, x) -> np.ndarray:
@@ -82,7 +84,9 @@ def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
     most sqrt(2)|x| + 1, so `span`, set from the largest finite |x|, keeps
     p below 2^900 between renormalizations.  Powers of two scale exactly,
     so the rows do not depend on where the renormalizations fall.  Each row
-    is ldexp(p_n, e), rounded once.
+    is p_n 2^e, rounded once: a product with scale = 2^e, formed once per
+    renormalization, which is exact for -1074 <= e <= 1023 and so rounds as
+    ldexp(p_n, e) does; the points outside that range take ldexp itself.
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         h = 0.5 * x * x
@@ -101,9 +105,13 @@ def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
                 _, power = np.frexp(np.maximum(np.abs(p_prev), np.abs(p_cur)))
                 p_prev, p_cur = np.ldexp(p_prev, -power), np.ldexp(p_cur, -power)
                 e += power
+                scale = np.ldexp(1.0, e)
+                inexact = np.flatnonzero((e < _EXACT_POWERS[0]) | (e > _EXACT_POWERS[1]))
             p_next = np.sqrt(2.0 / (n + 1)) * step_x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
             p_prev, p_cur = p_cur, p_next
-            np.ldexp(p_cur, e, out=out[n + 1])
+            np.multiply(p_cur, scale, out=out[n + 1])
+            if inexact.size:
+                out[n + 1, inexact] = np.ldexp(p_cur[inexact], e[inexact])
 
 
 def psi(n: int, x: float) -> float:

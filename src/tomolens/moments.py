@@ -22,18 +22,21 @@ fock.annihilation_matrix: a second, independent route that the tests hold
 against the pure one on rho = |psi><psi|.
 
 H_s inside the integrals is the plain Hermite polynomial, and the
-quadrature is tomography's (see its module docstring): every order's
-integral at one phase is an entry of `rows @ U` with U = hermite_weights,
-and every order pair's double integral at one phase pair is an entry of the
-(K+1) x (K+1) block U^T W U of the joint tomogram W from
-tomography._moment_blocks.  The table builders evaluate each phase (or each
-of the (K+1)^2 phase pairs) once and assemble every index from the rows or
-blocks.
+quadrature is tomography's (see its module docstring): a pure state's table
+without a given grid reads its rows on tomography.moment_grid, sized from
+the state's top level, and every other table on the grid it is given or
+default_grid.  Every order's integral at one phase is an entry of
+`rows @ U` with U = hermite_weights, and every order pair's double integral
+at one phase pair is an entry of the (K+1) x (K+1) block U^T W U of the
+joint tomogram W from tomography._moment_blocks.  The table builders
+evaluate each phase (or each of the (K+1)^2 phase pairs) once and assemble
+every index from the rows or blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -50,6 +53,7 @@ from .tomography import (
     QuadratureGrid,
     _moment_blocks,
     hermite_weights,
+    moment_grid,
     tomogram_joint,  # not called here; perfbench/tests/test_tracer.py rebinds this name
     tomogram_pure,
     tomogram_reduced,
@@ -61,8 +65,9 @@ SOURCE_TOMOGRAM = "tomogram"
 SOURCE_FOCK_ORACLE = "fock-oracle"
 
 
+@cache
 def extraction_constant(k: int, l: int, n_phases: int) -> float:
-    """C_kl = k! l! / (n_phases (k+l)! sqrt(2^{k+l})).
+    """C_kl = k! l! / (n_phases (k+l)! sqrt(2^{k+l})), cached per (k, l, n_phases).
 
     The 1/n_phases factor averages over the phase set: n_phases = K+1 for
     every entry of a table of order K.
@@ -118,7 +123,13 @@ def single_mode_rows(obj, phases, grid: QuadratureGrid | None = None, mode: str 
 
 
 def _single_mode_entries(obj, phases: np.ndarray, max_order: int, grid, mode) -> dict:
-    """Every (k, l) with k + l <= max_order, all extracted from the rows at the one phase set."""
+    """Every (k, l) with k + l <= max_order, all extracted from the rows at the one phase set.
+
+    Without a grid, a pure state's rows are taken on tomography.moment_grid,
+    sized from its highest level; a reduced mode keeps default_grid.
+    """
+    if grid is None and isinstance(obj, SingleModeState):
+        grid = moment_grid(obj)
     rows, grid = single_mode_rows(obj, phases, grid, mode)
     integrals = rows @ hermite_weights(grid, max_order)
     return {
@@ -232,7 +243,8 @@ def moment_table(
     """All <a^dag^k a^l> with k + l <= max_order from one tomogram family.
 
     Every order is extracted from the same max_order + 1 phases, each
-    evaluated once.
+    evaluated once.  Without a grid a SingleModeState is read on
+    tomography.moment_grid and a reduced mode on default_grid.
     """
     _check_order(max_order, 0)
     _check_source(source)

@@ -93,8 +93,10 @@ def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
     try:
         norm_sq = abs(alpha) ** 2
     except OverflowError:
-        # |alpha| above ~1.3e154: every amplitude is 0, so the state fails to certify.
         norm_sq = np.inf
+    if not norm_sq < np.inf:
+        # |alpha| above ~1.3e154, infinite or NaN: every amplitude is 0, so the state fails to certify.
+        return np.zeros(n.size, dtype=complex)
     mag = np.exp(-0.5 * norm_sq + n * np.log(abs(alpha)) - 0.5 * ln_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
     return mag * phase
@@ -163,6 +165,9 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
         if r == 0:
             amps[f] = 1.0
             return amps
+        if not r < np.inf:
+            # An infinite or NaN r leaves every amplitude 0, so the state fails to certify.
+            return amps
         n = np.arange(amps[f::2].size)
         # ln cosh r = logaddexp(r, -r) - ln 2 stays finite where cosh r overflows.
         logmag = (
@@ -187,7 +192,7 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
         n = np.arange(dim - m)
         if alpha == 0:
             amps[m:] = n == 0
-        else:
+        elif abs(alpha) < np.inf:  # an infinite or NaN alpha leaves every amplitude 0
             # c_{n+m} ~ alpha^n sqrt((n+m)!)/n!  (overall constant fixed by normalization);
             # logmag[0] = ln(m!)/2 >= 0, so the initial 0 only serves a basis below level m.
             logmag = n * np.log(abs(alpha)) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
@@ -235,6 +240,9 @@ def make_two_mode(kind: str, r: float, n_cut: int | None = None) -> TwoModeState
         n = np.arange(dim)
         if r == 0:
             return (n == 0).astype(float)
+        if not r < np.inf:
+            # An infinite or NaN r leaves every amplitude 0, so the state fails to certify.
+            return np.zeros(dim)
         if kind == "caves-schumaker":
             return np.exp(n * np.log(np.tanh(r))) * (-1.0) ** n
         logmag = n * np.log(r) - ln_factorial(n)

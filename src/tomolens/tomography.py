@@ -87,10 +87,18 @@ matrix whose column s is the Simpson weights times the plain Hermite
 polynomial H_s(X).  Orders are capped at K = 6 (moments.K_MAX_DEFAULT), and
 the widest grid the catalog needs (half-width 146.5, the support of level
 1e4, states.MAX_LEVEL) keeps |H_6| below 6.4e14, so no power of X can
-overflow and the tomogram itself supplies the exp(-X^2) damping.  Every order pair's double
-integral at one phase pair is an entry of the (K+1) x (K+1) block U^T W U
-of the joint tomogram W, both modes on one grid, and _moment_blocks forms
-those blocks for a whole phase set.
+overflow and the tomogram itself supplies the exp(-X^2) damping.  A pure
+state of top level n has rows that are a polynomial times e^{-X^2}, and so
+is each integrand, so a table read off it needs no finer step than
+pi / (2 (sqrt(2n + 1) + 6)): without a given grid, moments.moment_table
+takes such a state's rows on moment_grid, default_grid's half-width at that
+step, odd and at most DEFAULT_POINTS points (87 for the vacuum, 695 for a
+coherent state of alpha = 9).  Entropy rows, tomogram maps, reduced modes and every
+two-mode and density-matrix route keep default_grid, and a given grid is
+used as it is.  Every order pair's double integral at one phase pair is an
+entry of the (K+1) x (K+1) block U^T W U of the joint tomogram W, both
+modes on one grid, and _moment_blocks forms those blocks for a whole phase
+set.
 
 A pure state's block is the same Simpson-weighted sum reassociated, so W is
 never formed: with G_s[n, n'] = sum_j U[j, s] psi_n(x_j) psi_n'(x_j),
@@ -119,6 +127,7 @@ The tables are built on first use, not at import.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
@@ -255,6 +264,22 @@ def default_grid(obj, n_points: int | None = None) -> QuadratureGrid:
     if n_points is None:
         n_points = DEFAULT_POINTS if isinstance(obj, SingleModeState) else DEFAULT_POINTS_TWO_MODE
     return QuadratureGrid.uniform(support_half_width(obj.top_occupied()), n_points)
+
+
+def moment_grid(state: SingleModeState) -> QuadratureGrid:
+    """default_grid's support with the step a pure state's moment integrals need, at most DEFAULT_POINTS points.
+
+    With top the highest occupied level, every tomogram row is a polynomial
+    of degree 2 top times e^{-X^2}, and so is its product with H_s; a
+    uniform rule resolves it once h <= pi / (2 (sqrt(2 top + 1) + 6)).  The
+    2 is there because Simpson also reads every second point, and the 6
+    covers the Gaussian tail of psi_top's spectrum.  The count is made odd
+    by QuadratureGrid.uniform.
+    """
+    top = state.top_occupied()
+    half_width = support_half_width(top)
+    step = np.pi / (2.0 * (np.sqrt(2.0 * top + 1.0) + 6.0))
+    return QuadratureGrid.uniform(half_width, min(math.ceil(2.0 * half_width / step) + 1, DEFAULT_POINTS))
 
 
 @dataclass(frozen=True)

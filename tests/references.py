@@ -3,7 +3,7 @@
 import numpy as np
 
 from tomolens.decoherence import AMPLITUDE_DECAY
-from tomolens.fock import annihilation_matrix, hermite_psi_matrix
+from tomolens.fock import _LN2_HI, _LN2_LO, _T_FLOOR, annihilation_matrix, hermite_psi_matrix
 from tomolens.tomography import density_eigenmodes
 
 
@@ -110,3 +110,31 @@ def eigenmode_tomogram(rho, theta1, theta2, grid):
     phase = np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
     weights, modes = density_eigenmodes(rho)
     return sum(lam * np.abs(psis.T @ (c * phase) @ psis) ** 2 for lam, c in zip(weights, modes))
+
+
+def psi_recurrence_ldexp(n_max: int, x) -> np.ndarray:
+    """psi_n(x), n = 0 .. n_max, by the exponent-carrying recurrence on every point, each row ldexp(p_n, e).
+
+    The same recurrence as fock.hermite_psi_matrix, without its mirroring,
+    and with one ldexp per row where the library multiplies by 2^e.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((n_max + 1, x.size))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        h = 0.5 * x * x
+        e = np.floor(np.maximum(-h / _LN2_HI, _T_FLOOR))
+        p_prev, p_cur = np.zeros_like(x), np.pi**-0.25 * np.exp((-h - e * _LN2_HI) - e * _LN2_LO)
+        e = e.astype(np.int64)
+        np.ldexp(p_cur, e, out=out[0])
+        growth = np.sqrt(2.0) * np.max(np.abs(x), initial=0.0, where=np.isfinite(x)) + 2.0
+        span = max(1, int(900 // np.log2(growth)))
+        step_x = np.where(np.isinf(x), 0.0, x)
+        for n in range(n_max):
+            if n % span == 0:
+                _, power = np.frexp(np.maximum(np.abs(p_prev), np.abs(p_cur)))
+                p_prev, p_cur = np.ldexp(p_prev, -power), np.ldexp(p_cur, -power)
+                e += power
+            p_next = np.sqrt(2.0 / (n + 1)) * step_x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
+            p_prev, p_cur = p_cur, p_next
+            np.ldexp(p_cur, e, out=out[n + 1])
+    return out

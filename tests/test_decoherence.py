@@ -252,6 +252,31 @@ def test_amplitude_decay_matches_coherent_closed_form(kind, phi, rates):
         assert abs(purity(evolved) - exact_purity) <= 1e-12
 
 
+def _subnormal_parts(rho):
+    parts = np.abs(rho.entries.view(np.float64))
+    return int(np.count_nonzero((parts > 0.0) & (parts < np.finfo(np.float64).tiny)))
+
+
+@pytest.mark.parametrize("t", [20.0, 24.0])
+def test_decay_maps_keep_subnormals_out_of_rho_at_large_t(t, monkeypatch):
+    # The amplitude-decayed ecs(0.55) x vacuum output holds 2326 (t = 20) and
+    # 2137 (t = 24) subnormal float parts without the map floor, 302 and 179
+    # with it; purity and mean photon number keep every bit.
+    rho0 = TwoModeDensityMatrix.from_pure(
+        apply(BeamsplitterConfig(0.0), make_product(make_cat(0.55, "even"), make_coherent(0.0)))
+    )
+    mats = decoherence._decay_matrices(rho0.dim, 1.0, t)
+    assert np.all((mats == 0.0) | (mats >= 2.0**-511))
+    evolved = evolve_amplitude(rho0, AMP, t)
+    assert _subnormal_parts(evolved) <= 400
+    monkeypatch.setattr(decoherence, "_WEIGHT_FLOOR", 0.0)
+    unfloored = evolve_amplitude(rho0, AMP, t)
+    assert _subnormal_parts(unfloored) > 2000
+    assert purity(evolved) == purity(unfloored)
+    assert mean_total_photon(evolved) == mean_total_photon(unfloored)
+    assert np.max(np.abs(evolved.entries - unfloored.entries)) < 1e-150
+
+
 @pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
 def test_lindblad_rhs_matches_composite_operators(kind):
     rng = np.random.default_rng(4)

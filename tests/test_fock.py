@@ -20,8 +20,11 @@ from tomolens.fock import (
     lowered,
     psi,
 )
-from tomolens.states import make_coherent, make_product
-from tomolens.tomography import QuadratureGrid
+from tomolens.scenarios import default_battery
+from tomolens.states import MAX_LEVEL, build_state, make_coherent, make_product
+from tomolens.tomography import QuadratureGrid, default_grid, moment_grid, support_half_width
+
+from references import psi_recurrence_ldexp
 
 
 def psi_reference(n, x):
@@ -107,6 +110,32 @@ def test_mirrored_hermite_matrix_is_bitwise_the_direct_recurrence(n_max, x):
     mirrored = hermite_psi_matrix(n_max, x)
     direct = hermite_psi_matrix(n_max, np.append(x, 0.5))[:, :-1]
     assert mirrored.tobytes() == direct.tobytes()
+
+
+def test_hermite_rows_are_bitwise_the_per_row_ldexp_recurrence_on_every_battery_grid():
+    # Each row is p_n times 2^e, formed once per renormalization, where the
+    # reference takes ldexp(p_n, e) per row; the rows must not differ in a bit.
+    for _, spec in default_battery():
+        state = build_state(spec)
+        grids = [default_grid(state)]
+        if isinstance(state, SingleModeState):
+            grids.append(moment_grid(state))
+        for grid in grids:
+            rows = hermite_psi_matrix(state.n_cut, grid.x)
+            assert rows.tobytes() == psi_recurrence_ldexp(state.n_cut, grid.x).tobytes(), (spec, grid)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.array([50.0, -50.0, np.inf, -np.inf, np.nan, 0.0, 1.0, -37.5]),
+     QuadratureGrid.uniform(support_half_width(MAX_LEVEL)).x[::50]],
+    ids=["far-and-non-finite", "widest-grid"],
+)
+def test_hermite_rows_are_bitwise_the_per_row_ldexp_recurrence_up_to_the_top_level(x):
+    # Out to x = +-50, psi_0 is far below the smallest double, 2^e is not a
+    # double, and the rows take ldexp itself until e rises into range.
+    rows = hermite_psi_matrix(MAX_LEVEL, x)
+    assert rows.tobytes() == psi_recurrence_ldexp(MAX_LEVEL, x).tobytes()
 
 
 def test_orthonormality_under_module_quadrature():

@@ -212,6 +212,47 @@ def test_moment_table_evaluates_one_row_per_shared_phase(monkeypatch, max_order)
     assert calls == [max_order + 1]
 
 
+def _grids_read(monkeypatch):
+    """The grid each tomogram the moment tables evaluate is taken on, in call order."""
+    grids = []
+
+    def recording(builder):
+        def call(*args):
+            tomo = builder(*args)
+            grids.append(tomo.grid)
+            return tomo
+
+        return call
+
+    monkeypatch.setattr(moments, "tomogram_pure", recording(tomogram_pure))
+    monkeypatch.setattr(moments, "tomogram_reduced", recording(tomography.tomogram_reduced))
+    return grids
+
+
+def test_pure_table_without_a_grid_reads_the_bandwidth_grid(monkeypatch):
+    # The vacuum needs 87 points and a coherent state of alpha = 9 (top level
+    # 154) 695; squeezed vacuum at xi = 2 (top level 580) reaches the cap.
+    grids = _grids_read(monkeypatch)
+    for state, points in ((make_coherent(0.0), 87), (make_coherent(9.0), 695), (make_squeezed(2.0), DEFAULT_POINTS)):
+        moment_table(state, 2)
+        assert grids.pop() == tomography.moment_grid(state)
+        assert grids == [] and tomography.moment_grid(state).n_points == points
+        assert tomography.moment_grid(state).half_width == default_grid(state).half_width
+
+
+def test_an_explicit_grid_is_used_unchanged(monkeypatch):
+    grids = _grids_read(monkeypatch)
+    grid = QuadratureGrid(7.25, 301)
+    state = make_cat(1.0, "even")
+    moment_table(state, 4, grid=grid)
+    assert grids == [grid] and grids[0] is grid
+    # A reduced mode keeps default_grid when no grid is given, and an explicit one unchanged.
+    pair = make_product(make_cat(1.0, "even"), make_coherent(0.5))
+    moment_table(pair, 2, mode="a")
+    moment_table(pair, 2, grid=grid, mode="b")
+    assert grids[1:] == [default_grid(pair), grid] and grids[2] is grid
+
+
 @pytest.mark.parametrize("builder", [moment_table, two_mode_moment_table])
 def test_table_builders_reject_an_unknown_source(builder):
     state = make_coherent(1.0) if builder is moment_table else make_two_mode("pair-coherent", 1.0)

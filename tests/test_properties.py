@@ -1,5 +1,10 @@
 """Property checks of the two-mode moment table and the channel layer on random states.
 
+A catalog single-mode state, drawn over every single-mode family of
+states.FAMILIES with its scalar and extras, must give a moment table of
+every order up to K_MAX_DEFAULT on its bandwidth grid (tomography.moment_grid,
+never above DEFAULT_POINTS points) that matches the Fock oracle within the
+scenarios' ORACLE_TOLERANCE.
 The table checks draw a random pure two-mode state (d <= 8) or a random
 positive unit-trace density matrix (d <= 5) and compare the tomogram route
 with the Fock oracle, the table's reduced single-mode tables with the
@@ -41,8 +46,11 @@ from tomolens.decoherence import AMPLITUDE_DECAY, PHASE_DAMPING, ChannelConfig, 
 from tomolens.errors import NegativeTomogram
 from tomolens.fock import TwoModeDensityMatrix, TwoModeState, hermite_psi_matrix
 from tomolens.metrics import _joint_mass_entropy, entropy_two_mode, two_mode_variance
-from tomolens.moments import SOURCE_FOCK_ORACLE, moment_table, two_mode_moment_table
+from tomolens.moments import K_MAX_DEFAULT, SOURCE_FOCK_ORACLE, moment_table, two_mode_moment_table
+from tomolens.scenarios import ORACLE_TOLERANCE
+from tomolens.states import FAMILIES, StateSpec, build_state
 from tomolens.tomography import (
+    DEFAULT_POINTS,
     _BLOCK_ROWS,
     _PURE_BLOCK_ROWS,
     _csv_lines,
@@ -52,6 +60,7 @@ from tomolens.tomography import (
     default_grid,
     hermite_weights,
     marginal,
+    moment_grid,
     tomogram_joint,
     tomogram_mixed,
     tomogram_reduced,
@@ -80,6 +89,11 @@ CHANNELS = pytest.mark.parametrize("kind", [AMPLITUDE_DECAY, PHASE_DAMPING])
 # block edges of both.
 assert _BLOCK_ROWS % _PURE_BLOCK_ROWS == 0
 BLOCK_GRIDS = st.sampled_from([2 * _BLOCK_ROWS - 1, 3 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+
+
+# The largest scalar magnitude drawn per family key; squeezing up to 2 reaches
+# top level 580, where the bandwidth grid meets its DEFAULT_POINTS cap.
+SCALAR_MAGNITUDES = {"alpha": 3.0, "xi": 2.0, "zeta": 3.0, "n": 60}
 
 
 def complex_arrays(shape):
@@ -150,6 +164,20 @@ def non_positive_density_matrices(draw):
     return TwoModeDensityMatrix.from_matrix(mat)
 
 
+@st.composite
+def catalog_single_mode_states(draw):
+    name = draw(st.sampled_from([name for name, family in FAMILIES.items() if not family.two_mode]))
+    family = FAMILIES[name]
+    if family.kind is int:
+        value = draw(st.integers(family.low, SCALAR_MAGNITUDES[family.key]))
+    else:
+        magnitude = draw(st.floats(0.0, SCALAR_MAGNITUDES[family.key]))
+        value = magnitude * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    assume(not (name == "ocs" and value == 0))
+    extras = {extra: draw(st.integers(low, low + 4)) for extra, (_, low) in family.extras.items()}
+    return build_state(StateSpec(name, {family.key: value, **extras}))
+
+
 def _worst(table, reference):
     assert table.entries.keys() == reference.entries.keys()
     return max(abs(value - reference.get(*key)) for key, value in table.entries.items())
@@ -175,6 +203,16 @@ def test_pure_two_mode_table_matches_oracle(state, theta1, theta2):
 @given(density_matrices(), PHASES, PHASES)
 def test_mixed_two_mode_table_matches_oracle(rho, theta1, theta2):
     _check_two_mode_table(rho, theta1, theta2)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(catalog_single_mode_states(), st.integers(0, K_MAX_DEFAULT))
+def test_single_mode_table_on_the_bandwidth_grid_matches_oracle(state, max_order):
+    grid = moment_grid(state)
+    assert grid.n_points <= DEFAULT_POINTS
+    table = moment_table(state, max_order)
+    assert table.entries == moment_table(state, max_order, grid=grid).entries
+    assert _worst(table, moment_table(state, max_order, source=SOURCE_FOCK_ORACLE)) < ORACLE_TOLERANCE
 
 
 @CHANNELS

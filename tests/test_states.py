@@ -202,6 +202,33 @@ def test_default_cut_stops_at_max_level(build):
         build()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("n_cut", [None, 30], ids=["default-cut", "given-cut"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cut: make_squeezed(NAN, n_cut=cut),
+        lambda cut: make_squeezed(complex(NAN, 0.0), "one", cut),
+        lambda cut: make_pacs(INF, 1, cut),
+        lambda cut: make_pacs(complex(INF, 1.0), 2, cut),
+        lambda cut: make_two_mode("pair-coherent", INF, cut),
+        lambda cut: make_isospectral(INF, n_cut=cut),
+        lambda cut: make_isospectral(complex(1.0, INF), 3, cut),
+        lambda cut: make_coherent(INF, cut),
+        lambda cut: make_cat(NAN, "even", cut),
+    ],
+    ids=["squeezed-nan", "yuen-nan", "pacs-inf", "pacs-complex-inf", "pair-coherent-inf",
+         "isospectral-inf", "isospectral-imaginary-inf", "coherent-inf", "ecs-nan"],
+)
+def test_non_finite_scalar_is_a_truncation_error_without_a_warning(build, n_cut):
+    # tier-1 turns a RuntimeWarning into an error; the constructors must raise
+    # the typed guard instead, with every amplitude 0.
+    with pytest.raises(TruncationOverflow):
+        build(n_cut)
+
+
 def test_highest_number_state_builds():
     assert make_fock(MAX_LEVEL).n_cut == MAX_LEVEL + 10
 
