@@ -37,7 +37,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis.extra import numpy as hnp
@@ -207,6 +207,7 @@ def test_mixed_two_mode_table_matches_oracle(rho, theta1, theta2):
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(catalog_single_mode_states(), st.integers(0, K_MAX_DEFAULT))
+@example(build_state(StateSpec("squeezed-vacuum", {"xi": 2.0})), K_MAX_DEFAULT)  # top level 580: the capped grid
 def test_single_mode_table_on_the_bandwidth_grid_matches_oracle(state, max_order):
     grid = moment_grid(state)
     assert grid.n_points <= DEFAULT_POINTS
