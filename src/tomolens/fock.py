@@ -92,6 +92,7 @@ def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
         h = 0.5 * x * x
         e = np.floor(np.maximum(-h / _LN2_HI, _T_FLOOR))
         p_prev, p_cur = np.zeros_like(x), np.pi**-0.25 * np.exp((-h - e * _LN2_HI) - e * _LN2_LO)
+        term = np.empty_like(x)
         e = e.astype(np.int64)
         np.ldexp(p_cur, e, out=out[0])
         # A bound on the step growth of at least 2, so it has a positive log2.
@@ -103,12 +104,17 @@ def _psi_recurrence(x: np.ndarray, out: np.ndarray) -> None:
         for n in range(out.shape[0] - 1):
             if n % span == 0:
                 _, power = np.frexp(np.maximum(np.abs(p_prev), np.abs(p_cur)))
-                p_prev, p_cur = np.ldexp(p_prev, -power), np.ldexp(p_cur, -power)
+                np.ldexp(p_prev, -power, out=p_prev)
+                np.ldexp(p_cur, -power, out=p_cur)
                 e += power
                 scale = np.ldexp(1.0, e)
                 inexact = np.flatnonzero((e < _EXACT_POWERS[0]) | (e > _EXACT_POWERS[1]))
-            p_next = np.sqrt(2.0 / (n + 1)) * step_x * p_cur - np.sqrt(n / (n + 1.0)) * p_prev
-            p_prev, p_cur = p_cur, p_next
+            # p_next = (sqrt(2/(n+1)) x) p_n - sqrt(n/(n+1)) p_{n-1}, formed in p_prev's buffer.
+            np.multiply(step_x, math.sqrt(2.0 / (n + 1)), out=term)
+            np.multiply(term, p_cur, out=term)
+            np.multiply(p_prev, math.sqrt(n / (n + 1.0)), out=p_prev)
+            np.subtract(term, p_prev, out=p_prev)
+            p_prev, p_cur = p_cur, p_prev
             np.multiply(p_cur, scale, out=out[n + 1])
             if inexact.size:
                 out[n + 1, inexact] = np.ldexp(p_cur[inexact], e[inexact])
@@ -254,12 +260,10 @@ class TwoModeState:
         return _top_above_floor(np.maximum(self.mode_probabilities("a"), self.mode_probabilities("b")))
 
     def total_photon_distribution(self) -> np.ndarray:
-        """Probability of total photon number T = n + m, T = 0 .. 2 n_cut."""
+        """Probability of total photon number T = n + m, T = 0 .. 2 n_cut, summed over n + m in one pass."""
         p = np.abs(self.amplitudes) ** 2
-        dist = np.zeros(2 * self.n_cut + 1)
-        for total in range(dist.size):
-            dist[total] = np.trace(p[:, ::-1], offset=self.n_cut - total)
-        return dist
+        n = np.arange(p.shape[0])
+        return np.bincount((n[:, None] + n).ravel(), weights=p.ravel(), minlength=2 * self.n_cut + 1)
 
     def schmidt_values(self) -> np.ndarray:
         return np.linalg.svd(self.amplitudes, compute_uv=False)

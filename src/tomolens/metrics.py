@@ -120,8 +120,12 @@ def _joint_mass_entropy(obj, theta1: float, theta2: float, grid: QuadratureGrid 
     return float(mass), float(entropy)
 
 
-def _raw_quadrature_moments(table: MomentTable, theta: float, q: int) -> list:
-    """[<X_theta^j> for j = 0..q], q <= 4, via the frozen normal-ordering expansions."""
+def _raw_quadrature_moments(table: MomentTable, theta, q: int) -> list:
+    """[<X_theta^j> for j = 0..q], q <= 4, via the frozen normal-ordering expansions.
+
+    A float theta gives floats; an array of theta gives one array per j
+    (the j = 0 entry stays 1.0), from the same expressions.
+    """
     if table.max_order < q:
         raise MissingOrder(f"<X_theta^{q}> needs moments up to order {q}")
     ph = np.exp(-1j * theta)
@@ -140,6 +144,8 @@ def _raw_quadrature_moments(table: MomentTable, theta: float, q: int) -> list:
             2.0 * re(0, 4) + 8.0 * re(1, 3) + 6.0 * re(2, 2) + 6.0 * (2.0 * re(0, 2) + 2.0 * re(1, 1)) + 3.0
         ),
     )
+    if np.ndim(theta):
+        return [1.0] + [x() for x in expansions[:q]]
     return [1.0] + [float(x()) for x in expansions[:q]]
 
 
@@ -148,8 +154,8 @@ def mean_quadrature(table: MomentTable, theta: float) -> float:
     return _raw_quadrature_moments(table, theta, 1)[1]
 
 
-def variance(table: MomentTable, theta: float) -> float:
-    """(Delta X_theta)^2 from normal-ordered moments up to order 2."""
+def variance(table: MomentTable, theta):
+    """(Delta X_theta)^2 from normal-ordered moments up to order 2, a float or, for an array of theta, an array."""
     _, x1, x2 = _raw_quadrature_moments(table, theta, 2)
     return x2 - x1**2
 
@@ -173,17 +179,14 @@ def relative_fluctuation_product(
 
     f(theta) = DeltaX_theta(s1) DeltaX_{theta+pi/2}(s2) and
     g(theta) = DeltaX_theta(s2) DeltaX_{theta+pi/2}(s1); one moment table per
-    state serves every theta.
+    state serves every theta, each variance read for all of them at once.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     t1 = moment_table(s1, 2)
     t2 = moment_table(s2, 2)
-    f = np.array(
-        [np.sqrt(variance(t1, th) * variance(t2, th + np.pi / 2)) for th in thetas]
-    )
-    g = np.array(
-        [np.sqrt(variance(t2, th) * variance(t1, th + np.pi / 2)) for th in thetas]
-    )
+    conjugate = thetas + np.pi / 2
+    f = np.sqrt(variance(t1, thetas) * variance(t2, conjugate))
+    g = np.sqrt(variance(t2, thetas) * variance(t1, conjugate))
     return f, g
 
 

@@ -14,7 +14,8 @@ doubles from 64 levels until its top BUFFER_LEVELS levels hold less than
 1e-14 of the mass, and is cut at the smallest adequate level plus the
 buffer.  It grows no further than the levels up to MAX_LEVEL that default
 grids are sized for; a state that occupies levels above MAX_LEVEL raises
-TruncationOverflow.
+TruncationOverflow, and so does an infinite or NaN scalar, naming itself,
+before any basis is built.
 
 FAMILIES is the catalog's one table.  Each entry names a family's scalar
 parameter with its type and lower bound, its extra integers with their
@@ -42,6 +43,12 @@ from .fock import (
 # The highest level a state built with the default cut may occupy: default
 # quadrature grids are sized for levels up to it (tomography.hermite_weights).
 MAX_LEVEL = 10_000
+
+
+def _finite(name: str, value) -> None:
+    """Raise TruncationOverflow naming a constructor scalar that is infinite or NaN: no basis holds its state."""
+    if not np.isfinite(value):
+        raise TruncationOverflow(f"{name}={value} is not finite, so no truncated basis holds the state")
 
 
 def _adaptive_cut(probabilities: np.ndarray) -> int:
@@ -95,7 +102,7 @@ def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
     except OverflowError:
         norm_sq = np.inf
     if not norm_sq < np.inf:
-        # |alpha| above ~1.3e154, infinite or NaN: every amplitude is 0, so the state fails to certify.
+        # |alpha| above ~1.3e154: every amplitude is 0, so the state fails to certify.
         return np.zeros(n.size, dtype=complex)
     mag = np.exp(-0.5 * norm_sq + n * np.log(abs(alpha)) - 0.5 * ln_factorial(n))
     phase = np.exp(1j * n * np.angle(alpha))
@@ -104,6 +111,7 @@ def _coherent_amplitudes(alpha: complex, n_cut: int) -> np.ndarray:
 
 def make_coherent(alpha: complex, n_cut: int | None = None) -> SingleModeState:
     """Coherent state |alpha>."""
+    _finite("alpha", alpha)
     return _certified(lambda dim: _coherent_amplitudes(alpha, dim - 1), n_cut)
 
 
@@ -126,6 +134,7 @@ def make_cat(alpha: complex, kind: str = "even", n_cut: int | None = None) -> Si
     kind = kind.lower()
     if kind not in ("even", "odd", "yurke-stoler"):
         raise ValueError(f"unknown cat kind {kind!r}")
+    _finite("alpha", alpha)
     if kind == "odd" and alpha == 0:
         raise DegenerateParameter("odd cat state is undefined at alpha = 0")
 
@@ -155,6 +164,7 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
     base = base.lower()
     if base not in ("vacuum", "one"):
         raise ValueError(f"unknown squeezed base {base!r}")
+    _finite("xi", xi)
     f = 0 if base == "vacuum" else 1
     if n_cut is not None and n_cut < f:
         raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {f}")
@@ -166,7 +176,7 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
             amps[f] = 1.0
             return amps
         if not r < np.inf:
-            # An infinite or NaN r leaves every amplitude 0, so the state fails to certify.
+            # A finite xi whose modulus overflows leaves every amplitude 0, so the state fails to certify.
             return amps
         n = np.arange(amps[f::2].size)
         # ln cosh r = logaddexp(r, -r) - ln 2 stays finite where cosh r overflows.
@@ -184,6 +194,7 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
     """m-photon-added coherent state: a^dag^m |alpha>, normalized."""
     if m < 0:
         raise ValueError("m must be non-negative")
+    _finite("alpha", alpha)
     if n_cut is not None and n_cut < m:
         raise TruncationOverflow(f"n_cut={n_cut} below added photon number {m}")
 
@@ -192,7 +203,7 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
         n = np.arange(dim - m)
         if alpha == 0:
             amps[m:] = n == 0
-        elif abs(alpha) < np.inf:  # an infinite or NaN alpha leaves every amplitude 0
+        elif abs(alpha) < np.inf:  # a finite alpha whose modulus overflows leaves every amplitude 0
             # c_{n+m} ~ alpha^n sqrt((n+m)!)/n!  (overall constant fixed by normalization);
             # logmag[0] = ln(m!)/2 >= 0, so the initial 0 only serves a basis below level m.
             logmag = n * np.log(abs(alpha)) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
@@ -213,6 +224,7 @@ def make_isospectral(zeta: complex, base: int = 1, n_cut: int | None = None) -> 
     """
     if base < 1:
         raise ValueError("base must be at least 1")
+    _finite("zeta", zeta)
     if n_cut is not None and n_cut < base:
         raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {base}")
 
@@ -235,14 +247,12 @@ def make_two_mode(kind: str, r: float, n_cut: int | None = None) -> TwoModeState
         raise ValueError(f"unknown two-mode kind {kind!r}")
     if r < 0:
         raise ValueError("r must be non-negative")
+    _finite("r", r)
 
     def diagonal(dim):
         n = np.arange(dim)
         if r == 0:
             return (n == 0).astype(float)
-        if not r < np.inf:
-            # An infinite or NaN r leaves every amplitude 0, so the state fails to certify.
-            return np.zeros(dim)
         if kind == "caves-schumaker":
             return np.exp(n * np.log(np.tanh(r))) * (-1.0) ** n
         logmag = n * np.log(r) - ln_factorial(n)

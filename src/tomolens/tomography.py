@@ -7,6 +7,18 @@ into the normalized eigenfunctions psi_n, so nothing overflows at large n.
 Two-mode tomograms of pure states factor the same way, so a slice at fixed
 X2 needs only psi(X2), not the whole joint tomogram.
 
+psi is real and only the amplitudes are complex, so every pure contraction
+(the single-mode tomogram, the amplitude and support products of a pure
+joint tomogram, the two-mode slice) is one real product psi^T (N x d)
+times the (d x 2M) float64 view of the phased amplitudes, their [Re, Im]
+column pairs, read back as an (N x M) complex array (_psi_contract): psi is
+never copied to complex, and no complex product runs over a zero
+imaginary half.  A single-mode state whose amplitudes vanish on every odd
+level or on every even level has w(-X, theta) = w(X, theta), so its
+tomogram evaluates the columns X >= 0 only and mirrors them bit for bit;
+the CSV writer's mirrored-row path then follows from the state, not from
+the order in which BLAS fills columns.
+
 Every other tomogram depends only on a density matrix and is a contraction
 of it.  The products psi_n(X) psi_n'(X) do not depend on the phase, and
 psi_n psi_n' is a polynomial of degree n + n' times e^{-X^2}, and so is
@@ -65,13 +77,16 @@ A QuadratureGrid is its half-width L and odd point count N alone: x_j =
 h (j - (N - 1)/2) with h = 2L/(N - 1), so every grid has x[::-1] == -x bit
 for bit, and psi_n(-x) = (-1)^n psi_n(x) holds bit for bit too
 (hermite_psi_matrix computes half the grid and mirrors the rest).
-A state of definite parity (c_nm zero on one parity of n + m, or rho zero
-on every odd n + n' + m + m') then has W(-X1, -X2) = W(X1, X2) at every
-phase pair.  The even and odd coherent states through a beamsplitter, and
-their decohered rho(t), are such states: the beamsplitter keeps the total
-photon number and both channels keep the parity sectors.  For them the
-mass and entropy reductions evaluate rows up to N//2 only, weighting each
-row below the centre twice, and a pure state's folded rows start where its
+A state of definite parity (c_n zero on one parity of n, c_nm zero on one
+parity of n + m, or rho zero on every odd n + n' + m + m') then has
+w(-X) = w(X), or W(-X1, -X2) = W(X1, X2) at every phase pair.  The
+even and odd coherent states, squeezed vacuum, the Yuen state and the
+number states are such single-mode states; the even and odd coherent
+states through a beamsplitter, and their decohered rho(t), are such
+two-mode states: the beamsplitter keeps the total photon number and both
+channels keep the parity sectors.  For the two-mode ones the mass and
+entropy reductions evaluate rows up to N//2 only, weighting each row below
+the centre twice, and a pure state's folded rows start where its
 rectangle or the rectangle's mirror does; the test reads exact zeros, so
 an amplitude of 1e-9 in the other sector turns it off.  Stacked
 tomograms and moment blocks keep every row and column.
@@ -463,15 +478,38 @@ def _phase_matrix(dim: int, theta) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(theta, n[:, None] - n[None, :]))
 
 
+def _psi_contract(psis: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """psi^T amplitudes, shape (N, M), for a real (d, N) psi and complex (d, M) amplitudes, through one real product.
+
+    The float64 view of the amplitudes (made C-contiguous) is their (d, 2M)
+    [Re, Im] column pairs, so psi stays real: no complex copy of it and no
+    complex product with a zero imaginary half.  The (N, 2M) real product
+    read as complex is the result.
+    """
+    return (psis.T @ np.ascontiguousarray(amplitudes).view(np.float64)).view(np.complex128)
+
+
 def tomogram_pure(state: SingleModeState, thetas, grid: QuadratureGrid | None = None) -> Tomogram:
-    """Optical tomogram of a pure single-mode state at the given phases."""
+    """Optical tomogram of a pure single-mode state at the given phases.
+
+    Each row is |psi^T c~|^2 (_psi_contract).  A state of definite parity
+    (_definite_parity) has w(-X) = w(X), so only its columns X >= 0 are
+    evaluated and the others are their mirror, bit for bit.
+    """
     if grid is None:
         grid = default_grid(state)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     psis = hermite_psi_matrix(state.n_cut, grid.x)
     n = np.arange(state.n_cut + 1)
     phased = np.exp(-1j * np.outer(thetas, n)) * state.amplitudes
-    tomo = Tomogram(thetas, _clamped(np.abs(phased @ psis) ** 2), grid)
+    size = grid.x.size
+    centre = size // 2 if _definite_parity(state) else 0
+    modulus = np.abs(_psi_contract(psis[:, centre:], phased.T))
+    values = np.empty((thetas.size, size))
+    np.square(modulus.T, out=values[:, centre:])
+    if centre:
+        values[:, :centre] = values[:, :centre:-1]
+    tomo = Tomogram(thetas, _clamped(values), grid)
     _check_mass_defect(tomo.normalization_defect(), f"per-theta tomogram on half-width {grid.half_width:.2f}")
     return tomo
 
@@ -492,12 +530,17 @@ def _odd_mask(d: int, pairs: bool) -> np.ndarray:
 
 
 def _definite_parity(obj) -> bool:
-    """Whether W(-X1, -X2) = W(X1, X2) at every phase pair, read off exact zeros.
+    """Whether w(-X) = w(X), or W(-X1, -X2) = W(X1, X2), at every phase (pair), read off exact zeros.
 
-    psi_n(-X) = (-1)^n psi_n(X), so it holds when a pure state's c_nm
+    psi_n(-X) = (-1)^n psi_n(X), so it holds when a single-mode c_n vanishes
+    on every odd n or on every even one, when a pure two-mode state's c_nm
     vanishes on every odd n + m or on every even one, or when a density
-    matrix's rho[n, n', m, m'] vanishes on every odd n + n' + m + m'.
+    matrix's rho[n, n', m, m'] vanishes on every odd n + n' + m + m'.  A NaN
+    is not zero.
     """
+    if isinstance(obj, SingleModeState):
+        c = obj.amplitudes
+        return not c[1::2].any() or not c[::2].any()
     d = obj.n_cut + 1
     if isinstance(obj, TwoModeState):
         parts, odd = obj.amplitudes.view(np.float64), _odd_mask(d, False)
@@ -548,10 +591,10 @@ def _joint_blocks(obj, theta1: float, theta2: float, grid: QuadratureGrid, reduc
         psis = _grid_psi(d, grid)
         n = np.arange(d)
         phased = obj.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
-        amp = psis.T @ phased
+        amp = _psi_contract(psis, phased)
         if reduction:
             bound = np.einsum("nj,nj->j", psis, psis).max()
-            rows, cols = _support(amp, bound), _support(psis.T @ phased.T, bound)
+            rows, cols = _support(amp, bound), _support(_psi_contract(psis, phased.T), bound)
         right, height = psis[:, cols], _PURE_BLOCK_ROWS
 
         def block(rows):
@@ -683,7 +726,8 @@ def _two_mode_pure_slice(state: TwoModeState, thetas1, theta2: float, x2: float,
     phase1 = np.exp(-1j * np.outer(thetas1, n))
     c2 = state.amplitudes * np.exp(-1j * theta2 * n)
     j = int(np.argmin(np.abs(grid.x - x2)))
-    return _clamped(np.abs((phase1 * (c2 @ psis[:, j])) @ psis) ** 2)
+    phased = phase1 * (c2 @ psis[:, j])
+    return _clamped(np.abs(_psi_contract(psis, phased.T)) ** 2).T
 
 
 def density_eigenmodes(rho: TwoModeDensityMatrix):
@@ -832,7 +876,10 @@ def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray):
 
     m H is formed exactly by Dekker's product (m and H split in halves), m L
     and the renormalization add the rest, and the power of two is applied
-    last, exactly, once the value is near 10^16.
+    last, exactly, once the value is near 10^16: its exponent s lies in
+    54..59 for every finite nonzero double, and within 4 of that while e
+    settles, so 2^s is a normal double built from its bits, and the
+    products are exact, as ldexp is.
     """
     high, high_hi, high_lo, low, shift = _ten_powers()
     i = k - _TENS.start
@@ -844,8 +891,8 @@ def _scaled(m: np.ndarray, e2: np.ndarray, k: np.ndarray):
     lo = (((m_hi * high_hi[i] - p) + m_hi * high_lo[i] + m_lo * high_hi[i]) + m_lo * high_lo[i]) + m * low[i]
     hi = p + lo
     lo -= hi - p
-    scale = e2 + shift[i]
-    return np.ldexp(hi, scale), np.ldexp(lo, scale)
+    power = ((e2 + shift[i] + 1023) << 52).view(np.float64)
+    return hi * power, lo * power
 
 
 def _out_of_range(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -903,8 +950,16 @@ def _format_cells(values) -> np.ndarray:
     d, e, unsure = _decimal_digits(v)
     n = v.size
     digits, prefixes, exponents = _text_tables()
-    top, rest = np.divmod(d, 10**16)
-    groups = np.divmod(rest // 10**8, 10**4) + np.divmod(rest % 10**8, 10**4)
+    # One int64 division leaves the top 9 and the low 8 digits.  float64 splits
+    # those exactly: each quotient below is an integer or at least 1e-8 from
+    # one, far above its rounding error.
+    upper, lower = (part.astype(np.float64) for part in np.divmod(d, 10**8))
+    top = np.floor(upper / 1e8)
+    high = upper - top * 1e8
+    groups = []
+    for part in (high, lower):
+        group = np.floor(part / 1e4)
+        groups += [group.astype(np.intp), (part - group * 1e4).astype(np.intp)]
     sci = (e < -4) | (e >= 17)
     below_one = (e < 0) & ~sci
     fixed = (e >= 0) & ~sci
@@ -914,7 +969,7 @@ def _format_cells(values) -> np.ndarray:
     words[:, 0] = prefixes[5 * np.signbit(v) - np.where(below_one, e, 0)]
     out[:, 6] = top + ord("0")
     # The point follows the first digit when another nonzero digit follows.
-    out[:, 7] = ((sci | fixed) & (rest != 0)) * np.uint8(ord("."))
+    out[:, 7] = ((sci | fixed) & ((high != 0) | (lower != 0))) * np.uint8(ord("."))
     quads = out.view(np.uint32)
     zeros_after = np.ones(n, dtype=bool)
     for i in (3, 2, 1, 0):

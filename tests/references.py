@@ -138,3 +138,17 @@ def psi_recurrence_ldexp(n_max: int, x) -> np.ndarray:
             p_prev, p_cur = p_cur, p_next
             np.ldexp(p_cur, e, out=out[n + 1])
     return out
+
+
+def total_photon_distribution_trace(state) -> np.ndarray:
+    """P(n + m = T), T = 0 .. 2 n_cut, one np.trace per anti-diagonal of |c_nm|^2."""
+    p = np.abs(state.amplitudes) ** 2
+    return np.array([np.trace(p[:, ::-1], offset=state.n_cut - total) for total in range(2 * state.n_cut + 1)])
+
+
+def tomogram_pure_complex(state, thetas, grid) -> np.ndarray:
+    """w(X, theta) = |sum_n c_n e^{-i n theta} psi_n(X)|^2 on every grid point, through one complex product."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    psis = hermite_psi_matrix(state.n_cut, grid.x)
+    phased = np.exp(-1j * np.outer(thetas, np.arange(state.n_cut + 1))) * state.amplitudes
+    return np.abs(phased @ psis) ** 2

@@ -24,10 +24,10 @@ from tomolens.metrics import (
     squeezing_report,
     two_mode_report,
 )
-from tomolens.states import make_cat, make_coherent, make_pacs, make_product
+from tomolens.states import _adaptive_cut, make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, marginal, tomogram_joint, tomogram_pure
 
-from references import block_generator, expm_fixed_point
+from references import block_generator, expm_fixed_point, total_photon_distribution_trace
 
 
 def test_vacuum_passes_through():
@@ -203,6 +203,41 @@ def test_photon_number_conservation():
     size = min(din.size, dout.size)
     assert np.max(np.abs(din[:size] - dout[:size])) < 1e-12
     assert dout[size:].sum() < 1e-12
+
+
+# The benchmark's '<state>-vacuum' input amplitudes, and a sweep of every
+# beamsplitter input kind of the beamsplitter-sweep scenario.
+BENCHMARK_INPUTS = [
+    (kind, "vacuum", a)
+    for kind, alphas in (
+        ("ecs", (0.55, 0.555, 0.56, 0.565, 0.57, 0.575, 0.58, 0.585)),
+        ("ocs", (0.6075, 0.61, 0.6125, 0.615, 0.62, 0.63, 0.635, 0.65)),
+        ("pacs", (0.835, 0.8425, 0.845, 0.855, 0.865, 0.87)),
+    )
+    for a in alphas
+]
+SWEEP_INPUTS = [
+    (kind, second, a)
+    for kind, second in (("ecs", "vacuum"), ("ocs", "vacuum"), ("ecs", "ecs"), ("ocs", "ocs"), ("pacs", "vacuum"))
+    for a in np.linspace(0.2, 2.6, 9)
+]
+
+
+def _bs_input(kind, second, alpha):
+    first = make_pacs(alpha, 1) if kind == "pacs" else make_cat(alpha, "even" if kind == "ecs" else "odd")
+    return make_product(first, make_coherent(0.0) if second == "vacuum" else first)
+
+
+@pytest.mark.parametrize("kind,second,alpha", BENCHMARK_INPUTS + SWEEP_INPUTS)
+def test_total_photon_distribution_in_one_pass_keeps_every_cut(kind, second, alpha):
+    # np.bincount sums each anti-diagonal in another order than np.trace; the
+    # distribution may move by rounding, but no cut that apply reads off it.
+    inp = _bs_input(kind, second, alpha)
+    for state in [inp] + [apply(BeamsplitterConfig(phi), inp) for phi in (0.0, np.pi / 2)]:
+        dist, reference = state.total_photon_distribution(), total_photon_distribution_trace(state)
+        assert dist.shape == reference.shape
+        np.testing.assert_allclose(dist, reference, rtol=0.0, atol=1e-15)
+        assert _adaptive_cut(dist) == _adaptive_cut(reference)
 
 
 def test_forward_then_reverse_is_identity():

@@ -224,9 +224,16 @@ NAN, INF = float("nan"), float("inf")
 )
 def test_non_finite_scalar_is_a_truncation_error_without_a_warning(build, n_cut):
     # tier-1 turns a RuntimeWarning into an error; the constructors must raise
-    # the typed guard instead, with every amplitude 0.
-    with pytest.raises(TruncationOverflow):
+    # the typed guard instead, naming the scalar, before any basis is grown.
+    with pytest.raises(TruncationOverflow, match=r"^(alpha|xi|zeta|r)=.*(nan|inf).* is not finite"):
         build(n_cut)
+
+
+@pytest.mark.parametrize("alpha", [1e200, complex(1.5e308, 1.5e308)])
+def test_finite_scalar_whose_modulus_overflows_occupies_levels_above_max_level(alpha):
+    # The scalar is finite, so the state is judged by the levels it occupies.
+    with pytest.raises(TruncationOverflow, match=f"levels above MAX_LEVEL={MAX_LEVEL}"):
+        make_coherent(alpha)
 
 
 def test_highest_number_state_builds():

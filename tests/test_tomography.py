@@ -14,6 +14,7 @@ from tomolens.fock import SingleModeState, TwoModeDensityMatrix, TwoModeState, h
 from tomolens.metrics import EUR_SLACK, _joint_mass_entropy, _w_ln_w, band_peaks, entropy_two_mode, two_mode_report
 from tomolens.scenarios import default_battery, parse_state_spec
 from tomolens.states import (
+    FAMILIES,
     build_state,
     make_cat,
     make_coherent,
@@ -36,11 +37,13 @@ from tomolens.tomography import (
     _joint_blocks,
     _mirrored,
     _product_basis,
+    _psi_contract,
     _two_mode_pure_slice,
     _write_rows,
     check_pi_shift,
     default_grid,
     marginal,
+    moment_grid,
     tomogram_joint,
     tomogram_mixed,
     tomogram_pure,
@@ -50,7 +53,13 @@ from tomolens.tomography import (
     two_mode_tomogram_to_csv,
 )
 
-from references import eigenmode_tomogram, full_pair_products, full_pair_tomogram, phase_matrix
+from references import (
+    eigenmode_tomogram,
+    full_pair_products,
+    full_pair_tomogram,
+    phase_matrix,
+    tomogram_pure_complex,
+)
 
 
 def decohered_output(kind, t=0.3):
@@ -603,6 +612,95 @@ def test_definite_parity_maps_mirror_bit_for_bit(n_points):
         bits = tomo.values.view(np.uint64)
         assert np.array_equal(bits[:, ::-1], bits) == mirrors
         assert _mirrored(tomo.values.T) == mirrors
+
+
+# One state of every single-mode family, complex scalars where the family takes them.
+FAMILY_STATES = [
+    ("coherent", {"alpha": 0.9 - 0.6j}),
+    ("fock", {"n": 4}),
+    ("ecs", {"alpha": 1.3j}),
+    ("ocs", {"alpha": 0.8 + 0.5j}),
+    ("yurke-stoler", {"alpha": 1.1}),
+    ("squeezed-vacuum", {"xi": 0.6j}),
+    ("yuen", {"xi": 0.4 + 0.2j}),
+    ("pacs", {"alpha": 0.7 + 0.4j, "m": 2}),
+    ("isospectral", {"zeta": 0.9j, "base": 2}),
+]
+# Bound on |w - w_complex| relative to the map's maximum, set from double
+# rounding of a d <= 40 term sum before measuring; measured at most 9.8e-16
+# on these maps and 5.5e-16 on the battery's joint tomograms.
+REAL_PAIR_TOLERANCE = 1e-14
+
+
+@pytest.mark.parametrize("family,params", FAMILY_STATES, ids=[f for f, _ in FAMILY_STATES])
+def test_real_pair_tomogram_matches_the_complex_product(family, params):
+    # psi stays real: psi^T times the [Re, Im] pairs of the phased amplitudes
+    # gives the complex product's map to rounding, on every phase count and
+    # on both the default and the moment grid.
+    state = build_state(parse_state_spec({"family": family, **{k: str(v) for k, v in params.items()}}))
+    for grid in (default_grid(state), moment_grid(state)):
+        for count in (2, 3, 5, 24, 181):
+            thetas = np.linspace(0.0, np.pi, count, endpoint=False) + 0.1
+            values = tomogram_pure(state, thetas, grid).values
+            reference = tomogram_pure_complex(state, thetas, grid)
+            assert np.max(np.abs(values - reference)) <= REAL_PAIR_TOLERANCE * reference.max()
+
+
+SINGLE_MODE_BATTERY = [(n, s) for n, s in default_battery() if not FAMILIES[s.family].two_mode]
+TWO_MODE_BATTERY = [(n, s) for n, s in default_battery() if FAMILIES[s.family].two_mode]
+
+
+@pytest.mark.parametrize("name,spec", SINGLE_MODE_BATTERY, ids=[name for name, _ in SINGLE_MODE_BATTERY])
+def test_battery_maps_of_definite_parity_mirror_bit_for_bit(name, spec):
+    # Exactly the states with every odd (or every even) amplitude zero have
+    # mirrored maps, bit for bit, at every phase count; the others are
+    # evaluated on the whole grid.
+    state = build_state(spec)
+    c = state.amplitudes
+    parity = not c[1::2].any() or not c[::2].any()
+    assert _definite_parity(state) is parity
+    for count in (3, 181):
+        bits = tomogram_pure(state, np.linspace(0.0, np.pi, count), default_grid(state)).values.view(np.uint64)
+        assert np.array_equal(bits[:, ::-1], bits) is parity
+
+
+def test_ecs_map_formats_only_the_first_half_of_its_rows(monkeypatch, tmp_path):
+    # The benchmark's map: an even cat at 181 phases on its 2001-point grid.
+    # Its mirror is a property of the state, so _write_rows formats n - n//2
+    # rows with their cells and only the x text of the rest.
+    state = make_cat(1.2, "even")
+    tomo = tomogram_pure(state, DEFAULT_THETAS, default_grid(state))
+    formatted = []
+    real_lines = tomography._csv_lines
+
+    def counting(block):
+        formatted.append(block.shape)
+        return real_lines(block)
+
+    monkeypatch.setattr(tomography, "_csv_lines", counting)
+    tomogram_to_csv(tomo, tmp_path / "map.csv")
+    n = tomo.grid.x.size
+    assert sum(rows for rows, cols in formatted if cols > 1) == n - n // 2
+    assert [(rows, cols) for rows, cols in formatted if cols == 1] == [(n, 1)]
+
+
+@pytest.mark.parametrize("name,spec", TWO_MODE_BATTERY, ids=[name for name, _ in TWO_MODE_BATTERY])
+def test_joint_amplitudes_match_the_complex_product(name, spec):
+    # psi^T c~ and psi^T c~^T of _joint_blocks, through the real [Re, Im]
+    # product, against numpy's complex product of the same matrices (equal
+    # bit for bit on every case here; the bound allows another BLAS's order).
+    state = build_state(spec)
+    grid = default_grid(state)
+    psis = hermite_psi_matrix(state.n_cut, grid.x)
+    n = np.arange(state.n_cut + 1)
+    for theta1, theta2 in ((0.0, 0.0), (0.4, 2.3), (np.pi / 2, 1.1)):
+        phased = state.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
+        for amplitudes in (phased, np.ascontiguousarray(phased.T)):
+            reference = psis.T @ amplitudes
+            assert np.max(np.abs(_psi_contract(psis, amplitudes) - reference)) <= 1e-15 * np.abs(reference).max()
+        joint = tomogram_joint(state, theta1, theta2, grid).values
+        complex_joint = np.abs(psis.T @ phased @ psis) ** 2
+        assert np.max(np.abs(joint - complex_joint)) <= REAL_PAIR_TOLERANCE * complex_joint.max()
 
 
 @pytest.mark.parametrize(
