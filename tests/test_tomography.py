@@ -596,18 +596,30 @@ def test_tomogram_scenario_map_matches_per_cell_formatting(tmp_path):
     assert body == _per_cell_rows(tomo.grid.x, tomo.values)
 
 
+SINGLE_MODE_BATTERY = [(n, s) for n, s in default_battery() if not FAMILIES[s.family].two_mode]
+TWO_MODE_BATTERY = [(n, s) for n, s in default_battery() if FAMILIES[s.family].two_mode]
+
+
+def _with_parity(state):
+    c = state.amplitudes
+    return state, not c[1::2].any() or not c[::2].any()
+
+
 @pytest.mark.parametrize("n_points", [257, 601, 2001])
 def test_definite_parity_maps_mirror_bit_for_bit(n_points):
-    # psi_n(-x) = (-1)^n psi_n(x) bit for bit on a uniform grid, so the map of a
-    # state of definite parity mirrors exactly and the CSV writer halves its
-    # formatting; states without definite parity must not mirror.
+    # A state whose amplitudes vanish on every odd (or every even) level has
+    # its X >= 0 columns evaluated and mirrored, so its map mirrors exactly and
+    # the CSV writer halves its formatting; every other state is evaluated on
+    # the whole grid and must not mirror.  The battery's single-mode states
+    # are judged by their amplitudes.
     for state, mirrors in [
         (make_cat(1.2, "even"), True),
         (make_cat(0.9, "odd"), True),
         (make_squeezed(0.5), True),
         (make_coherent(1.2), False),
         (make_pacs(0.8, 1), False),
-    ]:
+    ] + [_with_parity(build_state(spec)) for _, spec in SINGLE_MODE_BATTERY]:
+        assert _definite_parity(state) is mirrors
         tomo = tomogram_pure(state, DEFAULT_THETAS, default_grid(state, n_points))
         bits = tomo.values.view(np.uint64)
         assert np.array_equal(bits[:, ::-1], bits) == mirrors
@@ -646,24 +658,6 @@ def test_real_pair_tomogram_matches_the_complex_product(family, params):
             assert np.max(np.abs(values - reference)) <= REAL_PAIR_TOLERANCE * reference.max()
 
 
-SINGLE_MODE_BATTERY = [(n, s) for n, s in default_battery() if not FAMILIES[s.family].two_mode]
-TWO_MODE_BATTERY = [(n, s) for n, s in default_battery() if FAMILIES[s.family].two_mode]
-
-
-@pytest.mark.parametrize("name,spec", SINGLE_MODE_BATTERY, ids=[name for name, _ in SINGLE_MODE_BATTERY])
-def test_battery_maps_of_definite_parity_mirror_bit_for_bit(name, spec):
-    # Exactly the states with every odd (or every even) amplitude zero have
-    # mirrored maps, bit for bit, at every phase count; the others are
-    # evaluated on the whole grid.
-    state = build_state(spec)
-    c = state.amplitudes
-    parity = not c[1::2].any() or not c[::2].any()
-    assert _definite_parity(state) is parity
-    for count in (3, 181):
-        bits = tomogram_pure(state, np.linspace(0.0, np.pi, count), default_grid(state)).values.view(np.uint64)
-        assert np.array_equal(bits[:, ::-1], bits) is parity
-
-
 def test_ecs_map_formats_only_the_first_half_of_its_rows(monkeypatch, tmp_path):
     # The benchmark's map: an even cat at 181 phases on its 2001-point grid.
     # Its mirror is a property of the state, so _write_rows formats n - n//2
@@ -697,7 +691,8 @@ def test_joint_amplitudes_match_the_complex_product(name, spec):
         phased = state.amplitudes * np.exp(-1j * theta1 * n)[:, None] * np.exp(-1j * theta2 * n)[None, :]
         for amplitudes in (phased, np.ascontiguousarray(phased.T)):
             reference = psis.T @ amplitudes
-            assert np.max(np.abs(_psi_contract(psis, amplitudes) - reference)) <= 1e-15 * np.abs(reference).max()
+            deviation = np.max(np.abs(_psi_contract(psis, amplitudes) - reference))
+            assert deviation <= REAL_PAIR_TOLERANCE * np.abs(reference).max()
         joint = tomogram_joint(state, theta1, theta2, grid).values
         complex_joint = np.abs(psis.T @ phased @ psis) ** 2
         assert np.max(np.abs(joint - complex_joint)) <= REAL_PAIR_TOLERANCE * complex_joint.max()
