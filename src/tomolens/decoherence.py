@@ -81,43 +81,50 @@ def _decay_matrices(dim: int, gamma: float, t: float) -> np.ndarray:
     return mats
 
 
-def _decay_rows(src: np.ndarray, dst: np.ndarray, gamma: float, t: float) -> None:
+def _decay_rows(src: np.ndarray, dst: np.ndarray, mats: np.ndarray) -> None:
     """Amplitude decay of the mode whose (ket, bra) pair indexes the rows.
 
-    src and dst (which may be the same array) are (d^2, d^2) with row
-    n d + n'.  Each Fock diagonal k = n' - n maps on its own: its d - |k|
-    rows (n, n + |k|) or (n + |k|, n) step by d + 1 from row |k| or |k| d,
-    and dst[rows] = M_|k| @ src[rows].  The complex entries are viewed as
-    float64 pairs, so each diagonal is one real GEMM.
+    src and dst are distinct (d^2, d^2) arrays with row n d + n', and mats
+    is that mode's _decay_matrices.  Each Fock diagonal k = n' - n maps on
+    its own: its d - |k| rows (n, n + |k|) or (n + |k|, n) step by d + 1
+    from row |k| or |k| d, and dst[rows] = M_|k| @ src[rows].  The complex
+    entries are viewed as float64 pairs, so each diagonal is one real GEMM,
+    written straight into dst's rows.
     """
-    dim = int(round(np.sqrt(src.shape[0])))
-    mats = _decay_matrices(dim, gamma, t)
+    dim = mats.shape[0]
     src, dst = src.view(np.float64), dst.view(np.float64)
     for k in range(dim):
         size = dim - k
         for start in (k,) if k == 0 else (k, k * dim):
             rows = slice(start, start + size * (dim + 1), dim + 1)
-            dst[rows] = mats[k, :size, :size] @ src[rows]
+            np.matmul(mats[k, :size, :size], src[rows], out=dst[rows])
 
 
 def evolve_amplitude(rho0: TwoModeDensityMatrix, cfg: ChannelConfig, t: float) -> TwoModeDensityMatrix:
     """Closed-form amplitude-decay evolution of both modes to time t.
 
-    The result's tensor is a fresh array, not a reshaped view, so the density
-    matrix keeps it without a further copy.
+    Two d^4 buffers serve both modes: one stage, and the result's tensor,
+    which first holds the transposed stage.  The result owns its data, so the
+    density matrix keeps it without a further copy.  Equal rates share one
+    set of decay maps.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0.0:
         return rho0
     d = rho0.dim
-    flat = rho0.entries.reshape(d * d, d * d)
-    stage = np.empty_like(flat)
-    _decay_rows(flat, stage, cfg.rate_c, t)
-    # The second mode indexes the columns: decay the rows of the transpose.
-    stage = np.ascontiguousarray(stage.T)
-    _decay_rows(stage, stage, cfg.rate_d, t)
-    return TwoModeDensityMatrix(np.ascontiguousarray(stage.reshape(d, d, d, d).transpose(2, 3, 0, 1)))
+    mats_c = _decay_matrices(d, cfg.rate_c, t)
+    mats_d = mats_c if cfg.rate_d == cfg.rate_c else _decay_matrices(d, cfg.rate_d, t)
+    stage = np.empty((d * d, d * d), dtype=complex)
+    _decay_rows(rho0.entries.reshape(d * d, d * d), stage, mats_c)
+    # The second mode indexes the columns: decay the rows of the transpose
+    # back into stage, then transpose into the result's own buffer.
+    out = np.empty((d, d, d, d), dtype=complex)
+    columns = out.reshape(d * d, d * d)
+    np.copyto(columns, stage.T)
+    _decay_rows(columns, stage, mats_d)
+    np.copyto(out, stage.reshape(d, d, d, d).transpose(2, 3, 0, 1))
+    return TwoModeDensityMatrix(out)
 
 
 def evolve_phase(rho0: TwoModeDensityMatrix, cfg: ChannelConfig, t: float) -> TwoModeDensityMatrix:

@@ -175,19 +175,29 @@ def sweep_spec(family: str, value: float, cfg: dict) -> StateSpec:
     return _spec(family, int(value) if FAMILIES[family].kind is int else value, cfg)
 
 
-def _thread_count() -> int:
+def _thread_count(two_mode_points: bool) -> int:
+    """TOMOLENS_THREADS when it is set; else min(4, cores) for two-mode points and 1 for single-mode ones."""
     env = os.environ.get("TOMOLENS_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"TOMOLENS_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    return min(4, os.cpu_count() or 1) if two_mode_points else 1
 
 
-def _parallel_map(fn, items):
+# The pool's default size follows the kind of point a scenario maps.  A
+# two-mode point (beamsplitter blocks, d^4 channel GEMMs, joint tomograms)
+# spends long stretches in native code without the GIL, so such points overlap
+# on a pool.  A single-mode sweep point is hundreds of numpy calls of a few
+# microseconds each, and every call over 500 elements releases the GIL only to
+# take it back: on 2 vCPU the Hermite rows of the squeezed entropy sweep,
+# computed twice, took 4.7 ms in order and 9.9 ms on two workers.  Those
+# points run in order on the calling thread unless TOMOLENS_THREADS is set.
+def _parallel_map(fn, items, two_mode_points: bool):
+    """[fn(item) for item in items], on up to _thread_count(two_mode_points) pool workers."""
     items = list(items)
-    threads = min(_thread_count(), max(len(items), 1))
+    threads = min(_thread_count(two_mode_points), max(len(items), 1))
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -319,7 +329,11 @@ _SWEEPS = {
 
 
 def _run_sweep(cfg: dict, col: _Collector) -> None:
-    """Build and measure each parameter point in one guarded pool pass."""
+    """Build and measure each parameter point, guarded, in order unless TOMOLENS_THREADS is set.
+
+    The families are single-mode, so each point is small numpy calls that
+    would only contend for the GIL on a pool (see _parallel_map).
+    """
     measure, header, output, what = _SWEEPS[cfg["scenario"]]
     family = _family(cfg)
     if FAMILIES[family].two_mode:
@@ -336,7 +350,7 @@ def _run_sweep(cfg: dict, col: _Collector) -> None:
     col.write_csv(
         _get(cfg, "output", str, default=output),
         header,
-        _parallel_map(_guarded(one, "param={0}"), values),
+        _parallel_map(_guarded(one, "param={0}"), values, two_mode_points=False),
         f"{what} vs parameter for {family} at theta={theta}",
     )
 
@@ -404,7 +418,7 @@ def _run_beamsplitter_sweep(cfg: dict, col: _Collector) -> None:
         _get(cfg, "output", str, default="beamsplitter_sweep.csv"),
         "param,phi,theta,two_mode_entropy_nats,entropy_squeezed,two_mode_variance,"
         "variance_squeezed,eur_sum_nats,reduced_entropy_c_nats,reduced_entropy_d_nats",
-        _parallel_map(_guarded(one, "param={0[0]}, phi={0[1]}"), points),
+        _parallel_map(_guarded(one, "param={0[0]}, phi={0[1]}"), points, two_mode_points=True),
         f"beamsplitter output diagnostics for {kind} input across phi",
     )
 
@@ -441,7 +455,8 @@ def _run_decoherence(cfg: dict, col: _Collector) -> None:
         s = _joint_mass_entropy(rho_t, theta, theta)[1] if t in on_entropy_grid else None
         return t, (dec.purity(rho_t), dec.mean_total_photon(rho_t), s)
 
-    at = dict(_parallel_map(_guarded(one, "t={0}"), sorted(set(times) | on_entropy_grid)))
+    points = sorted(set(times) | on_entropy_grid)
+    at = dict(_parallel_map(_guarded(one, "t={0}"), points, two_mode_points=True))
     tail = (kind, channel, rate_c, rate_d)
     col.write_csv(
         _get(cfg, "output", str, default="decoherence_purity.csv"),

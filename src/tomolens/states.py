@@ -51,6 +51,14 @@ def _finite(name: str, value) -> None:
         raise TruncationOverflow(f"{name}={value} is not finite, so no truncated basis holds the state")
 
 
+def _modulus(z) -> float:
+    """|z|, or inf where the modulus of a finite complex z overflows a double (Python's abs raises there)."""
+    try:
+        return abs(complex(z))
+    except OverflowError:
+        return np.inf
+
+
 def _adaptive_cut(probabilities: np.ndarray) -> int:
     """Smallest level M with mass above M below TAIL_TOLERANCE, plus buffer."""
     total = probabilities.sum()
@@ -168,7 +176,7 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
     f = 0 if base == "vacuum" else 1
     if n_cut is not None and n_cut < f:
         raise TruncationOverflow(f"n_cut={n_cut} below the state's lowest level {f}")
-    r = abs(xi)
+    r = _modulus(xi)
 
     def amplitudes(dim):
         amps = np.zeros(dim, dtype=complex)
@@ -179,11 +187,14 @@ def make_squeezed(xi: complex, base: str = "vacuum", n_cut: int | None = None) -
             # A finite xi whose modulus overflows leaves every amplitude 0, so the state fails to certify.
             return amps
         n = np.arange(amps[f::2].size)
-        # ln cosh r = logaddexp(r, -r) - ln 2 stays finite where cosh r overflows.
-        logmag = (
-            n * np.log(np.tanh(r)) + 0.5 * ln_factorial(2 * n + f) - n * np.log(2.0) - ln_factorial(n)
-            - (f + 0.5) * (np.logaddexp(r, -r) - np.log(2.0))
-        )
+        # ln cosh r = logaddexp(r, -r) - ln 2 stays finite where cosh r overflows.  Above
+        # r ~ 9e307 its 2r and (f + 1/2) ln cosh r overflow: logmag is then -inf, every
+        # amplitude 0, and the state fails to certify.
+        with np.errstate(over="ignore"):
+            logmag = (
+                n * np.log(np.tanh(r)) + 0.5 * ln_factorial(2 * n + f) - n * np.log(2.0) - ln_factorial(n)
+                - (f + 0.5) * (np.logaddexp(r, -r) - np.log(2.0))
+            )
         amps[f::2] = np.exp(logmag) * (-1.0) ** n * np.exp(1j * n * np.angle(xi))
         return amps
 
@@ -198,15 +209,17 @@ def make_pacs(alpha: complex, m: int, n_cut: int | None = None) -> SingleModeSta
     if n_cut is not None and n_cut < m:
         raise TruncationOverflow(f"n_cut={n_cut} below added photon number {m}")
 
+    mod = _modulus(alpha)
+
     def amplitudes(dim):
         amps = np.zeros(dim, dtype=complex)
         n = np.arange(dim - m)
         if alpha == 0:
             amps[m:] = n == 0
-        elif abs(alpha) < np.inf:  # a finite alpha whose modulus overflows leaves every amplitude 0
+        elif mod < np.inf:  # a finite alpha whose modulus overflows leaves every amplitude 0
             # c_{n+m} ~ alpha^n sqrt((n+m)!)/n!  (overall constant fixed by normalization);
             # logmag[0] = ln(m!)/2 >= 0, so the initial 0 only serves a basis below level m.
-            logmag = n * np.log(abs(alpha)) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
+            logmag = n * np.log(mod) + 0.5 * ln_factorial(n + m) - ln_factorial(n)
             amps[m:] = np.exp(logmag - logmag.max(initial=0.0)) * np.exp(1j * n * np.angle(alpha))
         return amps
 

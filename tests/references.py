@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from tomolens.decoherence import AMPLITUDE_DECAY
-from tomolens.fock import _LN2_HI, _LN2_LO, _T_FLOOR, annihilation_matrix, hermite_psi_matrix
+from tomolens.decoherence import AMPLITUDE_DECAY, _decay_matrices
+from tomolens.fock import _LN2_HI, _LN2_LO, _T_FLOOR, TwoModeDensityMatrix, annihilation_matrix, hermite_psi_matrix
 from tomolens.tomography import density_eigenmodes
 
 
@@ -70,6 +70,34 @@ def composite_lindblad_rhs(rho, cfg):
         opd = op.conj().T
         out += rate * (2.0 * op @ mat @ opd - opd @ op @ mat - mat @ opd @ op)
     return out
+
+
+def evolve_amplitude_assigning(rho0, cfg, t):
+    """Amplitude decay as each diagonal's product assigned into its rows, the second mode decayed in place.
+
+    Each dst[rows] = M_k @ src[rows] forms the product in a temporary first,
+    and the in-place second pass reads rows it is about to overwrite.
+    """
+
+    def decay_rows(src, dst, gamma):
+        dim = int(round(np.sqrt(src.shape[0])))
+        mats = _decay_matrices(dim, gamma, t)
+        src, dst = src.view(np.float64), dst.view(np.float64)
+        for k in range(dim):
+            size = dim - k
+            for start in (k,) if k == 0 else (k, k * dim):
+                rows = slice(start, start + size * (dim + 1), dim + 1)
+                dst[rows] = mats[k, :size, :size] @ src[rows]
+
+    if t == 0.0:
+        return rho0
+    d = rho0.dim
+    flat = rho0.entries.reshape(d * d, d * d)
+    stage = np.empty_like(flat)
+    decay_rows(flat, stage, cfg.rate_c)
+    stage = np.ascontiguousarray(stage.T)
+    decay_rows(stage, stage, cfg.rate_d)
+    return TwoModeDensityMatrix(np.ascontiguousarray(stage.reshape(d, d, d, d).transpose(2, 3, 0, 1)))
 
 
 def deformed_annihilation_matrix(dim: int, base: int = 1) -> np.ndarray:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import tomolens
-from tomolens import scenarios, tomography
+from tomolens import decoherence, scenarios, tomography
 from tomolens.cli import main
 from tomolens.errors import ConfigError, NegativeTomogram
 from tomolens.scenarios import (
@@ -88,7 +89,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical guard: GridTooNarrow:")
 
     # Squeezing this large occupies levels above states.MAX_LEVEL, and so does
-    # a coherent amplitude of 1e200, whose |alpha|^2 overflows a double.
+    # a coherent amplitude of 1e200, whose |alpha|^2 overflows a double, or a
+    # finite complex scalar whose modulus overflows one.
     too_large = {
         "squeezed-xi-20": "scenario = entropy-sweep\nfamily = squeezed-vacuum\n"
                           "param_start = 20\nparam_stop = 20\nparam_count = 1\n",
@@ -96,6 +98,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         "coherent-1e200": "scenario = tomogram\nfamily = coherent\nalpha = 1e200\n",
         "ecs-1e200": "scenario = tomogram\nfamily = ecs\nalpha = 1e200\n",
         "isospectral-1e200": "scenario = tomogram\nfamily = isospectral\nzeta = 1e200\n",
+        "squeezed-1e308": "scenario = tomogram\nfamily = squeezed-vacuum\nxi = 1e308\n",
+        "squeezed-complex-overflow": "scenario = tomogram\nfamily = squeezed-vacuum\nxi = 1.5e308+1.5e308j\n",
+        "pacs-complex-overflow": "scenario = tomogram\nfamily = pacs\nalpha = 1.5e308+1.5e308j\n",
     }
     for name, text in too_large.items():
         path = write_config(tmp_path, text, f"{name}.cfg")
@@ -443,19 +448,20 @@ def run_under_envs(tmp_path, config_text, names, envs):
 
 
 def run_across_scenario_threads(tmp_path, config_text, names):
-    """Run one config under TOMOLENS_THREADS=1 and =2; return each run's artifacts.
+    """Run one config with TOMOLENS_THREADS unset, =1 and =2; return each run's artifacts.
 
-    BLAS is pinned to one thread in both runs; only the scenario pool varies.
+    BLAS is pinned to one thread in every run; only the scenario pool varies.
     """
-    envs = [subprocess_env(TOMOLENS_THREADS=threads, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-            for threads in ("1", "2")]
+    pinned = subprocess_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    unset = {k: v for k, v in pinned.items() if k != "TOMOLENS_THREADS"}
+    envs = [unset] + [dict(unset, TOMOLENS_THREADS=threads) for threads in ("1", "2")]
     return run_under_envs(tmp_path, config_text, names, envs)
 
 
 def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
     # One point per phi, so TOMOLENS_THREADS=2 runs the two points on two
     # pool workers at once.
-    one, two = run_across_scenario_threads(
+    unset, one, two = run_across_scenario_threads(
         tmp_path,
         "scenario = beamsplitter-sweep\ninput = ecs-vacuum\n"
         "param_start = 0.56\nparam_stop = 0.56\nparam_count = 1\n"
@@ -463,13 +469,13 @@ def test_beamsplitter_sweep_is_byte_identical_across_scenario_threads(tmp_path):
         ["beamsplitter_sweep.csv"],
     )
     assert one[0].count(b"\n") == 5
-    assert one == two
+    assert unset == one == two
 
 
 def test_decoherence_run_is_byte_identical_across_scenario_threads(tmp_path):
     # Pins the per-diagonal GEMM kernel and the one-evolve-per-point pool.
     names = ["decoherence_purity.csv", "decoherence_entropy.csv"]
-    one, two = run_across_scenario_threads(
+    unset, one, two = run_across_scenario_threads(
         tmp_path,
         "scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.56\n"
         "channel = amplitude-decay\ntime_count = 5\nentropy_time_count = 2\n"
@@ -477,19 +483,70 @@ def test_decoherence_run_is_byte_identical_across_scenario_threads(tmp_path):
         names,
     )
     assert [blob.count(b"\n") for blob in one] == [3 + 5, 3 + 2]
-    assert one == two
+    assert unset == one == two
 
 
 def test_entropy_sweep_is_byte_identical_across_scenario_threads(tmp_path):
-    # Pins the one pool pass that builds and measures each point.
-    one, two = run_across_scenario_threads(
+    # Pins the pass that builds and measures each point, in order or on the pool.
+    unset, one, two = run_across_scenario_threads(
         tmp_path,
         "scenario = entropy-sweep\nfamily = ecs\n"
         "param_start = 0.5\nparam_stop = 1.0\nparam_count = 3\ntheta = 0.4\n",
         ["entropy_sweep.csv"],
     )
     assert one[0].count(b"\n") == 3 + 3
-    assert one == two
+    assert unset == one == two
+
+
+def point_threads(monkeypatch, tmp_path, text, module, name):
+    """Idents of the threads on which running config `text` called `module.name`, one per point."""
+    threads = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    run_scenario(parse_config(write_config(tmp_path, text)), str(tmp_path / "out"))
+    return threads
+
+
+SWEEP_POINTS = "family = ecs\nparam_start = 0.5\nparam_stop = 1.0\nparam_count = 3\ntheta = 0.4\n"
+
+
+@pytest.mark.parametrize("scenario", ["entropy-sweep", "variance-sweep", "higher-order-sweep"])
+def test_single_mode_sweep_points_run_in_order_on_the_calling_thread_by_default(
+        tmp_path, monkeypatch, scenario):
+    monkeypatch.delenv("TOMOLENS_THREADS", raising=False)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 4)
+    threads = point_threads(monkeypatch, tmp_path, f"scenario = {scenario}\n{SWEEP_POINTS}",
+                            scenarios, "build_state")
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_a_set_thread_count_runs_single_mode_sweep_points_on_pool_workers(tmp_path, monkeypatch):
+    monkeypatch.setenv("TOMOLENS_THREADS", "2")
+    threads = point_threads(monkeypatch, tmp_path, f"scenario = entropy-sweep\n{SWEEP_POINTS}",
+                            scenarios, "build_state")
+    assert len(threads) == 3 and threading.get_ident() not in threads
+
+
+@pytest.mark.parametrize(
+    "text, module, name, points",
+    [
+        ("scenario = beamsplitter-sweep\ninput = ecs-vacuum\nparam_start = 0.56\nparam_stop = 0.56\n"
+         "param_count = 1\nphi_values = 0.0,1.5707963267948966\ntheta = 0.7\n", scenarios, "apply", 2),
+        ("scenario = decoherence-run\ninput = ecs-vacuum\nalpha = 0.56\nchannel = phase-damping\n"
+         "time_count = 3\ntime_min = 0.01\ntime_max = 5\n", decoherence, "evolve", 3),
+    ],
+    ids=["beamsplitter-sweep", "decoherence-run"],
+)
+def test_two_mode_points_run_on_pool_workers_by_default(tmp_path, monkeypatch, text, module, name, points):
+    monkeypatch.delenv("TOMOLENS_THREADS", raising=False)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
+    threads = point_threads(monkeypatch, tmp_path, text, module, name)
+    assert len(threads) == points and threading.get_ident() not in threads
 
 
 def blas_env_after_import(**overrides):

@@ -23,7 +23,7 @@ from tomolens.fock import TwoModeDensityMatrix, TwoModeState, fidelity_with_pure
 from tomolens.states import make_cat, make_coherent, make_pacs, make_product
 from tomolens.tomography import default_grid, tomogram_mixed, tomogram_pure
 
-from references import composite_lindblad_rhs
+from references import composite_lindblad_rhs, evolve_amplitude_assigning
 
 AMP = ChannelConfig(AMPLITUDE_DECAY, 1.0, 1.0)
 PHASE = ChannelConfig(PHASE_DAMPING, 1.0, 1.0)
@@ -250,6 +250,20 @@ def test_amplitude_decay_matches_coherent_closed_form(kind, phi, rates):
         assert abs(np.trace(weights @ gram).real - 1.0) <= 1e-12
         exact_purity = np.trace(weights @ gram @ weights @ gram).real
         assert abs(purity(evolved) - exact_purity) <= 1e-12
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0), (1.0, 0.4)], ids=["equal", "unequal"])
+@pytest.mark.parametrize("kind, alpha", [("ecs-vacuum", 0.56), ("ocs-vacuum", 0.62), ("ecs-ecs", 0.7),
+                                         ("pacs-vacuum", 0.855)])
+def test_amplitude_decay_keeps_every_bit_of_the_assigning_kernel(kind, alpha, rates):
+    # Writing each diagonal's product straight into distinct rows, and sharing
+    # the maps of equal rates, changes no arithmetic.
+    _, make_input = scenarios._bs_input({"input": kind})
+    rho0 = TwoModeDensityMatrix.from_pure(apply(BeamsplitterConfig(0.3), make_input(alpha)))
+    cfg = ChannelConfig(AMPLITUDE_DECAY, *rates)
+    for t in (1e-6, 1e-3, 0.2, 1.0, 5.0, 20.0):
+        new, old = evolve_amplitude(rho0, cfg, t).entries, evolve_amplitude_assigning(rho0, cfg, t).entries
+        assert new.tobytes() == old.tobytes(), t
 
 
 def _subnormal_parts(rho):

@@ -236,6 +236,25 @@ def test_finite_scalar_whose_modulus_overflows_occupies_levels_above_max_level(a
         make_coherent(alpha)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_squeezed(complex(1.5e308, 1.5e308)),
+        lambda: make_squeezed(1e308),
+        lambda: make_squeezed(-1.7e308, "one"),
+        lambda: make_pacs(complex(1.5e308, 1.5e308), 1),
+        lambda: make_pacs(1e308, 2),
+    ],
+    ids=["squeezed-complex-overflow", "squeezed-1e308", "yuen-minus-1.7e308", "pacs-complex-overflow",
+         "pacs-1e308"],
+)
+def test_overflowing_squeezing_or_photon_added_scalar_occupies_levels_above_max_level(build):
+    # Neither Python's abs of a complex whose modulus overflows nor a
+    # RuntimeWarning from ln cosh r (an error in tier-1) escapes the constructor.
+    with pytest.raises(TruncationOverflow, match=f"levels above MAX_LEVEL={MAX_LEVEL}"):
+        build()
+
+
 def test_highest_number_state_builds():
     assert make_fock(MAX_LEVEL).n_cut == MAX_LEVEL + 10
 
